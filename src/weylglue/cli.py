@@ -268,13 +268,14 @@ def cmd_interact(args) -> int:
 # ---------------------------------------------------------------------------
 # balance
 
-def _balance_row(wm, wz, params, c_cache) -> dict:
-    if params.gamma not in c_cache:
-        c_cache[params.gamma] = energy.leading_bracket(
-            wm.tensor, np.zeros((4, 4, 4, 4)), params.gamma, 1.0)
+def _constant_c(wm, gamma: float) -> float:
+    return energy.leading_bracket(wm.tensor, np.zeros((4, 4, 4, 4)), gamma, 1.0)
+
+
+def _balance_row(wm, wz, params) -> dict:
     bracket = energy.leading_bracket(wm.tensor, wz.tensor, params.gamma, params.lam)
     inter = duality.interaction_star(wm, wz)
-    c_const = c_cache[params.gamma]
+    c_const = _constant_c(wm, params.gamma)
     predicted = c_const - (4.0 / 9.0) * np.pi ** 2 * params.lam ** 2 * inter
     return {"lambda": params.lam, "gamma": params.gamma, "a": params.a,
             "bracket": bracket, "interaction": inter, "constant_C": c_const,
@@ -292,7 +293,13 @@ def cmd_balance(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", gluing.RegimeWarning)
         if args.auto is not None:
-            params = energy.choose_parameters(wm.tensor, wz.tensor, margin=args.auto)
+            try:
+                params = energy.choose_parameters(wm.tensor, wz.tensor, margin=args.auto)
+            except energy.MarginNotReached as exc:
+                # valid input whose bracket stays above -margin: a failed
+                # check, not an input error
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_FAIL
         else:
             missing = [k for k, v in (("--lambda", args.lam), ("--gamma", args.gamma),
                                       ("--a", args.a)) if v is None]
@@ -310,10 +317,8 @@ def cmd_balance(args) -> int:
         report["selected"] = {"lambda": params.lam, "gamma": params.gamma, "a": params.a}
     _emit(report, args.output)
     if args.sweep:
-        cache = {}
         rows = [_balance_row(wm, wz,
-                             gluing.GluingParams(a=params.a, lam=lam, gamma=params.gamma),
-                             cache)
+                             gluing.GluingParams(a=params.a, lam=lam, gamma=params.gamma))
                 for lam in energy.LAMBDA_GRID]
         _write_csv(rows, args.sweep)
     return EXIT_PASS if bal.leading_bracket < 0.0 else EXIT_FAIL
@@ -348,14 +353,13 @@ def cmd_sweep(args) -> int:
         raise ValueError("empty sweep grid")
     flags = duality.positivity_bound(wm, wz)
     grid = [(lam, gamma) for lam in lam_grid for gamma in gamma_grid]
-    cache = {}
 
     def one(point):
         lam, gamma = point
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", gluing.RegimeWarning)
             params = gluing.GluingParams(a=gamma ** 2 / 20.0, lam=lam, gamma=gamma)
-            row = _balance_row(wm, wz, params, cache)
+            row = _balance_row(wm, wz, params)
         if flags["excluded_case"] or flags["conformally_flat_factor"]:
             row["sign"] = "inconclusive"
         else:
@@ -364,9 +368,10 @@ def cmd_sweep(args) -> int:
 
     n_workers = _threads()
     if n_workers > 1:
-        # warm the per-gamma constant cache serially, then fan out
+        # compute each gamma's constant C serially, so it lands in the
+        # energy module's boundary-term cache before the workers share it
         for gamma in gamma_grid:
-            one((lam_grid[0], gamma))
+            _constant_c(wm, gamma)
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             rows = list(pool.map(one, grid))
     else:

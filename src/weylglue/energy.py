@@ -16,7 +16,10 @@ supplied by the caller (+1 when that is the outward normal of the domain,
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -127,7 +130,41 @@ class BoundaryFunctional:
     breakdown: dict
 
 
+#: Most boundary-term sets kept by ``_boundary_terms``; a default sweep
+#: needs about 40.
+_BOUNDARY_CACHE_SIZE = 128
+_boundary_cache: OrderedDict = OrderedDict()
+_boundary_lock = threading.Lock()
+
+
 def _boundary_terms(h, r: float, level: int = 12) -> dict:
+    """``_boundary_quadrature`` memoised on the content of the field.
+
+    The key is the ordered (coeff, S, power) of each term of a
+    ``CurvatureQuadraticField`` plus r and level, so equal fields built
+    separately (the inner model shared by C and the bracket, C at two
+    values of lam, the bilap and biharm forms of one field) are integrated
+    once.  Each call returns a fresh dict.  Fields without ``terms`` are not
+    cached.
+    """
+    terms = getattr(h, "terms", None)
+    if terms is None:
+        return _boundary_quadrature(h, r, level)
+    key = (tuple((c, s.tobytes(), p) for c, s, p in terms), float(r), int(level))
+    with _boundary_lock:
+        hit = _boundary_cache.get(key)
+        if hit is not None:
+            _boundary_cache.move_to_end(key)
+            return dict(hit)
+    out = _boundary_quadrature(h, r, level)
+    with _boundary_lock:
+        _boundary_cache[key] = out
+        while len(_boundary_cache) > _BOUNDARY_CACHE_SIZE:
+            _boundary_cache.popitem(last=False)
+    return dict(out)
+
+
+def _boundary_quadrature(h, r: float, level: int = 12) -> dict:
     """The five boundary integral families on the sphere of radius r.
 
     All integrals use the normal nu = +x/|x|.  Keys:
@@ -287,11 +324,6 @@ def outer_model_energy(wz, level: int = 12) -> float:
     return boundary_functional(model_H(wz), 1.0, 1.0, "bilap", level).value
 
 
-class _Params:
-    def __init__(self, gamma, lam):
-        self.gamma, self.lam = gamma, lam
-
-
 def extract_interaction_coefficient(wm, wz, gamma: float,
                                     lam_grid=LAMBDA_GRID, level: int = 12) -> dict:
     """Least-squares fit of Phi_gamma and Phi_1 against the basis {1, lam^2, lam^4}.
@@ -303,7 +335,7 @@ def extract_interaction_coefficient(wm, wz, gamma: float,
     lam_grid = np.asarray(lam_grid, dtype=float)
     rows, inner_vals, outer_vals = [], [], []
     for lam in lam_grid:
-        interp = assemble_interpolant(wm, wz, _Params(gamma, lam))
+        interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=gamma, lam=lam))
         inner_vals.append(phi_inner(interp, level).value)
         outer_vals.append(phi_outer(interp, level).value)
         rows.append([1.0, lam ** 2, lam ** 4])
@@ -358,7 +390,7 @@ class EnergyBalance:
 
 def leading_bracket(wm, wz, gamma: float, lam: float, level: int = 12) -> float:
     """Phi_gamma + Phi_1 minus the two model energies at the same scales."""
-    interp = assemble_interpolant(wm, wz, _Params(gamma, lam))
+    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=gamma, lam=lam))
     return (phi_inner(interp, level).value + phi_outer(interp, level).value
             - inner_model_energy(wm, gamma, level)
             - lam ** 4 * outer_model_energy(wz, level))
@@ -380,6 +412,10 @@ def energy_balance(wm, wz, params: GluingParams, level: int = 12) -> EnergyBalan
                          interaction=float(inter), lam=params.lam, gamma=params.gamma,
                          a=params.a, remainder=float(bracket - predicted),
                          cutoff_region_term=0.0)
+
+
+class MarginNotReached(ValueError):
+    """No gamma of the grid brings the leading bracket below -margin."""
 
 
 def choose_parameters(wm, wz, margin: float = 1.0, level: int = 12) -> GluingParams:
@@ -407,7 +443,7 @@ def choose_parameters(wm, wz, margin: float = 1.0, level: int = 12) -> GluingPar
             chosen = gamma
             break
     if chosen is None:
-        raise ValueError("no gamma in the grid achieves the requested margin")
+        raise MarginNotReached("no gamma in the grid achieves the requested margin")
     a = chosen ** 2 / 20.0
     return GluingParams(a=a, lam=lam, gamma=chosen)
 

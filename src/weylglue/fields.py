@@ -86,7 +86,10 @@ class CurvatureQuadraticField:
     Each term stores the symmetrized coefficient array S[k, l, i, j] so the
     angular factor is the quadratic form Q_ij(x) = S_klij x^k x^l.  The
     trace-free curvature symmetries of W make every such term transverse and
-    traceless, which downstream code relies on.
+    traceless, which downstream code relies on.  Terms whose symmetrized
+    array is all zeros are dropped: away from the origin they only add
+    exact zeros, and dropping them makes e.g. the interpolant of a pair with
+    W^Z = 0 independent of the W^Z-side coefficients.
     """
 
     def __init__(self, terms):
@@ -94,7 +97,8 @@ class CurvatureQuadraticField:
         for coeff, w, power in terms:
             w = np.asarray(w, dtype=float)
             s = 0.5 * (np.einsum("kijl->klij", w) + np.einsum("lijk->klij", w))
-            self.terms.append((float(coeff), s, float(power)))
+            if s.any():
+                self.terms.append((float(coeff), s, float(power)))
 
     def __add__(self, other: "CurvatureQuadraticField") -> "CurvatureQuadraticField":
         out = CurvatureQuadraticField([])

@@ -214,6 +214,8 @@ def spectrum_from_json(payload: dict, tol: float = 1e-9):
         triple = np.asarray(payload[key], dtype=float)
         if triple.shape != (3,):
             raise ValueError(f"{key!r} must be a triple")
+        if not np.isfinite(triple).all():
+            raise ValueError(f"{key!r} has non-finite entries: {triple.tolist()}")
         s = triple.sum()
         if abs(s) > tol:
             raise ValueError(f"{key!r} triple sums to {s}, not trace-free")

@@ -170,3 +170,20 @@ def test_output_file_written(spectra, capsys, tmp_path):
                    "--output", str(target)], capsys)
     assert code == cli.EXIT_PASS
     assert json.loads(target.read_text())["aligned_value"] == pytest.approx(24.0)
+
+
+def test_balance_auto_without_margin_exits_one(spectra, capsys, monkeypatch):
+    # a bracket that never drops below -margin: valid input, failed check
+    monkeypatch.setattr(cli.energy, "leading_bracket", lambda *args, **kw: 0.0)
+    code, out = run(["balance", spectra["pair"], spectra["pair"],
+                     "--auto", "1.0"], capsys)
+    assert code == cli.EXIT_FAIL
+    assert out == ""
+
+
+def test_non_finite_spectrum_exits_two(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"sd": [NaN, 0.0, 0.0], "asd": [1.0, 0.0, -1.0]}')
+    code = cli.main(["interact", str(path), str(path)])
+    assert code == cli.EXIT_INPUT
+    assert "'sd'" in capsys.readouterr().err

@@ -78,6 +78,12 @@ def test_spectrum_from_json_rejects_trace_violation():
         tc.spectrum_from_json({"sd": [1.0, 1.0, 1.0], "asd": [0.0, 0.0, 0.0]})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_spectrum_from_json_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="'asd'"):
+        tc.spectrum_from_json({"sd": [1.0, 0.0, -1.0], "asd": [bad, 0.0, 0.0]})
+
+
 def test_frame_two_forms_orthogonality():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
