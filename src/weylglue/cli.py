@@ -383,19 +383,29 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _apply_config(args, parser):
+def _apply_config(args, parser, argv):
+    """Parse ``argv`` again with the config file's values as the defaults of
+    the subcommand, so any flag given on the command line wins, even one
+    equal to its default."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         conf = json.load(fh)
+    sub = parser.commands[args.command]
+    options = {a.dest: a for a in sub._actions
+               if a.option_strings and a.default is not argparse.SUPPRESS}
     alias = {"lambda": "lam"}
+    defaults = {}
     for key, value in conf.items():
-        dest = alias.get(key, key.replace("-", "_"))
-        if not hasattr(args, dest):
+        action = options.get(alias.get(key, key.replace("-", "_")))
+        if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        if parser.get_default(dest) == getattr(args, dest):
-            setattr(args, dest, value)
-    return args
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r} must be one of "
+                             f"{sorted(action.choices)}, got {value!r}")
+        defaults[action.dest] = value
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--output", default=None)
     p_sweep.add_argument("--config", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
+    # the subcommand parsers, whose defaults a config file replaces
+    parser.commands = sub.choices
     return parser
 
 
@@ -453,7 +465,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, parser)
+        args = _apply_config(args, parser, argv)
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -173,21 +173,28 @@ def christoffel_from_data(g, dg):
 
 def dchristoffel_from_data(g, dg, d2g):
     """Coordinate derivative d_l Gamma^k_ij, shape (n, l, k, i, j)."""
-    ginv = np.linalg.inv(g)
-    dginv = -np.einsum("nka,nlab,nbs->nlks", ginv, dg, ginv)
+    n = g.shape[0]
+    ginv = np.linalg.inv(g)[:, None]  # (n, 1, k, s), broadcast over l
+    dginv = -(ginv @ dg @ ginv)  # d_l g^ks
     bracket = (np.einsum("nijs->nsij", dg) + np.einsum("njis->nsij", dg)
                - np.einsum("nsij->nsij", dg))
     dbracket = (np.einsum("nlijs->nlsij", d2g) + np.einsum("nljis->nlsij", d2g)
                 - np.einsum("nlsij->nlsij", d2g))
-    return 0.5 * (np.einsum("nlks,nsij->nlkij", dginv, bracket)
-                  + np.einsum("nks,nlsij->nlkij", ginv, dbracket))
+    # the s-contractions as matrix products over the flattened (i, j) pair
+    out = (dginv @ bracket.reshape(n, 1, DIM, DIM * DIM)
+           + ginv @ dbracket.reshape(n, DIM, DIM, DIM * DIM))
+    return 0.5 * out.reshape(n, DIM, DIM, DIM, DIM)
 
 
 def riemann_from_data(g, dg, d2g):
     gamma = christoffel_from_data(g, dg)
     dgamma = dchristoffel_from_data(g, dg, d2g)
     # R_ijkl = (d_i Gamma_jk^s - d_j Gamma_ik^s) g_sl + (G_jk^s G_is^t - G_ik^s G_js^t) g_tl
-    lin = np.einsum("nisjk,nsl->nijkl", dgamma, g) - np.einsum("njsik,nsl->nijkl", dgamma, g)
+    # d_i Gamma_jk^s g_sl as one matrix product, then antisymmetrised in (i, j)
+    n = g.shape[0]
+    dgam_g = (np.einsum("nisjk->nijks", dgamma).reshape(n, DIM ** 3, DIM)
+              @ g).reshape(n, DIM, DIM, DIM, DIM)
+    lin = dgam_g - dgam_g.transpose(0, 2, 1, 3, 4)
     quad = (np.einsum("nsjk,ntis,ntl->nijkl", gamma, gamma, g, optimize=True)
             - np.einsum("nsik,ntjs,ntl->nijkl", gamma, gamma, g, optimize=True))
     return lin + quad
@@ -241,9 +248,11 @@ def weyl_density(chart: MetricChart, x):
     ric = np.einsum("nkijl,nkl->nij", riem, ginv)
     scal = np.einsum("nij,nij->n", ginv, ric)
     n = DIM
-    ric_part = (np.einsum("njk,nil->nijkl", ric, g) + np.einsum("nil,njk->nijkl", ric, g)
-                - np.einsum("nik,njl->nijkl", ric, g) - np.einsum("njl,nik->nijkl", ric, g))
-    scal_part = (np.einsum("njk,nil->nijkl", g, g) - np.einsum("nik,njl->nijkl", g, g))
+    # a 2-tensor a_pq placed on the index pairs of (n, i, j, k, l)
+    jk, il = np.s_[:, None, :, :, None], np.s_[:, :, None, None, :]
+    ik, jl = np.s_[:, :, None, :, None], np.s_[:, None, :, None, :]
+    ric_part = ric[jk] * g[il] + ric[il] * g[jk] - ric[ik] * g[jl] - ric[jl] * g[ik]
+    scal_part = g[jk] * g[il] - g[ik] * g[jl]
     w = riem - ric_part / (n - 2) + scal[:, None, None, None, None] * scal_part / ((n - 1) * (n - 2))
     w_up = np.einsum("nia,njb,nkc,nld,nabcd->nijkl", ginv, ginv, ginv, ginv, w,
                      optimize=True)

@@ -177,25 +177,36 @@ def positivity_bound(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray,
     zero in exactly two situations, reported as flags: a conformally flat
     factor (one tensor vanishes entirely) and the excluded case where one
     tensor is purely self-dual and the other purely anti-self-dual.
+
+    ``tol`` is relative: a factor counts as flat, or a block as absent,
+    below ``tol`` times the largest eigenvalue magnitude of the pair, and
+    the value counts as positive above ``tol`` times the product of the two
+    factors' largest magnitudes.  So the flags do not change when both
+    tensors are scaled together, and roundoff in a block that should vanish
+    does not make the excluded case positive.
     """
     lm_sd, lm_asd = spectra(wm)
     lz_sd, lz_asd = spectra(wz)
     value = 6.0 * float(lm_sd @ lz_sd + lm_asd @ lz_asd)
     bound = 3.0 * (np.linalg.norm(lm_sd) * np.linalg.norm(lz_sd)
                    + np.linalg.norm(lm_asd) * np.linalg.norm(lz_asd))
-    m_flat = max(np.abs(lm_sd).max(), np.abs(lm_asd).max()) < tol
-    z_flat = max(np.abs(lz_sd).max(), np.abs(lz_asd).max()) < tol
-    m_sd_only = np.abs(lm_asd).max() < tol < np.abs(lm_sd).max()
-    m_asd_only = np.abs(lm_sd).max() < tol < np.abs(lm_asd).max()
-    z_sd_only = np.abs(lz_asd).max() < tol < np.abs(lz_sd).max()
-    z_asd_only = np.abs(lz_sd).max() < tol < np.abs(lz_asd).max()
+    m_sd, m_asd = np.abs(lm_sd).max(), np.abs(lm_asd).max()
+    z_sd, z_asd = np.abs(lz_sd).max(), np.abs(lz_asd).max()
+    m_max, z_max = max(m_sd, m_asd), max(z_sd, z_asd)
+    tiny = tol * max(m_max, z_max)
+    m_flat = m_max <= tiny
+    z_flat = z_max <= tiny
+    m_sd_only = m_asd <= tiny < m_sd
+    m_asd_only = m_sd <= tiny < m_asd
+    z_sd_only = z_asd <= tiny < z_sd
+    z_asd_only = z_sd <= tiny < z_asd
     excluded = (m_sd_only and z_asd_only) or (m_asd_only and z_sd_only)
     return {
         "aligned_value": value,
         "bound": float(bound),
         "conformally_flat_factor": bool(m_flat or z_flat),
         "excluded_case": bool(excluded),
-        "positive": bool(value > 0.0),
+        "positive": bool(value > tol * m_max * z_max),
     }
 
 

@@ -175,15 +175,11 @@ def _boundary_quadrature(h, r: float, level: int = 12) -> dict:
       lap_rad: int (Lap h_ij) (d_a h_ij) nu^a
     """
     pts, wts = sphere_rule(level)
-    xb = r * pts
-    h0 = h.derivative(xb, 0)
-    h1 = h.derivative(xb, 1)
-    h2 = h.derivative(xb, 2)
-    h3 = h.derivative(xb, 3)
+    h0, h1, h2, d3_slab = h.jet(r * pts)
     nu = pts
     area = r ** 3
     terms = {
-        "h_d3": np.einsum("nij,nabbij,na->n", h0, h3, nu),
+        "h_d3": np.einsum("nij,nabij,na->n", h0, d3_slab, nu),
         "hess_ij": np.einsum("nijab,nbij,na->n", h2, h1, nu),
         "cross": np.einsum("nbjia,nbij,na->n", h2, h1, nu),
         "hess_ab": np.einsum("nabij,nbij,na->n", h2, h1, nu),

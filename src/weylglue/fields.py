@@ -6,7 +6,10 @@ Two families cover everything the construction needs:
   curvature-type tensors W and real powers p.  The quadratic models of both
   gluing ends (p = 0 and p = -4), the biharmonic interpolant (p in
   {-6, -4, 0, 2}) and every boundary integrand are of this shape, so exact
-  derivatives up to fourth order come from one Leibniz expansion.
+  derivatives up to fourth order come from one Leibniz expansion.  ``jet``
+  evaluates h, dh, d2h and the slab d_a d_b d_b h of the third derivative
+  in one pass over the terms; the sphere integrals need nothing more, and
+  the slab is a quarter of the full order-3 array.
 
 * ``PolynomialField`` - dense polynomial perturbations used as generic test
   inputs for the linearization machinery.
@@ -80,6 +83,70 @@ def _radial_derivs(x: np.ndarray, p: float, order: int):
     return out
 
 
+def _angular(s: np.ndarray, xt: np.ndarray):
+    """Q_ij = S_klij x^k x^l of one term and its first two derivatives.
+
+    Shapes (N, 4, 4), (N, 4, 4, 4) and (4, 4, 4, 4) for points xt of
+    shape (4, N); the second derivative 2 S is constant.
+    """
+    q0 = np.einsum("klij,kn,ln->nij", s, xt, xt)
+    q1 = 2.0 * np.einsum("alij,ln->naij", s, xt)
+    q2 = 2.0 * np.einsum("abij->abij", s)
+    return q0, q1, q2
+
+
+def _leibniz(coeff: float, q, rho, order: int):
+    """coeff * d^order (Q_ij |x|^p) from the angular factors q = (Q, dQ, d2Q)
+    and the radial derivatives rho of |x|^p (Q is quadratic, so d3Q = 0)."""
+    q0, q1, q2 = q
+    if order == 0:
+        return coeff * q0 * rho[0][:, None, None]
+    if order == 1:
+        term = q1 * rho[0][:, None, None, None]
+        term += np.einsum("nij,an->naij", q0, rho[1])
+    elif order == 2:
+        term = np.einsum("abij,n->nabij", q2, rho[0])
+        term += np.einsum("naij,bn->nabij", q1, rho[1])
+        term += np.einsum("nbij,an->nabij", q1, rho[1])
+        term += np.einsum("nij,abn->nabij", q0, rho[2])
+    elif order == 3:
+        term = np.einsum("abij,cn->nabcij", q2, rho[1])
+        term += np.einsum("acij,bn->nabcij", q2, rho[1])
+        term += np.einsum("bcij,an->nabcij", q2, rho[1])
+        term += np.einsum("naij,bcn->nabcij", q1, rho[2])
+        term += np.einsum("nbij,acn->nabcij", q1, rho[2])
+        term += np.einsum("ncij,abn->nabcij", q1, rho[2])
+        term += np.einsum("nij,abcn->nabcij", q0, rho[3])
+    else:
+        term = np.einsum("abij,cdn->nabcdij", q2, rho[2])
+        term += np.einsum("acij,bdn->nabcdij", q2, rho[2])
+        term += np.einsum("adij,bcn->nabcdij", q2, rho[2])
+        term += np.einsum("bcij,adn->nabcdij", q2, rho[2])
+        term += np.einsum("bdij,acn->nabcdij", q2, rho[2])
+        term += np.einsum("cdij,abn->nabcdij", q2, rho[2])
+        term += np.einsum("naij,bcdn->nabcdij", q1, rho[3])
+        term += np.einsum("nbij,acdn->nabcdij", q1, rho[3])
+        term += np.einsum("ncij,abdn->nabcdij", q1, rho[3])
+        term += np.einsum("ndij,abcn->nabcdij", q1, rho[3])
+        term += np.einsum("nij,abcdn->nabcdij", q0, rho[4])
+    return coeff * term
+
+
+def _d3_slab(q, rho):
+    """d_a d_b d_b (Q_ij |x|^p): the order-3 sum of ``_leibniz`` at c = b,
+    with its two repeated products formed once and added twice."""
+    q0, q1, q2 = q
+    q2_rho1 = np.einsum("abij,bn->nabij", q2, rho[1])
+    q1_rho2 = np.einsum("nbij,abn->nabij", q1, rho[2])
+    term = q2_rho1 + q2_rho1
+    term += np.einsum("bbij,an->nabij", q2, rho[1])
+    term += np.einsum("naij,bbn->nabij", q1, rho[2])
+    term += q1_rho2
+    term += q1_rho2
+    term += np.einsum("nij,abbn->nabij", q0, rho[3])
+    return term
+
+
 class CurvatureQuadraticField:
     """Sum of terms c * W_kijl x^k x^l |x|^p with exact derivatives to order 4.
 
@@ -120,50 +187,32 @@ class CurvatureQuadraticField:
         if not 0 <= order <= 4:
             raise ValueError("derivative order must be 0..4")
         xb, single = _as_batch(x)
-        n = xb.shape[0]
-        shape = (n,) + (DIM,) * order + (DIM, DIM)
-        total = np.zeros(shape)
-        xt = xb.T
+        total = np.zeros((xb.shape[0],) + (DIM,) * order + (DIM, DIM))
         for coeff, s, p in self.terms:
-            q0 = np.einsum("klij,kn,ln->nij", s, xt, xt)
-            q1 = 2.0 * np.einsum("alij,ln->naij", s, xt)
-            q2 = 2.0 * np.einsum("abij->abij", s)
-            rho = _radial_derivs(xb, p, order)
-            if order == 0:
-                total += coeff * q0 * rho[0][:, None, None]
-            elif order == 1:
-                term = q1 * rho[0][:, None, None, None]
-                term += np.einsum("nij,an->naij", q0, rho[1])
-                total += coeff * term
-            elif order == 2:
-                term = np.einsum("abij,n->nabij", q2, rho[0])
-                term += np.einsum("naij,bn->nabij", q1, rho[1])
-                term += np.einsum("nbij,an->nabij", q1, rho[1])
-                term += np.einsum("nij,abn->nabij", q0, rho[2])
-                total += coeff * term
-            elif order == 3:
-                term = np.einsum("abij,cn->nabcij", q2, rho[1])
-                term += np.einsum("acij,bn->nabcij", q2, rho[1])
-                term += np.einsum("bcij,an->nabcij", q2, rho[1])
-                term += np.einsum("naij,bcn->nabcij", q1, rho[2])
-                term += np.einsum("nbij,acn->nabcij", q1, rho[2])
-                term += np.einsum("ncij,abn->nabcij", q1, rho[2])
-                term += np.einsum("nij,abcn->nabcij", q0, rho[3])
-                total += coeff * term
-            else:
-                term = np.einsum("abij,cdn->nabcdij", q2, rho[2])
-                term += np.einsum("acij,bdn->nabcdij", q2, rho[2])
-                term += np.einsum("adij,bcn->nabcdij", q2, rho[2])
-                term += np.einsum("bcij,adn->nabcdij", q2, rho[2])
-                term += np.einsum("bdij,acn->nabcdij", q2, rho[2])
-                term += np.einsum("cdij,abn->nabcdij", q2, rho[2])
-                term += np.einsum("naij,bcdn->nabcdij", q1, rho[3])
-                term += np.einsum("nbij,acdn->nabcdij", q1, rho[3])
-                term += np.einsum("ncij,abdn->nabcdij", q1, rho[3])
-                term += np.einsum("ndij,abcn->nabcdij", q1, rho[3])
-                term += np.einsum("nij,abcdn->nabcdij", q0, rho[4])
-                total += coeff * term
+            q = _angular(s, xb.T)
+            total += _leibniz(coeff, q, _radial_derivs(xb, p, order), order)
         return total[0] if single else total
+
+    def jet(self, x):
+        """h, dh, d2h and the slab T[..., a, b, i, j] = d_a d_b d_b h_ij.
+
+        One pass over the terms computes each term's angular and radial
+        factors once.  The first three arrays equal ``derivative(x, k)`` for
+        k = 0, 1, 2 and T equals the b = c slab of ``derivative(x, 3)``
+        bit for bit: the same products are added in the same order.  T is
+        all the sphere integrands need of the third derivative, at a
+        quarter of its size.
+        """
+        xb, single = _as_batch(x)
+        n = xb.shape[0]
+        out = [np.zeros((n,) + (DIM,) * k + (DIM, DIM)) for k in (0, 1, 2, 2)]
+        for coeff, s, p in self.terms:
+            q = _angular(s, xb.T)
+            rho = _radial_derivs(xb, p, 3)
+            for k in range(3):
+                out[k] += _leibniz(coeff, q, rho, k)
+            out[3] += coeff * _d3_slab(q, rho)
+        return tuple(o[0] for o in out) if single else tuple(out)
 
     def eval(self, x):
         return self.derivative(x, 0)

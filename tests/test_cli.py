@@ -158,6 +158,38 @@ def test_config_flag_wins_over_file(spectra, capsys, tmp_path):
     assert json.loads(out)["lam"] == 3.0
 
 
+def test_config_sets_subcommand_defaults(spectra, capsys, tmp_path):
+    # keys whose defaults only the subcommand parser knows
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": 5}))
+    code, out = run(["verify", "sphere", "--config", str(conf)], capsys)
+    assert code == cli.EXIT_PASS
+    assert json.loads(out)["seed"] == 5
+    conf.write_text(json.dumps({"lambda": 2.0, "gamma": 0.02, "a": 2e-5,
+                                "error-model": "synthetic"}))
+    code, out = run(["balance", spectra["pair"], spectra["pair"],
+                     "--config", str(conf)], capsys)
+    assert code == cli.EXIT_PASS
+    assert json.loads(out)["error_model"] == "synthetic"
+
+
+def test_config_loses_to_flag_equal_to_default(capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": 5}))
+    code, out = run(["verify", "sphere", "--config", str(conf), "--seed", "0"], capsys)
+    assert code == cli.EXIT_PASS
+    assert json.loads(out)["seed"] == 0
+
+
+@pytest.mark.parametrize("payload", [{"sede": 5}, {"error-model": "exact"}])
+def test_bad_config_key_exits_two(spectra, capsys, tmp_path, payload):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(payload))
+    code, _ = run(["balance", spectra["pair"], spectra["pair"],
+                   "--config", str(conf)], capsys)
+    assert code == cli.EXIT_INPUT
+
+
 def test_missing_spectrum_file_exits_two(capsys, tmp_path):
     code, _ = run(["interact", str(tmp_path / "nope.json"),
                    str(tmp_path / "nope.json")], capsys)

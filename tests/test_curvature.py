@@ -100,3 +100,71 @@ def test_scaled_chart_metric():
     scaled = cv.ScaledChart(chart, 9.0)
     g = scaled.metric(np.zeros(4))
     assert np.abs(g - 9.0 * np.eye(4)).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# oracles for the batched curvature contractions
+
+def _old_dchristoffel(g, dg, d2g):
+    ginv = np.linalg.inv(g)
+    dginv = -np.einsum("nka,nlab,nbs->nlks", ginv, dg, ginv)
+    bracket = (np.einsum("nijs->nsij", dg) + np.einsum("njis->nsij", dg)
+               - np.einsum("nsij->nsij", dg))
+    dbracket = (np.einsum("nlijs->nlsij", d2g) + np.einsum("nljis->nlsij", d2g)
+                - np.einsum("nlsij->nlsij", d2g))
+    return 0.5 * (np.einsum("nlks,nsij->nlkij", dginv, bracket)
+                  + np.einsum("nks,nlsij->nlkij", ginv, dbracket))
+
+
+def _old_riemann(g, dg, d2g):
+    gamma = cv.christoffel_from_data(g, dg)
+    dgamma = _old_dchristoffel(g, dg, d2g)
+    lin = np.einsum("nisjk,nsl->nijkl", dgamma, g) - np.einsum("njsik,nsl->nijkl", dgamma, g)
+    quad = (np.einsum("nsjk,ntis,ntl->nijkl", gamma, gamma, g, optimize=True)
+            - np.einsum("nsik,ntjs,ntl->nijkl", gamma, gamma, g, optimize=True))
+    return lin + quad
+
+
+def _density(w, g):
+    ginv = np.linalg.inv(g)
+    w_up = np.einsum("ia,jb,kc,ld,abcd->ijkl", ginv, ginv, ginv, ginv, w)
+    return float(np.einsum("ijkl,ijkl->", w_up, w)) * np.sqrt(np.linalg.det(g))
+
+
+def _random_chart_points(seed, n=6):
+    rng = np.random.default_rng(seed)
+    chart = cv.polynomial_chart(PolynomialField.random(rng, scale=0.05))
+    return chart, 0.3 * rng.standard_normal((n, 4))
+
+
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_batched_contractions_match_einsum_oracle(seed):
+    chart, x = _random_chart_points(seed)
+    _, _, g, dg, d2g = cv._metric_data(chart, x)
+    for new, old in ((cv.dchristoffel_from_data(g, dg, d2g), _old_dchristoffel(g, dg, d2g)),
+                     (cv.riemann_from_data(g, dg, d2g), _old_riemann(g, dg, d2g))):
+        assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("seed", [74, 75, 76])
+def test_weyl_density_matches_pointwise_weyl(seed):
+    chart, x = _random_chart_points(seed)
+    dens = cv.weyl_density(chart, x)
+    pointwise = np.array([_density(cv.weyl(chart, p), chart.metric(p)) for p in x])
+    assert np.abs(dens - pointwise).max() <= 1e-12 * np.abs(pointwise).max()
+
+
+@pytest.mark.parametrize("seed", [77, 78])
+def test_weyl_density_matches_finite_differences(seed):
+    chart, x = _random_chart_points(seed)
+    dens = cv.weyl_density(chart, x)
+    fd = []
+    for p in x:
+        # the metric is cubic, so a wide step loses nothing to truncation;
+        # the default 1e-5 step leaves about 1e-5 of roundoff in d2g
+        data = cv.fd_curvature(chart, p, step=1e-3)
+        g = chart.metric(p)
+        fd.append(_density(tc.weyl_from_riemann(data["riemann"], g, data["ricci"],
+                                                data["scalar"]), g))
+    fd = np.array(fd)
+    assert np.abs(dens - fd).max() <= 1e-6 * np.abs(fd).max()

@@ -109,3 +109,20 @@ def test_conformally_flat_flag():
     out = du.positivity_bound(tc.algweyl_from_spectrum(zero, zero),
                               tc.algweyl_from_spectrum(spec, spec))
     assert out["conformally_flat_factor"]
+
+
+@pytest.mark.parametrize("spectra_pair", [
+    ((1.0, 0.0, -1.0), (2.0, -1.0, -1.0), (0.5, 0.5, -1.0), (1.0, 0.0, -1.0)),
+    ((1.0, 0.0, -1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (2.0, -1.0, -1.0)),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, -1.0), (1.0, 0.0, -1.0)),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+])
+def test_positivity_flags_are_scale_free(spectra_pair):
+    # a valid pair, the excluded case, a flat factor and two flat factors
+    sd_m, asd_m, sd_z, asd_z = spectra_pair
+    wm = tc.algweyl_from_spectrum(sd_m, asd_m).tensor
+    wz = tc.algweyl_from_spectrum(sd_z, asd_z).tensor
+    keys = ("conformally_flat_factor", "excluded_case", "positive")
+    flags = [{k: du.positivity_bound(s * wm, s * wz)[k] for k in keys}
+             for s in (1e-15, 1.0, 1e15)]
+    assert flags[0] == flags[1] == flags[2]

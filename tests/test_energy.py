@@ -264,6 +264,27 @@ def test_energy_balance_reuses_selection_quadratures(monkeypatch):
     assert calls == []
 
 
+def test_energy_balance_integrates_no_sphere_twice(monkeypatch):
+    # the same reuse counted at the quadrature itself: the boundary jet
+    # forms no full third derivative, so counting those sees nothing
+    wm, _ = pair_tensors()
+    wz = 0.3 * wm
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        params = en.choose_parameters(wm, wz, margin=1.0)
+    assert params.gamma == en.GAMMA_GRID[-1]
+    calls = []
+    original = en._boundary_quadrature
+
+    def counting(h, r, level=12):
+        calls.append(r)
+        return original(h, r, level)
+
+    monkeypatch.setattr(en, "_boundary_quadrature", counting)
+    en.energy_balance(wm, wz, params)
+    assert calls == []
+
+
 def test_breakdown_mutation_does_not_leak():
     rng = np.random.default_rng(59)
     h = model_H(random_weyl(rng))
