@@ -67,19 +67,13 @@ def _check(name, tag, residual, tol):
 
 def _suite_sphere(rng):
     checks = []
+    exact = np.array([energy.sphere_moment(*idx) for idx in np.ndindex((4,) * 4)])
     for level in (12, 16):
         pts, wts = energy.sphere_rule(level)
         err = abs(float(wts.sum()) - energy.VOL_S3)
         checks.append(_check(f"sphere-volume-L{level}", "quadrature-volume", err, 1e-12))
-        moment_err = 0.0
-        for mu in range(4):
-            for nu in range(4):
-                for k in range(4):
-                    for l in range(4):
-                        q = float(np.sum(wts * pts[:, mu] * pts[:, nu]
-                                         * pts[:, k] * pts[:, l]))
-                        moment_err = max(moment_err,
-                                         abs(q - energy.sphere_moment(mu, nu, k, l)))
+        moments = np.einsum("n,na,nb,nc,nd->abcd", wts, pts, pts, pts, pts)
+        moment_err = float(np.abs(moments.ravel() - exact).max())
         checks.append(_check(f"sphere-moments-L{level}", "quadrature-moments",
                              moment_err, 1e-12))
     return checks

@@ -2,13 +2,24 @@
 
 Charts are immutable evaluators exposing the metric and its first two (for
 some kinds, four) coordinate derivatives in closed form; the curvature
-pipeline below never differentiates numerically.  Finite-difference oracles
-are provided separately for testing.
+pipeline below never differentiates numerically, and reads g, dg and d2g
+together from the chart's ``metric_jet``.  Finite-difference oracles are
+provided separately for testing.
 
 Convention: R_ij = R_kijl g^kl, and the coordinate curvature tensor is
     R_ijkl = (d_i Gamma_jk^s - d_j Gamma_ik^s) g_sl
              + (Gamma_jk^s Gamma_is^t - Gamma_ik^s Gamma_js^t) g_tl,
 so the chart delta - 1/3 W_kijl x^k x^l has Weyl curvature W at the origin.
+It is computed in its second-derivative form
+    R_ijkl = 1/2 (d_i d_k g_jl + d_j d_l g_ik - d_i d_l g_jk - d_j d_k g_il)
+             + Gamma_{p,jl} Gamma^p_ik - Gamma_{p,jk} Gamma^p_il,
+with Gamma_{p,ij} = 1/2 (d_i g_jp + d_j g_ip - d_p g_ij) the Christoffel
+symbols of the first kind, so no derivative of Gamma is formed.  By the pair
+symmetry of Gamma_{p,jk} Gamma^p_il this is 1/2 (f_ijkl - f_jikl - f_ijlk
++ f_jilk) for f_ijkl = d_i d_k g_jl - Gamma_{p,jk} Gamma^p_il.  The Weyl
+part is W = Rm - P (.) g with the Schouten tensor P = Ric/2 - (R/12) g and
+the Kulkarni-Nomizu product
+    (a (.) b)_ijkl = a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik.
 """
 
 from __future__ import annotations
@@ -44,12 +55,6 @@ class MetricChart:
         out = np.broadcast_to(_EYE, (xb.shape[0], DIM, DIM)).copy()
         return out[0] if single else out
 
-    def dmetric(self, x):
-        return self.metric_derivative(x, 1)
-
-    def d2metric(self, x):
-        return self.metric_derivative(x, 2)
-
     def metric_derivative(self, x, order: int):
         """Coordinate derivatives of g, shape (..., 4^order, 4, 4)."""
         if order == 0:
@@ -57,6 +62,12 @@ class MetricChart:
         xb, single = _as_batch(x)
         out = np.zeros((xb.shape[0],) + (DIM,) * order + (DIM, DIM))
         return out[0] if single else out
+
+    def metric_jet(self, x):
+        """(g, dg, d2g) at x, equal to ``metric`` and ``metric_derivative``
+        at orders 1 and 2; charts that can share work between the orders
+        override it."""
+        return self.metric(x), self.metric_derivative(x, 1), self.metric_derivative(x, 2)
 
 
 class FieldChart(MetricChart):
@@ -93,6 +104,13 @@ class FieldChart(MetricChart):
             return self.metric(x)
         return self.scale * self.h.derivative(x, order)
 
+    def metric_jet(self, x):
+        if self.max_order < 2:
+            raise ValueError(f"chart {self.kind!r} declares derivatives to order {self.max_order}")
+        xb, single = _as_batch(x)
+        h0, h1, h2 = _field_jet(self.h, xb)
+        return _unbatch((_EYE[None] + self.scale * h0, self.scale * h1, self.scale * h2), single)
+
 
 class ScaledChart(MetricChart):
     """Constant conformal rescaling g -> c^2 g in the same coordinates."""
@@ -111,6 +129,9 @@ class ScaledChart(MetricChart):
 
     def metric_derivative(self, x, order: int):
         return self.factor * self.base.metric_derivative(x, order)
+
+    def metric_jet(self, x):
+        return tuple(self.factor * d for d in self.base.metric_jet(x))
 
 
 class SumChart(MetricChart):
@@ -133,6 +154,23 @@ class SumChart(MetricChart):
         if order == 0:
             return self.metric(x)
         return self.base.metric_derivative(x, order) + self.t * self.h.derivative(x, order)
+
+    def metric_jet(self, x):
+        xb, single = _as_batch(x)
+        return _unbatch(tuple(b + self.t * d for b, d in
+                              zip(self.base.metric_jet(xb), _field_jet(self.h, xb))), single)
+
+
+def _field_jet(h, xb):
+    """(h, dh, d2h) of a field at a batch of points: one pass over the terms
+    of a CurvatureQuadraticField, one ``derivative`` call per order otherwise."""
+    if isinstance(h, CurvatureQuadraticField):
+        return h.jet(xb, slab=False)
+    return tuple(h.derivative(xb, k) for k in range(3))
+
+
+def _unbatch(arrays, single):
+    return tuple(a[0] for a in arrays) if single else tuple(arrays)
 
 
 def flat_chart() -> MetricChart:
@@ -157,18 +195,17 @@ def polynomial_chart(field: PolynomialField, scale: float = 1.0) -> FieldChart:
 def _metric_data(chart: MetricChart, x):
     xb, single = _as_batch(x)
     chart.check_domain(xb)
-    g = chart.metric(xb)
-    dg = chart.metric_derivative(xb, 1)
-    d2g = chart.metric_derivative(xb, 2)
+    g, dg, d2g = chart.metric_jet(xb)
     return xb, single, g, dg, d2g
 
 
+def _christoffel_first_kind(dg):
+    """Gamma_{p,ij} = 1/2 (d_i g_jp + d_j g_ip - d_p g_ij), shape (n, p, i, j)."""
+    return 0.5 * (dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg)
+
+
 def christoffel_from_data(g, dg):
-    ginv = np.linalg.inv(g)
-    # bracket_{s ij} = d_i g_js + d_j g_is - d_s g_ij
-    bracket = (np.einsum("nijs->nsij", dg) + np.einsum("njis->nsij", dg)
-               - np.einsum("nsij->nsij", dg))
-    return 0.5 * np.einsum("nks,nsij->nkij", ginv, bracket)
+    return np.einsum("nks,nsij->nkij", np.linalg.inv(g), _christoffel_first_kind(dg))
 
 
 def dchristoffel_from_data(g, dg, d2g):
@@ -176,28 +213,43 @@ def dchristoffel_from_data(g, dg, d2g):
     n = g.shape[0]
     ginv = np.linalg.inv(g)[:, None]  # (n, 1, k, s), broadcast over l
     dginv = -(ginv @ dg @ ginv)  # d_l g^ks
-    bracket = (np.einsum("nijs->nsij", dg) + np.einsum("njis->nsij", dg)
-               - np.einsum("nsij->nsij", dg))
+    low = _christoffel_first_kind(dg)
     dbracket = (np.einsum("nlijs->nlsij", d2g) + np.einsum("nljis->nlsij", d2g)
                 - np.einsum("nlsij->nlsij", d2g))
     # the s-contractions as matrix products over the flattened (i, j) pair
-    out = (dginv @ bracket.reshape(n, 1, DIM, DIM * DIM)
-           + ginv @ dbracket.reshape(n, DIM, DIM, DIM * DIM))
-    return 0.5 * out.reshape(n, DIM, DIM, DIM, DIM)
+    out = (dginv @ low.reshape(n, 1, DIM, DIM * DIM)
+           + 0.5 * (ginv @ dbracket.reshape(n, DIM, DIM, DIM * DIM)))
+    return out.reshape(n, DIM, DIM, DIM, DIM)
 
 
 def riemann_from_data(g, dg, d2g):
-    gamma = christoffel_from_data(g, dg)
-    dgamma = dchristoffel_from_data(g, dg, d2g)
-    # R_ijkl = (d_i Gamma_jk^s - d_j Gamma_ik^s) g_sl + (G_jk^s G_is^t - G_ik^s G_js^t) g_tl
-    # d_i Gamma_jk^s g_sl as one matrix product, then antisymmetrised in (i, j)
+    """R_ijkl in its second-derivative form (module docstring), shape (n, 4, 4, 4, 4)."""
     n = g.shape[0]
-    dgam_g = (np.einsum("nisjk->nijks", dgamma).reshape(n, DIM ** 3, DIM)
-              @ g).reshape(n, DIM, DIM, DIM, DIM)
-    lin = dgam_g - dgam_g.transpose(0, 2, 1, 3, 4)
-    quad = (np.einsum("nsjk,ntis,ntl->nijkl", gamma, gamma, g, optimize=True)
-            - np.einsum("nsik,ntjs,ntl->nijkl", gamma, gamma, g, optimize=True))
-    return lin + quad
+    low = _christoffel_first_kind(dg).reshape(n, DIM, DIM * DIM)
+    up = np.linalg.inv(g) @ low
+    # m[j, k, i, l] = Gamma_{p,jk} Gamma^p_il, one matrix product over p
+    m = (low.transpose(0, 2, 1) @ up).reshape((n,) + (DIM,) * 4)
+    # f_ijkl = d_i d_k g_jl - Gamma_{p,jk} Gamma^p_il, then R = Alt(f) / 2
+    f = d2g.transpose(0, 1, 3, 2, 4) - m.transpose(0, 3, 1, 2, 4)
+    b = f - f.swapaxes(3, 4)
+    out = b - b.swapaxes(1, 2)
+    out *= 0.5
+    return out
+
+
+def _weyl_part(riem, g, ginv):
+    """Weyl part W = Rm - P (.) g of a batch of curvature tensors, written
+    over ``riem``; P is the Schouten tensor (module docstring)."""
+    ric = np.einsum("nkijl,nkl->nij", riem, ginv)
+    scal = np.einsum("nij,nij->n", ginv, ric)
+    schouten = 0.5 * ric - (scal / 12.0)[:, None, None] * g
+    # y_ijkl = P_il g_jk, so that P (.) g = y_ijkl + y_jilk - y_ijlk - y_jikl
+    y = schouten[:, :, None, None, :] * g[:, None, :, :, None]
+    riem -= y
+    riem -= y.transpose(0, 2, 1, 4, 3)
+    riem += y.swapaxes(3, 4)
+    riem += y.swapaxes(1, 2)
+    return riem
 
 
 def christoffel(chart: MetricChart, x):
@@ -230,33 +282,21 @@ def scalar(chart: MetricChart, x):
 
 
 def weyl(chart: MetricChart, x):
-    """Weyl tensor of the chart at x (pointwise only)."""
+    """Weyl tensor of the chart at x."""
     xb, single, g, dg, d2g = _metric_data(chart, x)
-    riem = riemann_from_data(g, dg, d2g)
-    ginv = np.linalg.inv(g)
-    ric = np.einsum("nkijl,nkl->nij", riem, ginv)
-    if single:
-        return weyl_from_riemann(riem[0], g[0], ric[0])
-    return np.stack([weyl_from_riemann(riem[k], g[k], ric[k]) for k in range(xb.shape[0])])
+    out = _weyl_part(riemann_from_data(g, dg, d2g), g, np.linalg.inv(g))
+    return out[0] if single else out
 
 
 def weyl_density(chart: MetricChart, x):
     """Pointwise |W|^2_g sqrt(det g), the integrand of the Weyl functional."""
     xb, single, g, dg, d2g = _metric_data(chart, x)
-    riem = riemann_from_data(g, dg, d2g)
     ginv = np.linalg.inv(g)
-    ric = np.einsum("nkijl,nkl->nij", riem, ginv)
-    scal = np.einsum("nij,nij->n", ginv, ric)
-    n = DIM
-    # a 2-tensor a_pq placed on the index pairs of (n, i, j, k, l)
-    jk, il = np.s_[:, None, :, :, None], np.s_[:, :, None, None, :]
-    ik, jl = np.s_[:, :, None, :, None], np.s_[:, None, :, None, :]
-    ric_part = ric[jk] * g[il] + ric[il] * g[jk] - ric[ik] * g[jl] - ric[jl] * g[ik]
-    scal_part = g[jk] * g[il] - g[ik] * g[jl]
-    w = riem - ric_part / (n - 2) + scal[:, None, None, None, None] * scal_part / ((n - 1) * (n - 2))
-    w_up = np.einsum("nia,njb,nkc,nld,nabcd->nijkl", ginv, ginv, ginv, ginv, w,
-                     optimize=True)
-    dens = np.einsum("nijkl,nijkl->n", w_up, w) * np.sqrt(np.linalg.det(g))
+    pairs = (xb.shape[0], DIM * DIM, DIM * DIM)
+    w = _weyl_part(riemann_from_data(g, dg, d2g), g, ginv).reshape(pairs)
+    # |W|^2_g = <G W G, W> for W as a matrix on index pairs and G = g^-1 (x) g^-1
+    gg = (ginv[:, :, None, :, None] * ginv[:, None, :, None, :]).reshape(pairs)
+    dens = np.einsum("nab,nab->n", gg @ w @ gg, w) * np.sqrt(np.linalg.det(g))
     return dens[0] if single else dens
 
 
@@ -282,9 +322,7 @@ def linearize_curvature(chart: MetricChart, h, x) -> dict:
     ric = np.einsum("nkijl,nkl->nij", riem, ginv)
     scal = np.einsum("nij,nij->n", ginv, ric)
 
-    h0 = h.derivative(xb, 0)
-    h1 = h.derivative(xb, 1)
-    h2 = h.derivative(xb, 2)
+    h0, h1, h2 = _field_jet(h, xb)
 
     # nabla_a h_ij and nabla^2_{ab} h_ij
     nh = (h1 - np.einsum("nsai,nsj->naij", gamma, h0)
@@ -455,10 +493,7 @@ def fd_linearize(chart: MetricChart, h, x, quantity: str, step: float = 1e-4):
     x = np.asarray(x, dtype=float)
 
     def value(t):
-        c = SumChart(chart, h, t)
-        g = c.metric(x)[None]
-        dg = c.metric_derivative(x, 1)[None]
-        d2g = c.metric_derivative(x, 2)[None]
+        g, dg, d2g = SumChart(chart, h, t).metric_jet(x[None])
         ginv = np.linalg.inv(g[0])
         if quantity == "inv":
             return ginv

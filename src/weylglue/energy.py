@@ -461,9 +461,7 @@ def rough_energy_bound(chart, r0: float, r1: float, level: int = 8,
     sup_g, sup_ginv = 0.0, 0.0
     for r, w in zip(rs, wr):
         xb = r * pts
-        g = chart.metric(xb)
-        dg = chart.metric_derivative(xb, 1)
-        d2g = chart.metric_derivative(xb, 2)
+        g, dg, d2g = chart.metric_jet(xb)
         ginv = np.linalg.inv(g)
         dginv = -np.einsum("nia,nkab,nbj->nkij", ginv, dg, ginv)
         n_dg2 = np.einsum("nkij,nkij->n", dg, dg)

@@ -9,7 +9,8 @@ Two families cover everything the construction needs:
   derivatives up to fourth order come from one Leibniz expansion.  ``jet``
   evaluates h, dh, d2h and the slab d_a d_b d_b h of the third derivative
   in one pass over the terms; the sphere integrals need nothing more, and
-  the slab is a quarter of the full order-3 array.
+  the slab is a quarter of the full order-3 array.  Without the slab the
+  same pass is the metric jet the curvature pipeline reads.
 
 * ``PolynomialField`` - dense polynomial perturbations used as generic test
   inputs for the linearization machinery.
@@ -193,25 +194,33 @@ class CurvatureQuadraticField:
             total += _leibniz(coeff, q, _radial_derivs(xb, p, order), order)
         return total[0] if single else total
 
-    def jet(self, x):
+    def jet(self, x, slab: bool = True):
         """h, dh, d2h and the slab T[..., a, b, i, j] = d_a d_b d_b h_ij.
 
         One pass over the terms computes each term's angular and radial
-        factors once.  The first three arrays equal ``derivative(x, k)`` for
-        k = 0, 1, 2 and T equals the b = c slab of ``derivative(x, 3)``
-        bit for bit: the same products are added in the same order.  T is
-        all the sphere integrands need of the third derivative, at a
-        quarter of its size.
+        factors once; a p = 0 term, whose radial factor is constant, adds
+        only c Q, c dQ and c d2Q (and nothing to T).  The first three arrays
+        equal ``derivative(x, k)`` for k = 0, 1, 2 and T equals the b = c
+        slab of ``derivative(x, 3)`` bit for bit: the same products are
+        added in the same order.  T is all the sphere integrands need of the
+        third derivative, at a quarter of its size; ``slab=False`` leaves it
+        out and returns the metric jet (h, dh, d2h) alone.
         """
         xb, single = _as_batch(x)
         n = xb.shape[0]
-        out = [np.zeros((n,) + (DIM,) * k + (DIM, DIM)) for k in (0, 1, 2, 2)]
+        orders = (0, 1, 2, 2) if slab else (0, 1, 2)
+        out = [np.zeros((n,) + (DIM,) * k + (DIM, DIM)) for k in orders]
         for coeff, s, p in self.terms:
             q = _angular(s, xb.T)
-            rho = _radial_derivs(xb, p, 3)
+            if p == 0.0:
+                for total, qk in zip(out, q):
+                    total += coeff * qk
+                continue
+            rho = _radial_derivs(xb, p, 3 if slab else 2)
             for k in range(3):
                 out[k] += _leibniz(coeff, q, rho, k)
-            out[3] += coeff * _d3_slab(q, rho)
+            if slab:
+                out[3] += coeff * _d3_slab(q, rho)
         return tuple(o[0] for o in out) if single else tuple(out)
 
     def eval(self, x):

@@ -168,3 +168,36 @@ def test_weyl_density_matches_finite_differences(seed):
                                                 data["scalar"]), g))
     fd = np.array(fd)
     assert np.abs(dens - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def _model_charts(seed):
+    from weylglue.gluing import model_F, model_H
+    rng = np.random.default_rng(seed)
+    w = random_weyl(rng)
+    # radii 0.1..1: model_F's chart starts at r_min = 0.1
+    dirs = rng.standard_normal((6, 4))
+    x = rng.uniform(0.1, 1.0, (6, 1)) * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    return [(cv.FieldChart(model_H(w), scale=5e-3), x),
+            (cv.FieldChart(model_F(w), scale=5e-2, r_min=0.1), x)]
+
+
+@pytest.mark.parametrize("seed", [79, 80])
+def test_weyl_density_matches_pointwise_weyl_on_model_charts(seed):
+    # p = 0 (the jet's constant-radial shortcut) and p = -4, as integrated by
+    # the variation suite and the glued chart
+    for chart, x in _model_charts(seed):
+        dens = cv.weyl_density(chart, x)
+        pointwise = np.array([_density(cv.weyl(chart, p), chart.metric(p)) for p in x])
+        assert np.abs(dens - pointwise).max() <= 1e-12 * np.abs(pointwise).max()
+
+
+@pytest.mark.parametrize("seed", [81, 82])
+def test_batched_weyl_matches_pointwise_decomposition(seed):
+    # tensor_core.weyl_from_riemann spells out the trace decomposition on its
+    # own, so it checks the batched Schouten / Kulkarni-Nomizu helper
+    charts = _model_charts(seed) + [_random_chart_points(seed)]
+    for chart, x in charts:
+        got = cv.weyl(chart, x)
+        want = np.array([tc.weyl_from_riemann(cv.riemann(chart, p), chart.metric(p))
+                         for p in x])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -1,8 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from weylglue import curvature as cv
+from weylglue import gluing as gl
 from weylglue import tensor_core as tc
-from weylglue.fields import CurvatureQuadraticField
+from weylglue.biharmonic import assemble_interpolant
+from weylglue.fields import CurvatureQuadraticField, PolynomialField
 
 
 def random_weyl(rng):
@@ -31,3 +36,34 @@ def test_jet_equals_derivatives_bit_for_bit(seed):
         d3 = h.derivative(x, 3)
         assert slab.shape == d3.shape[:-5] + (4, 4, 4, 4)
         assert np.array_equal(slab, np.einsum("...abbij->...abij", d3))
+
+
+def _charts(rng):
+    quad = cv.FieldChart(jet_field(rng), scale=0.3)
+    poly = cv.polynomial_chart(PolynomialField.random(rng, scale=0.05))
+    wm, wz = random_weyl(rng), random_weyl(rng)
+    params = gl.GluingParams(a=1e-5, lam=1.5, gamma=0.05)
+    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=0.05, lam=1.5))
+    glued = gl.glued_chart(wm, wz, params, interp, error_model="synthetic",
+                           zeta_scale=1e-6, eta_scale=1e-6, seed=3)
+    return [quad, poly, cv.ScaledChart(quad, 1.7), cv.ScaledChart(poly, 0.4),
+            cv.SumChart(poly, jet_field(rng), 0.2), cv.SumChart(quad, poly.h, 0.1),
+            glued]
+
+
+@pytest.mark.parametrize("seed", [64, 65])
+def test_metric_jet_equals_metric_derivatives(seed):
+    rng = np.random.default_rng(seed)
+    # radii in all three zones of the glued chart (a = 1e-5, gamma = 0.05)
+    radii = np.array([0.02, 0.04, 0.08, 0.3, 0.6, 0.9, 1.1, 1.5, 1.9])
+    dirs = rng.standard_normal((9, 4))
+    batch = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    for chart in _charts(rng):
+        for x in (batch, batch[4]):
+            want = (chart.metric(x), chart.metric_derivative(x, 1),
+                    chart.metric_derivative(x, 2))
+            got = chart.metric_jet(x)
+            assert len(got) == 3
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
