@@ -243,13 +243,18 @@ def _weyl_part(riem, g, ginv):
     ric = np.einsum("nkijl,nkl->nij", riem, ginv)
     scal = np.einsum("nij,nij->n", ginv, ric)
     schouten = 0.5 * ric - (scal / 12.0)[:, None, None] * g
-    # y_ijkl = P_il g_jk, so that P (.) g = y_ijkl + y_jilk - y_ijlk - y_jikl
-    y = schouten[:, :, None, None, :] * g[:, None, :, :, None]
-    riem -= y
-    riem -= y.transpose(0, 2, 1, 4, 3)
-    riem += y.swapaxes(3, 4)
-    riem += y.swapaxes(1, 2)
-    return riem
+    return _subtract_kulkarni_nomizu(riem, schouten, g)
+
+
+def _subtract_kulkarni_nomizu(out, a, b):
+    """out - a (.) b for batches of symmetric a and b, written over ``out``."""
+    # y_ijkl = a_il b_jk, so that a (.) b = y_ijkl + y_jilk - y_ijlk - y_jikl
+    y = a[:, :, None, None, :] * b[:, None, :, :, None]
+    out -= y
+    out -= y.transpose(0, 2, 1, 4, 3)
+    out += y.swapaxes(3, 4)
+    out += y.swapaxes(1, 2)
+    return out
 
 
 def christoffel(chart: MetricChart, x):
@@ -388,24 +393,15 @@ def linearize_curvature(chart: MetricChart, h, x) -> dict:
     hric = np.einsum("nia,njb,nab,nij->n", ginv, ginv, h0, ric)
     scal_dot = -lap_trh + div2h - hric
 
-    # Weyl variation by differentiating the trace decomposition
-    #   W = Riem - (1/(n-2)) Ric (x) g - (R/((n-1)(n-2))) g (x) g
-    # through the already assembled variations of each factor.
-    n4 = DIM
-    c2 = 1.0 / (n4 - 2)
-    c3 = 1.0 / ((n4 - 1) * (n4 - 2))
-
-    def trace_block(a, b):
-        return (np.einsum("njk,nil->nijkl", a, b) + np.einsum("nil,njk->nijkl", a, b)
-                - np.einsum("nik,njl->nijkl", a, b) - np.einsum("njl,nik->nijkl", a, b))
-
-    gg_combo = (np.einsum("njk,nil->nijkl", g, g) - np.einsum("nik,njl->nijkl", g, g))
-    hg_combo = (np.einsum("njk,nil->nijkl", h0, g) + np.einsum("njk,nil->nijkl", g, h0)
-                - np.einsum("nik,njl->nijkl", h0, g) - np.einsum("nik,njl->nijkl", g, h0))
-    weyl_dot = (riem04_dot
-                - c2 * (trace_block(ric_dot, g) + trace_block(ric, h0))
-                + c3 * (scal_dot[:, None, None, None, None] * gg_combo
-                        + scal[:, None, None, None, None] * hg_combo))
+    # Weyl variation: the derivative of W = Rm - P (.) g is
+    #   W_dot = Rm_dot - (P_dot (.) g + P (.) h),
+    # with P_dot = ric_dot/2 - (scal_dot/12) g - (scal/12) h.
+    schouten = 0.5 * ric - (scal / 12.0)[:, None, None] * g
+    schouten_dot = (0.5 * ric_dot - (scal_dot / 12.0)[:, None, None] * g
+                    - (scal / 12.0)[:, None, None] * h0)
+    weyl_dot = riem04_dot.copy()
+    _subtract_kulkarni_nomizu(weyl_dot, schouten_dot, g)
+    _subtract_kulkarni_nomizu(weyl_dot, schouten, h0)
 
     return {"inv_dot": inv_dot[0], "gamma_dot": gamma_dot[0],
             "riem13_dot": riem13_dot[0], "riem04_dot": riem04_dot[0],

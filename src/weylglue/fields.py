@@ -5,12 +5,16 @@ Two families cover everything the construction needs:
 * ``CurvatureQuadraticField`` - sums of terms c * W_kijl x^k x^l |x|^p for
   curvature-type tensors W and real powers p.  The quadratic models of both
   gluing ends (p = 0 and p = -4), the biharmonic interpolant (p in
-  {-6, -4, 0, 2}) and every boundary integrand are of this shape, so exact
-  derivatives up to fourth order come from one Leibniz expansion.  ``jet``
-  evaluates h, dh, d2h and the slab d_a d_b d_b h of the third derivative
-  in one pass over the terms; the sphere integrals need nothing more, and
-  the slab is a quarter of the full order-3 array.  Without the slab the
-  same pass is the metric jet the curvature pipeline reads.
+  {-6, -4, 0, 2}) and every boundary integrand are of this shape.  The
+  field is evaluated as one block per distinct tensor: Q_S(x) f(r), with
+  the quadratic form Q_S(x)_ij = S_klij x^k x^l and the radial profile
+  f(r) = sum_k c_k r^(p_k), so the interpolant is two blocks, not eight
+  terms.  Exact derivatives up to fourth order come from one Leibniz
+  expansion per block against the summed radial derivatives of f.
+  ``jet`` evaluates h, dh, d2h and the slab d_a d_b d_b h of the third
+  derivative in one pass over the blocks; the sphere integrals need nothing
+  more, and the slab is a quarter of the full order-3 array.  Without the
+  slab the same pass is the metric jet the curvature pipeline reads.
 
 * ``PolynomialField`` - dense polynomial perturbations used as generic test
   inputs for the linearization machinery.
@@ -84,24 +88,44 @@ def _radial_derivs(x: np.ndarray, p: float, order: int):
     return out
 
 
-def _angular(s: np.ndarray, xt: np.ndarray):
-    """Q_ij = S_klij x^k x^l of one term and its first two derivatives.
+def _angular(s: np.ndarray, xb: np.ndarray):
+    """Q_ij = S_klij x^k x^l of one block and its first two derivatives.
 
-    Shapes (N, 4, 4), (N, 4, 4, 4) and (4, 4, 4, 4) for points xt of
-    shape (4, N); the second derivative 2 S is constant.
+    Shapes (N, 4, 4), (N, 4, 4, 4) and (4, 4, 4, 4) for points xb of
+    shape (N, 4); the second derivative 2 S is constant.  Both products are
+    single matrix products over flattened index pairs.
     """
-    q0 = np.einsum("klij,kn,ln->nij", s, xt, xt)
-    q1 = 2.0 * np.einsum("alij,ln->naij", s, xt)
-    q2 = 2.0 * np.einsum("abij->abij", s)
-    return q0, q1, q2
+    # S is symmetric in its first two slots, so dQ_aij = 2 S_alij x^l
+    q1 = 2.0 * (xb @ s.reshape(DIM, DIM ** 3)).reshape(-1, DIM, DIM, DIM)
+    return _quadratic_form(s, xb), q1, 2.0 * s
 
 
-def _leibniz(coeff: float, q, rho, order: int):
-    """coeff * d^order (Q_ij |x|^p) from the angular factors q = (Q, dQ, d2Q)
-    and the radial derivatives rho of |x|^p (Q is quadratic, so d3Q = 0)."""
+def _quadratic_form(s: np.ndarray, xb: np.ndarray):
+    """Q_ij = S_klij x^k x^l as one product over the flattened (k, l) pair."""
+    xx = (xb[:, :, None] * xb[:, None, :]).reshape(-1, DIM * DIM)
+    return (xx @ s.reshape(DIM * DIM, DIM * DIM)).reshape(-1, DIM, DIM)
+
+
+def _profile_derivs(xb: np.ndarray, profile, order: int):
+    """Derivatives of f = sum_k c_k |x|^p_k up to ``order``, laid out as in
+    ``_radial_derivs`` and accumulated in the order of the terms."""
+    rho = None
+    for c, p in profile:
+        parts = _radial_derivs(xb, p, order)
+        if rho is None:
+            rho = [c * part for part in parts]
+        else:
+            for total, part in zip(rho, parts):
+                total += c * part
+    return rho
+
+
+def _leibniz(q, rho, order: int):
+    """d^order (Q_ij f) from the angular factors q = (Q, dQ, d2Q) and the
+    radial derivatives rho of f (Q is quadratic, so d3Q = 0)."""
     q0, q1, q2 = q
     if order == 0:
-        return coeff * q0 * rho[0][:, None, None]
+        return q0 * rho[0][:, None, None]
     if order == 1:
         term = q1 * rho[0][:, None, None, None]
         term += np.einsum("nij,an->naij", q0, rho[1])
@@ -130,11 +154,11 @@ def _leibniz(coeff: float, q, rho, order: int):
         term += np.einsum("ncij,abdn->nabcdij", q1, rho[3])
         term += np.einsum("ndij,abcn->nabcdij", q1, rho[3])
         term += np.einsum("nij,abcdn->nabcdij", q0, rho[4])
-    return coeff * term
+    return term
 
 
 def _d3_slab(q, rho):
-    """d_a d_b d_b (Q_ij |x|^p): the order-3 sum of ``_leibniz`` at c = b,
+    """d_a d_b d_b (Q_ij f): the order-3 sum of ``_leibniz`` at c = b,
     with its two repeated products formed once and added twice."""
     q0, q1, q2 = q
     q2_rho1 = np.einsum("abij,bn->nabij", q2, rho[1])
@@ -148,6 +172,13 @@ def _d3_slab(q, rho):
     return term
 
 
+def _constant(profile):
+    """The value of a profile whose powers are all 0, else None."""
+    if all(p == 0.0 for _, p in profile):
+        return sum(c for c, _ in profile)
+    return None
+
+
 class CurvatureQuadraticField:
     """Sum of terms c * W_kijl x^k x^l |x|^p with exact derivatives to order 4.
 
@@ -158,25 +189,40 @@ class CurvatureQuadraticField:
     array is all zeros are dropped: away from the origin they only add
     exact zeros, and dropping them makes e.g. the interpolant of a pair with
     W^Z = 0 independent of the W^Z-side coefficients.
+
+    ``terms`` is the public record, (c, S, p) in the order given.  Every
+    evaluator reads ``blocks`` instead, derived from it: one (S, profile)
+    per distinct S in order of first appearance, with the profile the
+    (c, p) pairs of that S in term order.  Sums and rescalings of fields
+    merge equal tensors through the same grouping.
     """
 
     def __init__(self, terms):
-        self.terms = []
+        kept = []
         for coeff, w, power in terms:
             w = np.asarray(w, dtype=float)
             s = 0.5 * (np.einsum("kijl->klij", w) + np.einsum("lijk->klij", w))
             if s.any():
-                self.terms.append((float(coeff), s, float(power)))
+                kept.append((float(coeff), s, float(power)))
+        self._set_terms(kept)
+
+    def _set_terms(self, terms):
+        self.terms = terms
+        groups = {}
+        for c, s, p in terms:
+            groups.setdefault(s.tobytes(), (s, []))[1].append((c, p))
+        self.blocks = [(s, tuple(profile)) for s, profile in groups.values()]
+
+    def _with_terms(self, terms) -> "CurvatureQuadraticField":
+        out = CurvatureQuadraticField([])
+        out._set_terms(terms)
+        return out
 
     def __add__(self, other: "CurvatureQuadraticField") -> "CurvatureQuadraticField":
-        out = CurvatureQuadraticField([])
-        out.terms = list(self.terms) + list(other.terms)
-        return out
+        return self._with_terms(list(self.terms) + list(other.terms))
 
     def scaled(self, factor: float) -> "CurvatureQuadraticField":
-        out = CurvatureQuadraticField([])
-        out.terms = [(factor * c, s, p) for (c, s, p) in self.terms]
-        return out
+        return self._with_terms([(factor * c, s, p) for (c, s, p) in self.terms])
 
     def derivative(self, x, order: int):
         """Partial derivatives of the field at x.
@@ -189,38 +235,44 @@ class CurvatureQuadraticField:
             raise ValueError("derivative order must be 0..4")
         xb, single = _as_batch(x)
         total = np.zeros((xb.shape[0],) + (DIM,) * order + (DIM, DIM))
-        for coeff, s, p in self.terms:
-            q = _angular(s, xb.T)
-            total += _leibniz(coeff, q, _radial_derivs(xb, p, order), order)
+        for s, profile in self.blocks:
+            coeff = _constant(profile)
+            if coeff is not None:
+                if order <= 2:
+                    total += coeff * _angular(s, xb)[order]
+                continue
+            total += _leibniz(_angular(s, xb), _profile_derivs(xb, profile, order), order)
         return total[0] if single else total
 
     def jet(self, x, slab: bool = True):
         """h, dh, d2h and the slab T[..., a, b, i, j] = d_a d_b d_b h_ij.
 
-        One pass over the terms computes each term's angular and radial
-        factors once; a p = 0 term, whose radial factor is constant, adds
-        only c Q, c dQ and c d2Q (and nothing to T).  The first three arrays
-        equal ``derivative(x, k)`` for k = 0, 1, 2 and T equals the b = c
-        slab of ``derivative(x, 3)`` bit for bit: the same products are
-        added in the same order.  T is all the sphere integrands need of the
-        third derivative, at a quarter of its size; ``slab=False`` leaves it
-        out and returns the metric jet (h, dh, d2h) alone.
+        One pass over the blocks computes each block's angular factors and
+        summed radial derivatives once; a block whose powers are all 0, so
+        that its profile is a constant c, adds only c Q, c dQ and c d2Q (and
+        nothing to T).  The first three arrays equal ``derivative(x, k)``
+        for k = 0, 1, 2 and T equals the b = c slab of ``derivative(x, 3)``
+        bit for bit: the same products are added in the same order.  T is
+        all the sphere integrands need of the third derivative, at a quarter
+        of its size; ``slab=False`` leaves it out and returns the metric jet
+        (h, dh, d2h) alone.
         """
         xb, single = _as_batch(x)
         n = xb.shape[0]
         orders = (0, 1, 2, 2) if slab else (0, 1, 2)
         out = [np.zeros((n,) + (DIM,) * k + (DIM, DIM)) for k in orders]
-        for coeff, s, p in self.terms:
-            q = _angular(s, xb.T)
-            if p == 0.0:
+        for s, profile in self.blocks:
+            q = _angular(s, xb)
+            coeff = _constant(profile)
+            if coeff is not None:
                 for total, qk in zip(out, q):
                     total += coeff * qk
                 continue
-            rho = _radial_derivs(xb, p, 3 if slab else 2)
+            rho = _profile_derivs(xb, profile, 3 if slab else 2)
             for k in range(3):
-                out[k] += _leibniz(coeff, q, rho, k)
+                out[k] += _leibniz(q, rho, k)
             if slab:
-                out[3] += coeff * _d3_slab(q, rho)
+                out[3] += _d3_slab(q, rho)
         return tuple(o[0] for o in out) if single else tuple(out)
 
     def eval(self, x):
@@ -232,19 +284,20 @@ class CurvatureQuadraticField:
         # Delta (Q r^p) = p (p + 6) r^(p-2) Q and iterating once more gives
         # Delta^2 (Q r^p) = p (p + 6) (p - 2) (p + 4) r^(p-4) Q.
         xb, single = _as_batch(x)
-        xt = xb.T
         total = np.zeros((xb.shape[0], DIM, DIM))
         r2 = np.einsum("na,na->n", xb, xb)
-        for coeff, s, p in self.terms:
-            fac = p * (p + 6.0)
-            shift = -2.0
-            if double:
-                fac *= (p - 2.0) * (p + 4.0)
-                shift = -4.0
-            if fac == 0.0:
-                continue
-            q0 = np.einsum("klij,kn,ln->nij", s, xt, xt)
-            total += (coeff * fac) * q0 * (r2 ** (0.5 * (p + shift)))[:, None, None]
+        for s, profile in self.blocks:
+            f = np.zeros(xb.shape[0])
+            for c, p in profile:
+                fac = p * (p + 6.0)
+                shift = -2.0
+                if double:
+                    fac *= (p - 2.0) * (p + 4.0)
+                    shift = -4.0
+                if fac != 0.0:
+                    f += (c * fac) * r2 ** (0.5 * (p + shift))
+            if f.any():
+                total += _quadratic_form(s, xb) * f[:, None, None]
         return total[0] if single else total
 
     def laplacian(self, x):

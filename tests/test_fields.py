@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylglue import curvature as cv
 from weylglue import gluing as gl
@@ -22,6 +24,39 @@ def jet_field(rng):
              for p in (-6.0, -4.0, 0.0, 2.0)]
     terms.insert(2, (1.7, np.zeros((4,) * 4), -4.0))
     return CurvatureQuadraticField(terms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       coeffs=st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10))
+def test_blocks_equal_sum_of_single_terms(seed, coeffs):
+    # the interpolant's shape (two tensors x powers {-6, -4, 0, 2}), a block
+    # whose powers are all 0 and a zero tensor, in shuffled term order
+    rng = np.random.default_rng(seed)
+    wm, wz, w0 = random_weyl(rng), random_weyl(rng), random_weyl(rng)
+    powers = (-6.0, -4.0, 0.0, 2.0)
+    terms = ([(c, wm, p) for c, p in zip(coeffs[:4], powers)]
+             + [(c, wz, p) for c, p in zip(coeffs[4:8], powers)]
+             + [(coeffs[8], w0, 0.0), (coeffs[9], w0, 0.0), (1.7, np.zeros((4,) * 4), -4.0)])
+    terms = [terms[i] for i in rng.permutation(len(terms))]
+    h = CurvatureQuadraticField(terms)
+    singles = [CurvatureQuadraticField([t]) for t in terms]
+    assert len(h.terms) == 10 and len(h.blocks) == 3
+    x = rng.uniform(0.05, 1.5, (6, 1)) * rng.standard_normal((6, 4))
+
+    def close(got, parts):
+        # to 1e-12 of the largest entry of any single term
+        scale = max(np.abs(part).max() for part in parts)
+        assert np.abs(got - sum(parts)).max() <= 1e-12 * scale
+
+    for order in range(5):
+        close(h.derivative(x, order), [f.derivative(x, order) for f in singles])
+    for slab in (True, False):
+        single_jets = [f.jet(x, slab) for f in singles]
+        for k, got in enumerate(h.jet(x, slab)):
+            close(got, [jet[k] for jet in single_jets])
+    close(h.laplacian(x), [f.laplacian(x) for f in singles])
+    close(h.bilaplacian(x), [f.bilaplacian(x) for f in singles])
 
 
 @pytest.mark.parametrize("seed", [61, 62, 63])
