@@ -289,9 +289,6 @@ class InterpSolution:
     chat_z: np.ndarray
     wdot: CurvatureQuadraticField
 
-    def metric_field(self, a: float) -> CurvatureQuadraticField:
-        return self.wdot.scaled(a * a)
-
     def to_json(self) -> dict:
         return {
             "gamma": self.gamma,

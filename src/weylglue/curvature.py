@@ -1,10 +1,10 @@
 """Curvature of metric charts and linearized curvature quantities.
 
-Charts are immutable evaluators exposing the metric and its first two (for
-some kinds, four) coordinate derivatives in closed form; the curvature
-pipeline below never differentiates numerically, and reads g, dg and d2g
-together from the chart's ``metric_jet``.  Finite-difference oracles are
-provided separately for testing.
+Charts are immutable evaluators: a domain test ``contains`` and the metric
+jet ``metric_jet`` = (g, dg, d2g) in closed form, which is all any chart
+computes (``metric`` is the jet's first entry).  The curvature pipeline
+below never differentiates numerically.  Finite-difference oracles, which
+read ``metric`` alone, are provided separately for testing.
 
 Convention: R_ij = R_kijl g^kl, and the coordinate curvature tensor is
     R_ijkl = (d_i Gamma_jk^s - d_j Gamma_ik^s) g_sl
@@ -37,10 +37,13 @@ class ChartDomainError(ValueError):
 
 
 class MetricChart:
-    """Base chart: flat metric on all of R^4.  Subclasses override the field part."""
+    """Base chart: flat metric on all of R^4.
+
+    A chart is its domain test ``contains`` and its metric jet
+    ``metric_jet``; ``metric`` is the first entry of the jet.
+    """
 
     kind = "flat"
-    max_order = 4
 
     def contains(self, x) -> np.ndarray:
         xb, _ = _as_batch(x)
@@ -50,24 +53,16 @@ class MetricChart:
         if not self.contains(x).all():
             raise ChartDomainError(f"point outside {self.kind} chart domain")
 
-    def metric(self, x):
-        xb, single = _as_batch(x)
-        out = np.broadcast_to(_EYE, (xb.shape[0], DIM, DIM)).copy()
-        return out[0] if single else out
-
-    def metric_derivative(self, x, order: int):
-        """Coordinate derivatives of g, shape (..., 4^order, 4, 4)."""
-        if order == 0:
-            return self.metric(x)
-        xb, single = _as_batch(x)
-        out = np.zeros((xb.shape[0],) + (DIM,) * order + (DIM, DIM))
-        return out[0] if single else out
-
     def metric_jet(self, x):
-        """(g, dg, d2g) at x, equal to ``metric`` and ``metric_derivative``
-        at orders 1 and 2; charts that can share work between the orders
-        override it."""
-        return self.metric(x), self.metric_derivative(x, 1), self.metric_derivative(x, 2)
+        """(g, dg, d2g) at x, of shapes (..., 4, 4), (..., 4, 4, 4) and
+        (..., 4, 4, 4, 4) with the derivative axes first."""
+        xb, single = _as_batch(x)
+        n = xb.shape[0]
+        g = np.broadcast_to(_EYE, (n, DIM, DIM)).copy()
+        return _unbatch((g, np.zeros((n,) + (DIM,) * 3), np.zeros((n,) + (DIM,) * 4)), single)
+
+    def metric(self, x):
+        return self.metric_jet(x)[0]
 
 
 class FieldChart(MetricChart):
@@ -79,36 +74,21 @@ class FieldChart(MetricChart):
     """
 
     def __init__(self, h, scale: float = 1.0, kind: str = "custom",
-                 r_min: float = 0.0, r_max: float = np.inf, max_order: int = 4):
+                 r_min: float = 0.0, r_max: float = np.inf):
         self.h = h
         self.scale = float(scale)
         self.kind = kind
         self.r_min = float(r_min)
         self.r_max = float(r_max)
-        self.max_order = max_order
 
     def contains(self, x):
         xb, _ = _as_batch(x)
         r = np.sqrt(np.einsum("na,na->n", xb, xb))
         return (r >= self.r_min) & (r <= self.r_max)
 
-    def metric(self, x):
-        xb, single = _as_batch(x)
-        out = _EYE[None] + self.scale * self.h.derivative(xb, 0)
-        return out[0] if single else out
-
-    def metric_derivative(self, x, order: int):
-        if order > self.max_order:
-            raise ValueError(f"chart {self.kind!r} declares derivatives to order {self.max_order}")
-        if order == 0:
-            return self.metric(x)
-        return self.scale * self.h.derivative(x, order)
-
     def metric_jet(self, x):
-        if self.max_order < 2:
-            raise ValueError(f"chart {self.kind!r} declares derivatives to order {self.max_order}")
         xb, single = _as_batch(x)
-        h0, h1, h2 = _field_jet(self.h, xb)
+        h0, h1, h2 = self.h.jet(xb)
         return _unbatch((_EYE[None] + self.scale * h0, self.scale * h1, self.scale * h2), single)
 
 
@@ -119,16 +99,9 @@ class ScaledChart(MetricChart):
         self.base = base
         self.factor = float(factor)
         self.kind = f"scaled({base.kind})"
-        self.max_order = base.max_order
 
     def contains(self, x):
         return self.base.contains(x)
-
-    def metric(self, x):
-        return self.factor * self.base.metric(x)
-
-    def metric_derivative(self, x, order: int):
-        return self.factor * self.base.metric_derivative(x, order)
 
     def metric_jet(self, x):
         return tuple(self.factor * d for d in self.base.metric_jet(x))
@@ -142,31 +115,14 @@ class SumChart(MetricChart):
         self.h = h
         self.t = float(t)
         self.kind = f"{base.kind}+t*h"
-        self.max_order = min(base.max_order, 4)
 
     def contains(self, x):
         return self.base.contains(x)
 
-    def metric(self, x):
-        return self.base.metric(x) + self.t * self.h.derivative(x, 0)
-
-    def metric_derivative(self, x, order: int):
-        if order == 0:
-            return self.metric(x)
-        return self.base.metric_derivative(x, order) + self.t * self.h.derivative(x, order)
-
     def metric_jet(self, x):
         xb, single = _as_batch(x)
         return _unbatch(tuple(b + self.t * d for b, d in
-                              zip(self.base.metric_jet(xb), _field_jet(self.h, xb))), single)
-
-
-def _field_jet(h, xb):
-    """(h, dh, d2h) of a field at a batch of points: one pass over the terms
-    of a CurvatureQuadraticField, one ``derivative`` call per order otherwise."""
-    if isinstance(h, CurvatureQuadraticField):
-        return h.jet(xb, slab=False)
-    return tuple(h.derivative(xb, k) for k in range(3))
+                              zip(self.base.metric_jet(xb), self.h.jet(xb))), single)
 
 
 def _unbatch(arrays, single):
@@ -311,7 +267,7 @@ def weyl_density(chart: MetricChart, x):
 def linearize_curvature(chart: MetricChart, h, x) -> dict:
     """All first-order variations of curvature at x in the direction h.
 
-    ``h`` is a symmetric 2-tensor field with derivatives to order 2.  Returns
+    ``h`` is a symmetric 2-tensor field whose ``jet`` gives (h, dh, d2h).  Returns
     a dict with keys inv_dot, gamma_dot, riem13_dot, riem04_dot, ric_dot,
     scal_dot, weyl_dot.  Covariant derivatives of h are expanded into
     partials plus Christoffel corrections of the background chart.
@@ -327,7 +283,7 @@ def linearize_curvature(chart: MetricChart, h, x) -> dict:
     ric = np.einsum("nkijl,nkl->nij", riem, ginv)
     scal = np.einsum("nij,nij->n", ginv, ric)
 
-    h0, h1, h2 = _field_jet(h, xb)
+    h0, h1, h2 = h.jet(xb)
 
     # nabla_a h_ij and nabla^2_{ab} h_ij
     nh = (h1 - np.einsum("nsai,nsj->naij", gamma, h0)

@@ -175,7 +175,7 @@ def _boundary_quadrature(h, r: float, level: int = 12) -> dict:
       lap_rad: int (Lap h_ij) (d_a h_ij) nu^a
     """
     pts, wts = sphere_rule(level)
-    h0, h1, h2, d3_slab = h.jet(r * pts)
+    h0, h1, h2, d3_slab = h.jet(r * pts, slab=True)
     nu = pts
     area = r ** 3
     terms = {
@@ -421,6 +421,8 @@ def choose_parameters(wm, wz, margin: float = 1.0, level: int = 12) -> GluingPar
     and interaction, then gamma from the descending grid with the bracket
     measured directly, then a safely inside the regime.
     """
+    if not np.isfinite(margin):
+        raise ValueError(f"margin must be finite, got {margin}")
     flags = positivity_bound(wm, wz)
     if flags["conformally_flat_factor"] or flags["excluded_case"] or not flags["positive"]:
         raise ValueError("hypotheses violated: interaction term is not positive "

@@ -11,13 +11,16 @@ Two families cover everything the construction needs:
   f(r) = sum_k c_k r^(p_k), so the interpolant is two blocks, not eight
   terms.  Exact derivatives up to fourth order come from one Leibniz
   expansion per block against the summed radial derivatives of f.
-  ``jet`` evaluates h, dh, d2h and the slab d_a d_b d_b h of the third
-  derivative in one pass over the blocks; the sphere integrals need nothing
-  more, and the slab is a quarter of the full order-3 array.  Without the
-  slab the same pass is the metric jet the curvature pipeline reads.
+  ``jet`` evaluates h, dh, d2h in one pass over the blocks, and with
+  ``slab=True`` also the slab d_a d_b d_b h of the third derivative; the
+  sphere integrals need nothing more, and the slab is a quarter of the full
+  order-3 array.
 
 * ``PolynomialField`` - dense polynomial perturbations used as generic test
   inputs for the linearization machinery.
+
+Both families share ``jet(x)`` = (h, dh, d2h), the one entry point through
+which metric charts and the linearized curvature read a field.
 
 All evaluators are vectorized: points may be passed as shape (4,) or (N, 4).
 """
@@ -193,8 +196,8 @@ class CurvatureQuadraticField:
     ``terms`` is the public record, (c, S, p) in the order given.  Every
     evaluator reads ``blocks`` instead, derived from it: one (S, profile)
     per distinct S in order of first appearance, with the profile the
-    (c, p) pairs of that S in term order.  Sums and rescalings of fields
-    merge equal tensors through the same grouping.
+    (c, p) pairs of that S in term order.  Rescaled fields merge equal
+    tensors through the same grouping.
     """
 
     def __init__(self, terms):
@@ -217,9 +220,6 @@ class CurvatureQuadraticField:
         out = CurvatureQuadraticField([])
         out._set_terms(terms)
         return out
-
-    def __add__(self, other: "CurvatureQuadraticField") -> "CurvatureQuadraticField":
-        return self._with_terms(list(self.terms) + list(other.terms))
 
     def scaled(self, factor: float) -> "CurvatureQuadraticField":
         return self._with_terms([(factor * c, s, p) for (c, s, p) in self.terms])
@@ -244,8 +244,9 @@ class CurvatureQuadraticField:
             total += _leibniz(_angular(s, xb), _profile_derivs(xb, profile, order), order)
         return total[0] if single else total
 
-    def jet(self, x, slab: bool = True):
-        """h, dh, d2h and the slab T[..., a, b, i, j] = d_a d_b d_b h_ij.
+    def jet(self, x, slab: bool = False):
+        """The jet (h, dh, d2h), and with ``slab=True`` also the slab
+        T[..., a, b, i, j] = d_a d_b d_b h_ij.
 
         One pass over the blocks computes each block's angular factors and
         summed radial derivatives once; a block whose powers are all 0, so
@@ -254,8 +255,7 @@ class CurvatureQuadraticField:
         for k = 0, 1, 2 and T equals the b = c slab of ``derivative(x, 3)``
         bit for bit: the same products are added in the same order.  T is
         all the sphere integrands need of the third derivative, at a quarter
-        of its size; ``slab=False`` leaves it out and returns the metric jet
-        (h, dh, d2h) alone.
+        of its size.
         """
         xb, single = _as_batch(x)
         n = xb.shape[0]
@@ -370,6 +370,10 @@ class PolynomialField:
         else:
             raise ValueError("derivative order must be 0..4")
         return out[0] if single else out
+
+    def jet(self, x):
+        """(h, dh, d2h), equal to ``derivative(x, k)`` for k = 0, 1, 2."""
+        return tuple(self.derivative(x, k) for k in range(3))
 
     def eval(self, x):
         return self.derivative(x, 0)

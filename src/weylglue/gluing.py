@@ -18,7 +18,7 @@ import numpy as np
 
 from .tensor_core import DIM, AlgWeyl, check_class
 from .fields import CurvatureQuadraticField, _as_batch, model_field
-from .curvature import MetricChart
+from .curvature import MetricChart, _unbatch
 from .biharmonic import InterpSolution
 
 _EYE = np.eye(DIM)
@@ -41,8 +41,8 @@ class GluingParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
         if not 0 < self.a < self.gamma < 1:
             raise ValueError("need 0 < a < gamma < 1")
         if self.a > self.gamma ** 2 / 10.0:
@@ -170,7 +170,6 @@ class GluedChart(MetricChart):
     """
 
     kind = "glued"
-    max_order = 2
 
     def __init__(self, interp: InterpSolution, params: GluingParams,
                  error_model: str = "truncated",
@@ -210,13 +209,12 @@ class GluedChart(MetricChart):
         out = np.where(r < self.params.gamma, 0, np.where(r < 1.0, 1, 2))
         return int(out[0]) if single else out
 
-    def _error_term(self, xb, order):
-        """Damped error tensors: zeta |x|^-3 chi_a(gamma - |x|) inside,
-        eta |x|^3 chi_a(|x| - 1) outside, with derivatives to order 2."""
-        n = xb.shape[0]
-        out = np.zeros((n,) + (DIM,) * order + (DIM, DIM))
+    def _add_error_terms(self, xb, jet):
+        """Add the damped error tensors zeta |x|^-3 chi_a(gamma - |x|) inside
+        and eta |x|^3 chi_a(|x| - 1) outside, with their first two
+        derivatives, to the jet (g, dg, d2g)."""
         if self.error_model != "synthetic":
-            return out
+            return
         r = np.sqrt(np.einsum("na,na->n", xb, xb))
         xhat = xb / r[:, None]
         for const, power, tfun, tsign, mask in (
@@ -236,34 +234,25 @@ class GluedChart(MetricChart):
             rho1 = rad[1] * chi[0] + rad[0] * chi[1]
             rho2 = rad[2] * chi[0] + 2.0 * rad[1] * chi[1] + rad[0] * chi[2]
             xh = xhat[mask]
-            if order == 0:
-                out[mask] = rho0[:, None, None] * const[None]
-            elif order == 1:
-                out[mask] = np.einsum("n,na,ij->naij", rho1, xh, const)
-            else:
-                proj = (_EYE[None] - np.einsum("na,nb->nab", xh, xh)) / rr[:, None, None]
-                ang = np.einsum("n,nab,ij->nabij", rho1, proj, const)
-                out[mask] = ang + np.einsum("n,na,nb,ij->nabij", rho2, xh, xh, const)
-        return out
+            proj = (_EYE[None] - np.einsum("na,nb->nab", xh, xh)) / rr[:, None, None]
+            ang = np.einsum("n,nab,ij->nabij", rho1, proj, const)
+            jet[0][mask] += rho0[:, None, None] * const[None]
+            jet[1][mask] += np.einsum("n,na,ij->naij", rho1, xh, const)
+            jet[2][mask] += ang + np.einsum("n,na,nb,ij->nabij", rho2, xh, xh, const)
 
-    def metric_derivative(self, x, order: int):
-        if order > 2:
-            raise ValueError("glued chart exposes derivatives to order 2")
+    def metric_jet(self, x):
         xb, single = _as_batch(x)
         zone = np.asarray(self.zone(xb))
         n = xb.shape[0]
-        out = np.zeros((n,) + (DIM,) * order + (DIM, DIM))
+        jet = [np.zeros((n,) + (DIM,) * k + (DIM, DIM)) for k in range(3)]
         for zid, fld in ((0, self.inner), (1, self.mid), (2, self.outer)):
             mask = zone == zid
             if mask.any():
-                out[mask] = fld.derivative(xb[mask], order)
-        out += self._error_term(xb, order)
-        if order == 0:
-            out += _EYE[None]
-        return out[0] if single else out
-
-    def metric(self, x):
-        return self.metric_derivative(x, 0)
+                for out, part in zip(jet, fld.jet(xb[mask])):
+                    out[mask] = part
+        self._add_error_terms(xb, jet)
+        jet[0] += _EYE[None]
+        return _unbatch(jet, single)
 
     def to_json(self) -> dict:
         return {

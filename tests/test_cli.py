@@ -115,6 +115,24 @@ def test_sweep_csv_shape(spectra, capsys):
     assert by_lam[4.0] == "negative"
 
 
+def test_balance_sweep_rows_equal_sweep_rows(spectra, capsys, tmp_path):
+    gamma = 0.04
+    a = gamma ** 2 / 20.0
+    target = tmp_path / "lam.csv"
+    code, _ = run(["balance", spectra["pair"], spectra["pair"], "--lambda", "2.0",
+                   "--gamma", str(gamma), "--a", repr(a), "--sweep", str(target)], capsys)
+    assert code == cli.EXIT_PASS
+    code, out = run(["sweep", spectra["pair"], spectra["pair"],
+                     "--gamma-grid", str(gamma)], capsys)
+    assert code == cli.EXIT_PASS
+    columns = [c for c in cli.CSV_COLUMNS if c != "sign"]
+    want = [[row[c] for c in columns] for row in csv.DictReader(io.StringIO(out))]
+    got = [[row[c] for c in columns]
+           for row in csv.DictReader(io.StringIO(target.read_text()))]
+    assert len(got) == len(want) == 5
+    assert got == want
+
+
 def test_sweep_excluded_case_is_inconclusive(spectra, capsys):
     code, out = run(["sweep", spectra["sd_only"], spectra["asd_only"],
                      "--lambda-grid", "2.0", "--gamma-grid", "0.08"], capsys)
@@ -165,12 +183,11 @@ def test_config_sets_subcommand_defaults(spectra, capsys, tmp_path):
     code, out = run(["verify", "sphere", "--config", str(conf)], capsys)
     assert code == cli.EXIT_PASS
     assert json.loads(out)["seed"] == 5
-    conf.write_text(json.dumps({"lambda": 2.0, "gamma": 0.02, "a": 2e-5,
-                                "error-model": "synthetic"}))
+    conf.write_text(json.dumps({"auto": 1.0}))
     code, out = run(["balance", spectra["pair"], spectra["pair"],
                      "--config", str(conf)], capsys)
     assert code == cli.EXIT_PASS
-    assert json.loads(out)["error_model"] == "synthetic"
+    assert set(json.loads(out)["selected"]) == {"lambda", "gamma", "a"}
 
 
 def test_config_loses_to_flag_equal_to_default(capsys, tmp_path):
@@ -210,6 +227,19 @@ def test_balance_auto_without_margin_exits_one(spectra, capsys, monkeypatch):
     code, out = run(["balance", spectra["pair"], spectra["pair"],
                      "--auto", "1.0"], capsys)
     assert code == cli.EXIT_FAIL
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["balance", "PAIR", "PAIR", "--lambda", "inf", "--gamma", "0.02", "--a", "2e-5"],
+    ["balance", "PAIR", "PAIR", "--auto", "nan"],
+    ["balance", "PAIR", "PAIR", "--auto", "inf"],
+    ["verify", "sphere", "--tol", "nan"],
+    ["sweep", "PAIR", "PAIR", "--lambda-grid", "inf", "--gamma-grid", "0.08"],
+])
+def test_non_finite_number_exits_two(spectra, capsys, argv):
+    code, out = run([spectra["pair"] if arg == "PAIR" else arg for arg in argv], capsys)
+    assert code == cli.EXIT_INPUT
     assert out == ""
 
 

@@ -254,7 +254,7 @@ def test_energy_balance_reuses_selection_quadratures(monkeypatch):
     calls = []
     original = CurvatureQuadraticField.jet
 
-    def counting(self, x, slab=True):
+    def counting(self, x, slab=False):
         if slab:
             calls.append(len(self.terms))
         return original(self, x, slab)

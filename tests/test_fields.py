@@ -65,7 +65,7 @@ def test_jet_equals_derivatives_bit_for_bit(seed):
     h = jet_field(rng)
     batch = rng.uniform(0.02, 1.5, (9, 1)) * rng.standard_normal((9, 4))
     for x in (batch, batch[4]):
-        h0, h1, h2, slab = h.jet(x)
+        h0, h1, h2, slab = h.jet(x, slab=True)
         for k, got in enumerate((h0, h1, h2)):
             assert np.array_equal(got, h.derivative(x, k))
         d3 = h.derivative(x, 3)
@@ -86,19 +86,59 @@ def _charts(rng):
             glued]
 
 
+def _jet_from_derivatives(chart, x):
+    """The metric jet of a field-backed chart, spelled from the fields' own
+    ``derivative`` with the chart's arithmetic."""
+    if isinstance(chart, cv.ScaledChart):
+        return tuple(chart.factor * d for d in _jet_from_derivatives(chart.base, x))
+    if isinstance(chart, cv.SumChart):
+        return tuple(b + chart.t * chart.h.derivative(x, k)
+                     for k, b in enumerate(_jet_from_derivatives(chart.base, x)))
+    h = [chart.scale * chart.h.derivative(x, k) for k in range(3)]
+    return (np.eye(4) + h[0], h[1], h[2])
+
+
+def _jet_points(rng):
+    # radii in all three zones of the glued chart (a = 1e-5, gamma = 0.05),
+    # two of them inside the cutoff bands of its error tensors
+    radii = np.array([0.02, 0.04, 0.0484, 0.08, 0.3, 0.6, 0.9, 1.0016, 1.1, 1.5, 1.9])
+    dirs = rng.standard_normal((radii.size, 4))
+    return radii[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
 @pytest.mark.parametrize("seed", [64, 65])
-def test_metric_jet_equals_metric_derivatives(seed):
+def test_metric_jet_equals_field_derivatives(seed):
     rng = np.random.default_rng(seed)
-    # radii in all three zones of the glued chart (a = 1e-5, gamma = 0.05)
-    radii = np.array([0.02, 0.04, 0.08, 0.3, 0.6, 0.9, 1.1, 1.5, 1.9])
-    dirs = rng.standard_normal((9, 4))
-    batch = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    batch = _jet_points(rng)
     for chart in _charts(rng):
+        if isinstance(chart, gl.GluedChart):
+            continue
         for x in (batch, batch[4]):
-            want = (chart.metric(x), chart.metric_derivative(x, 1),
-                    chart.metric_derivative(x, 2))
             got = chart.metric_jet(x)
+            want = _jet_from_derivatives(chart, x)
             assert len(got) == 3
             for a, b in zip(got, want):
                 assert a.shape == b.shape
                 assert np.array_equal(a, b)
+            assert np.array_equal(chart.metric(x), got[0])
+
+
+@pytest.mark.parametrize("seed", [64, 65])
+def test_metric_jet_matches_finite_differences(seed):
+    # Richardson-extrapolated central differences at step h: the roundoff of
+    # a k-th difference is about eps |g| / h^k (allowed 100 times over), and
+    # the O(h^4) truncation stays below 1e-5 of the derivative even inside
+    # the cutoff bands, whose width sqrt(a) / 2 = 1.6e-3 is the chart's
+    # shortest length scale
+    step = 1e-5
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(seed)
+    batch = _jet_points(rng)
+    for chart in _charts(rng):
+        for x in batch:
+            jet = chart.metric_jet(x)
+            fd = cv.fd_metric_data(chart, x, step)
+            assert np.array_equal(fd[0], jet[0])
+            for k in (1, 2):
+                tol = 100 * eps * np.abs(jet[0]).max() / step ** k + 1e-5 * np.abs(jet[k]).max()
+                assert np.abs(fd[k] - jet[k]).max() <= tol, (chart.kind, np.linalg.norm(x), k)
