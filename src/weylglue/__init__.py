@@ -16,8 +16,8 @@ from .biharmonic import (InterpSolution, assemble_interpolant, smallgamma_expans
                          solve_profile)
 from .gluing import CutoffSpec, GluedChart, GluingParams, RegimeWarning, glued_chart
 from .energy import (EnergyBalance, boundary_functional, choose_parameters,
-                     energy_balance, extract_interaction_coefficient, phi_inner,
-                     phi_outer, rough_energy_bound, second_variation,
+                     dilation_energy, energy_balance, extract_interaction_coefficient,
+                     phi_inner, phi_outer, rough_energy_bound, second_variation,
                      sphere_moment, sphere_rule, weyl_energy_numeric)
 
 __version__ = "0.1.0"
@@ -30,7 +30,8 @@ __all__ = [
     "InterpSolution", "assemble_interpolant", "smallgamma_expansion",
     "solve_profile",
     "CutoffSpec", "GluedChart", "GluingParams", "RegimeWarning", "glued_chart",
-    "EnergyBalance", "boundary_functional", "choose_parameters", "energy_balance",
+    "EnergyBalance", "boundary_functional", "choose_parameters", "dilation_energy",
+    "energy_balance",
     "extract_interaction_coefficient", "phi_inner", "phi_outer",
     "rough_energy_bound", "second_variation", "sphere_moment", "sphere_rule",
     "weyl_energy_numeric",

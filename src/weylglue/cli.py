@@ -185,11 +185,7 @@ def _suite_variation(rng):
     checks.append(_check("boundary-forms-agree", "quadratic-expansion",
                          abs(phi - phi2) / max(abs(phi), 1e-30), 1e-10))
     ts = np.geomspace(1e-3, 1e-2, 5)
-    ens = []
-    for t in ts:
-        chart = curvature.FieldChart(h, scale=t, kind="custom", r_max=2.0)
-        ens.append(energy.weyl_energy_numeric(chart, 0.0, 1.0, level=10, n_radial=16))
-    ens = np.asarray(ens)
+    ens = energy.dilation_energy(h, ts)
     res = np.abs(ens - ts ** 2 * phi)
     slope = float(np.polyfit(np.log(ts), np.log(res), 1)[0])
     checks.append(_check("cubic-remainder-slope", "quadratic-expansion",
@@ -264,8 +260,13 @@ def cmd_interact(args) -> int:
 # ---------------------------------------------------------------------------
 # balance
 
-def _balance_row(wm, wz, params) -> dict:
-    bal = energy.energy_balance(wm.tensor, wz.tensor, params)
+def _balance_row(wm, wz, lam: float, gamma: float, a: float) -> dict:
+    """One grid row of the balance; the CSVs do not record the regime, so
+    its warnings are silenced here, for ``sweep`` and ``balance --sweep``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", gluing.RegimeWarning)
+        params = gluing.GluingParams(a=a, lam=lam, gamma=gamma)
+        bal = energy.energy_balance(wm.tensor, wz.tensor, params)
     return {"lambda": params.lam, "gamma": params.gamma, "a": params.a,
             "bracket": bal.leading_bracket, "interaction": bal.interaction,
             "constant_C": bal.constant_C, "fit_residual": bal.remainder}
@@ -308,8 +309,7 @@ def cmd_balance(args) -> int:
         report["selected"] = {"lambda": params.lam, "gamma": params.gamma, "a": params.a}
     _emit(report, args.output)
     if args.sweep:
-        rows = [_balance_row(wm, wz,
-                             gluing.GluingParams(a=params.a, lam=lam, gamma=params.gamma))
+        rows = [_balance_row(wm, wz, lam, params.gamma, params.a)
                 for lam in energy.LAMBDA_GRID]
         _write_csv(rows, args.sweep)
     return EXIT_PASS if bal.leading_bracket < 0.0 else EXIT_FAIL
@@ -347,10 +347,7 @@ def cmd_sweep(args) -> int:
 
     def one(point):
         lam, gamma = point
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", gluing.RegimeWarning)
-            params = gluing.GluingParams(a=gamma ** 2 / 20.0, lam=lam, gamma=gamma)
-            row = _balance_row(wm, wz, params)
+        row = _balance_row(wm, wz, lam, gamma, gamma ** 2 / 20.0)
         if flags["excluded_case"] or flags["conformally_flat_factor"]:
             row["sign"] = "inconclusive"
         else:

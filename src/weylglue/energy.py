@@ -2,6 +2,14 @@
 
 Everything here reduces to integrals over spheres and radial intervals,
 evaluated with tensor-product Gauss-Legendre rules in hyperspherical angles.
+For a field h homogeneous of degree 2 the radial integral of the Weyl
+energy becomes one in the dilation parameter: delta + t h at radius r is a
+dilation of delta + t r^2 h at radius 1, and |W|^2 dV is conformally
+invariant in dimension 4, so
+
+    int_{|x|<1} |W|^2 dV = (1/2) int_0^t F(s) ds / s,
+
+with F(s) the integral of |W|^2 dV of delta + s h over the unit sphere.
 The quadratic Weyl-energy expansion at the flat metric for a TT field h is
 
     W(delta + t h) = t^2 Phi(h, Omega) + O(t^3),
@@ -114,6 +122,40 @@ def weyl_energy_numeric(chart, r0: float, r1: float, level: int = 10,
             vals[start:start + chunk] = _curv.weyl_density(chart, xb[start:start + chunk])
         total += w * r ** 3 * float(np.sum(wts * vals))
     return total
+
+
+#: Gauss-Legendre nodes in the dilation parameter s used by ``dilation_energy``.
+DILATION_NODES = 8
+
+
+def dilation_energy(h, ts, level: int = 10) -> np.ndarray:
+    """int_{|x|<1} |W|^2 dV of delta + t h for each t in ``ts``, by dilation.
+
+    For h homogeneous of degree 2 the chart delta + t h at radius r is the
+    dilation of delta + t r^2 h at radius 1, so conformal invariance gives
+    E(t) = (1/2) int_0^t G(s) ds with G(s) = F(s) / s and
+    F(s) = int_{S^3} |W|^2 dV of delta + s h.  G is analytic and O(s); it is
+    sampled at ``DILATION_NODES`` Gauss-Legendre nodes on [0, max(ts)],
+    interpolated by a polynomial and integrated exactly, so every t shares
+    the same sphere passes.
+    """
+    terms = getattr(h, "terms", None)
+    if terms is None or any(p != 0.0 for _, _, p in terms):
+        raise ValueError("dilation_energy needs a field homogeneous of degree 2 "
+                         "(curvature-quadratic terms of power 0)")
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)) or np.any(ts <= 0.0):
+        raise ValueError("ts must be a nonempty list of finite positive numbers")
+    pts, wts = sphere_rule(level)
+    x, w = np.polynomial.legendre.leggauss(DILATION_NODES)
+    s_max = float(ts.max())
+    g = np.array([np.sum(wts * _curv.weyl_density(_curv.FieldChart(h, scale=s), pts)) / s
+                  for s in 0.5 * s_max * (x + 1.0)])
+    # interpolant in Legendre form: at Gauss nodes the discrete projection is exact
+    vander = np.polynomial.legendre.legvander(x, DILATION_NODES - 1)
+    coef = (np.arange(DILATION_NODES) + 0.5) * (vander.T @ (w * g))
+    interp = np.polynomial.Legendre(coef, domain=[0.0, s_max])
+    return 0.5 * interp.integ(lbnd=0.0)(ts)
 
 
 # ---------------------------------------------------------------------------

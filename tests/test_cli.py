@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
 from weylglue import cli
+from weylglue.gluing import RegimeWarning
 
 
 @pytest.fixture
@@ -32,6 +34,20 @@ def test_verify_sphere_passes(capsys):
     assert code == cli.EXIT_PASS
     assert all(c["pass"] for c in report["checks"])
     assert all(c["residual"] <= c["tol"] for c in report["checks"])
+
+
+def test_verify_all_runs_every_suite(capsys):
+    # the check list of perfbench/data/pool-1/p00/verify.out, in order
+    names = ["closed-vs-direct-solve", "boundary-conditions", "interpolant-bilaplacian",
+             "linearizations-vs-fd", "sphere-volume-L12", "sphere-moments-L12",
+             "sphere-volume-L16", "sphere-moments-L16", "weyl-class-residual",
+             "operator-round-trip", "hodge-block-diagonal", "interpolant-tt",
+             "boundary-forms-agree", "cubic-remainder-slope", "first-variation-vanishes"]
+    code, out = run(["verify", "all", "--seed", "0"], capsys)
+    report = json.loads(out)
+    assert code == cli.EXIT_PASS
+    assert report["pass"]
+    assert [c["name"] for c in report["checks"]] == names
 
 
 def test_verify_tol_override_fails(capsys):
@@ -119,12 +135,18 @@ def test_balance_sweep_rows_equal_sweep_rows(spectra, capsys, tmp_path):
     gamma = 0.04
     a = gamma ** 2 / 20.0
     target = tmp_path / "lam.csv"
-    code, _ = run(["balance", spectra["pair"], spectra["pair"], "--lambda", "2.0",
-                   "--gamma", str(gamma), "--a", repr(a), "--sweep", str(target)], capsys)
-    assert code == cli.EXIT_PASS
-    code, out = run(["sweep", spectra["pair"], spectra["pair"],
-                     "--gamma-grid", str(gamma)], capsys)
-    assert code == cli.EXIT_PASS
+    # lam >= 4 breaks gamma <= 1/(10 lam): neither CSV reports the regime,
+    # so no RegimeWarning may reach stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(["balance", spectra["pair"], spectra["pair"], "--lambda", "2.0",
+                       "--gamma", str(gamma), "--a", repr(a), "--sweep", str(target)],
+                      capsys)
+        assert code == cli.EXIT_PASS
+        code, out = run(["sweep", spectra["pair"], spectra["pair"],
+                         "--gamma-grid", str(gamma)], capsys)
+        assert code == cli.EXIT_PASS
+    assert not [w for w in caught if issubclass(w.category, RegimeWarning)]
     columns = [c for c in cli.CSV_COLUMNS if c != "sign"]
     want = [[row[c] for c in columns] for row in csv.DictReader(io.StringIO(out))]
     got = [[row[c] for c in columns]

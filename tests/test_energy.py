@@ -11,8 +11,8 @@ from types import SimpleNamespace
 from weylglue import energy as en
 from weylglue import tensor_core as tc
 from weylglue.biharmonic import PROFILE_POWERS, assemble_interpolant
-from weylglue.curvature import flat_chart
-from weylglue.fields import CurvatureQuadraticField
+from weylglue.curvature import FieldChart, flat_chart, weyl_density
+from weylglue.fields import CurvatureQuadraticField, PolynomialField
 from weylglue.gluing import GluingParams, RegimeWarning, model_F, model_H
 
 
@@ -165,6 +165,56 @@ def test_truncation_slope_of_numeric_energy():
                                               n_radial=12) - t * t * phi))
     slope = np.polyfit(np.log(ts), np.log(res), 1)[0]
     assert slope >= 2.7
+
+
+@pytest.mark.parametrize("make_h, ts", [
+    (model_F, [1e-3]),
+    (lambda w: CurvatureQuadraticField([(1.0, w, 0.0), (1.0, w, -4.0)]), [1e-3]),
+    (lambda w: PolynomialField(c2=np.ones((4, 4, 4, 4))), [1e-3]),
+    (model_H, []),
+    (model_H, [1e-3, np.nan]),
+    (model_H, [np.inf]),
+    (model_H, [0.0, 1e-3]),
+    (model_H, [-1e-3]),
+])
+def test_dilation_energy_rejects_bad_input(make_h, ts):
+    h = make_h(random_weyl(np.random.default_rng(61)))
+    with pytest.raises(ValueError):
+        en.dilation_energy(h, ts)
+
+
+def test_weyl_density_dilation_identity():
+    # delta + t h at r y is the dilation of delta + t r^2 h at y, and
+    # |W|^2 dV is conformally invariant in dimension 4
+    h = model_H(random_weyl(np.random.default_rng(62)))
+    y, _ = en.sphere_rule(3)
+    for t, r in ((1e-2, 0.5), (3e-3, 0.9), (0.1, 0.2)):
+        near = weyl_density(FieldChart(h, scale=t), r * y)
+        unit = r ** -4 * weyl_density(FieldChart(h, scale=t * r * r), y)
+        assert np.abs(near - unit).max() <= 1e-13 * np.abs(unit).max()
+
+
+def test_dilation_energy_matches_numeric_energy():
+    h = model_H(random_weyl(np.random.default_rng(63)))
+    ts = [2e-3, 1e-2]
+    got = en.dilation_energy(h, ts, level=8)
+    for t, e in zip(ts, got):
+        want = en.weyl_energy_numeric(FieldChart(h, scale=t), 0.0, 1.0, level=8,
+                                      n_radial=12)
+        assert e == pytest.approx(want, rel=1e-12)
+
+
+def test_dilation_slope_at_zero_is_second_variation():
+    # E(t) = (1/2) int_0^t G with G(s) = F(s) / s, so Phi = G'(0) / 4: an
+    # oracle for the boundary forms that integrates no boundary term
+    h = model_H(random_weyl(np.random.default_rng(64)))
+    pts, wts = en.sphere_rule(10)
+    x, _ = np.polynomial.legendre.leggauss(en.DILATION_NODES)
+    s = 0.5e-2 * (x + 1.0)
+    g = [np.sum(wts * weyl_density(FieldChart(h, scale=si), pts)) / si for si in s]
+    fit = np.polynomial.Legendre.fit(s, g, en.DILATION_NODES - 1, domain=[0.0, 1e-2])
+    phi = en.second_variation(h, ("ball", 1.0), form="bilap").value
+    assert fit.deriv()(0.0) / 4.0 == pytest.approx(phi, rel=1e-11)
 
 
 def test_phi_boundary_terms_reported():
