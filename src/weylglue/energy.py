@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -106,20 +107,35 @@ def sphere_moment_quadrature(mu: int, nu: int, k: int, l: int, level: int = 12) 
     return float(np.sum(wts * pts[:, mu] * pts[:, nu] * pts[:, k] * pts[:, l]))
 
 
+#: Points per batch of every sphere loop.  A chunk's largest arrays, 4^4
+#: numbers per point (786 KB), then stay in cache; 384 divides the 3456
+#: points of the level-12 rule.
+SPHERE_CHUNK = 384
+
+
+def _pointwise(f, xb):
+    """f over the points xb, ``SPHERE_CHUNK`` at a time, joined along the
+    last axis.
+
+    Every f used here computes each point's values from that point alone,
+    in an order that does not depend on the batch, so the result is bit for
+    bit that of one call on all of xb.
+    """
+    return np.concatenate([f(xb[start:start + SPHERE_CHUNK])
+                           for start in range(0, xb.shape[0], SPHERE_CHUNK)], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # direct Weyl energy
 
 def weyl_energy_numeric(chart, r0: float, r1: float, level: int = 10,
-                        n_radial: int = 16, chunk: int = 4096) -> float:
+                        n_radial: int = 16) -> float:
     """int |W|^2_g dV_g over the annulus (or ball when r0 = 0) r0 < |x| < r1."""
     pts, wts = sphere_rule(level)
     rs, wr = radial_rule(max(r0, 1e-9 if r0 == 0.0 else r0), r1, n_radial)
     total = 0.0
     for r, w in zip(rs, wr):
-        xb = r * pts
-        vals = np.empty(xb.shape[0])
-        for start in range(0, xb.shape[0], chunk):
-            vals[start:start + chunk] = _curv.weyl_density(chart, xb[start:start + chunk])
+        vals = _pointwise(partial(_curv.weyl_density, chart), r * pts)
         total += w * r ** 3 * float(np.sum(wts * vals))
     return total
 
@@ -149,7 +165,8 @@ def dilation_energy(h, ts, level: int = 10) -> np.ndarray:
     pts, wts = sphere_rule(level)
     x, w = np.polynomial.legendre.leggauss(DILATION_NODES)
     s_max = float(ts.max())
-    g = np.array([np.sum(wts * _curv.weyl_density(_curv.FieldChart(h, scale=s), pts)) / s
+    g = np.array([np.sum(wts * _pointwise(partial(_curv.weyl_density,
+                                                   _curv.FieldChart(h, scale=s)), pts)) / s
                   for s in 0.5 * s_max * (x + 1.0)])
     # interpolant in Legendre form: at Gauss nodes the discrete projection is exact
     vander = np.polynomial.legendre.legvander(x, DILATION_NODES - 1)
@@ -206,6 +223,9 @@ def _boundary_terms(h, r: float, level: int = 12) -> dict:
     return dict(out)
 
 
+_BOUNDARY_KEYS = ("h_d3", "hess_ij", "cross", "hess_ab", "lap_rad")
+
+
 def _boundary_quadrature(h, r: float, level: int = 12) -> dict:
     """The five boundary integral families on the sphere of radius r.
 
@@ -217,17 +237,18 @@ def _boundary_quadrature(h, r: float, level: int = 12) -> dict:
       lap_rad: int (Lap h_ij) (d_a h_ij) nu^a
     """
     pts, wts = sphere_rule(level)
-    h0, h1, h2, d3_slab = h.jet(r * pts, slab=True)
-    nu = pts
+
+    def integrands(nu):
+        h0, h1, h2, d3_slab = h.jet(r * nu, slab=True)
+        return np.array([np.einsum("nij,nabij,na->n", h0, d3_slab, nu),
+                         np.einsum("nijab,nbij,na->n", h2, h1, nu),
+                         np.einsum("nbjia,nbij,na->n", h2, h1, nu),
+                         np.einsum("nabij,nbij,na->n", h2, h1, nu),
+                         np.einsum("nbbij,naij,na->n", h2, h1, nu)])
+
     area = r ** 3
-    terms = {
-        "h_d3": np.einsum("nij,nabij,na->n", h0, d3_slab, nu),
-        "hess_ij": np.einsum("nijab,nbij,na->n", h2, h1, nu),
-        "cross": np.einsum("nbjia,nbij,na->n", h2, h1, nu),
-        "hess_ab": np.einsum("nabij,nbij,na->n", h2, h1, nu),
-        "lap_rad": np.einsum("nbbij,naij,na->n", h2, h1, nu),
-    }
-    return {key: area * float(np.sum(wts * val)) for key, val in terms.items()}
+    return {key: area * float(np.sum(wts * val))
+            for key, val in zip(_BOUNDARY_KEYS, _pointwise(integrands, pts))}
 
 
 def boundary_functional(h, r: float, sign: float = 1.0, form: str = "bilap",
@@ -252,7 +273,7 @@ def boundary_functional(h, r: float, sign: float = 1.0, form: str = "bilap",
 
 
 def _bulk_integral(h, r0: float, r1: float, form: str,
-                   level: int = 8, n_radial: int = 24, chunk: int = 1024) -> float:
+                   level: int = 8, n_radial: int = 24) -> float:
     # panelize wide radial ranges dyadically: a single Gauss rule loses
     # accuracy badly on steep r^-k integrands spanning many octaves; a range
     # starting at (numerically) zero is smooth there and needs no panels
@@ -269,19 +290,16 @@ def _bulk_integral(h, r0: float, r1: float, form: str,
         r_p, w_p = radial_rule(lo, hi, n_radial)
         rs.extend(r_p)
         wr.extend(w_p)
+
+    def integrand(xc):
+        if form == "bilap":
+            return np.einsum("nij,nij->n", h.bilaplacian(xc), h.derivative(xc, 0))
+        lap = h.laplacian(xc)
+        return np.einsum("nij,nij->n", lap, lap)
+
     total = 0.0
     for r, w in zip(rs, wr):
-        xb = r * pts
-        vals = np.empty(xb.shape[0])
-        for start in range(0, xb.shape[0], chunk):
-            xc = xb[start:start + chunk]
-            if form == "bilap":
-                vals[start:start + chunk] = np.einsum(
-                    "nij,nij->n", h.bilaplacian(xc), h.derivative(xc, 0))
-            else:
-                lap = h.laplacian(xc)
-                vals[start:start + chunk] = np.einsum("nij,nij->n", lap, lap)
-        total += w * r ** 3 * float(np.sum(wts * vals))
+        total += w * r ** 3 * float(np.sum(wts * _pointwise(integrand, r * pts)))
     return 0.5 * total
 
 

@@ -27,11 +27,18 @@ All evaluators are vectorized: points may be passed as shape (4,) or (N, 4).
 
 from __future__ import annotations
 
+from itertools import accumulate, combinations
+from math import prod
+
 import numpy as np
 
 from .tensor_core import DIM
 
 _EYE = np.eye(DIM)
+#: delta_ab delta_cd + delta_ac delta_bd + delta_ad delta_bc
+_EYE_PAIRS = (np.einsum("ab,cd->abcd", _EYE, _EYE)
+              + np.einsum("ac,bd->abcd", _EYE, _EYE)
+              + np.einsum("ad,bc->abcd", _EYE, _EYE))
 
 
 def _as_batch(x):
@@ -44,50 +51,60 @@ def _as_batch(x):
     return x, single
 
 
-def _radial_derivs(x: np.ndarray, p: float, order: int):
-    """Derivatives of |x|^p up to ``order`` at a batch of points.
+def _radial_basis(xb: np.ndarray, order: int):
+    """The factors of the radial derivatives that depend on x alone.
 
-    Returns a list [rho, d rho, d2 rho, ...] with index axes leading and the
-    batch axis last, e.g. d2 rho has shape (4, 4, N).
+    Returns (r2, tensors): r2 = |x|^2 and, for each derivative order k, the
+    pairs (j, B) of d^k |x|^p = sum_j [p (p - 2) ... (p - 2j + 2)] B r^(p - 2j).
+    Batch axis first: x_a, then delta_ab and x_a x_b, the symmetrized
+    delta_ab x_c and x_a x_b x_c, the symmetrized delta_ab delta_cd,
+    delta_ab x_c x_d and x_a x_b x_c x_d.  Every power of every block
+    shares them.  Each product associates left to right, (x_a x_b) x_c,
+    and delta_ab (x_c x_d) equals (delta_ab x_c) x_d exactly, as delta is 0
+    or 1; the sums run in the order of the formula above.
     """
-    n = x.shape[0]
-    r2 = np.einsum("na,na->n", x, x)
-    xt = x.T  # (4, N)
-    if p == 0.0:
-        out = [np.ones(n)]
-        for k in range(1, order + 1):
-            out.append(np.zeros((DIM,) * k + (n,)))
-        return out
-    out = [r2 ** (p / 2.0)]
-    if order >= 1:
-        out.append(p * xt * r2 ** (p / 2.0 - 1.0))
-    if order >= 2:
-        d2 = p * _EYE[:, :, None] * r2 ** (p / 2.0 - 1.0)
-        d2 = d2 + p * (p - 2.0) * np.einsum("an,bn->abn", xt, xt) * r2 ** (p / 2.0 - 2.0)
-        out.append(d2)
+    r2 = np.einsum("na,na->n", xb, xb)
+    xx = xb[:, :, None] * xb[:, None, :]
+    tensors = {1: [(1, xb)], 2: [(1, _EYE), (2, xx)]}
     if order >= 3:
-        sym3 = (np.einsum("ab,cn->abcn", _EYE, xt)
-                + np.einsum("ac,bn->abcn", _EYE, xt)
-                + np.einsum("bc,an->abcn", _EYE, xt))
-        d3 = p * (p - 2.0) * sym3 * r2 ** (p / 2.0 - 2.0)
-        d3 = d3 + (p * (p - 2.0) * (p - 4.0)
-                   * np.einsum("an,bn,cn->abcn", xt, xt, xt) * r2 ** (p / 2.0 - 3.0))
-        out.append(d3)
+        sym3 = (_EYE[None, :, :, None] * xb[:, None, None, :]
+                + _EYE[None, :, None, :] * xb[:, None, :, None]
+                + _EYE[None, None, :, :] * xb[:, :, None, None])
+        xxx = xx[:, :, :, None] * xb[:, None, None, :]
+        tensors[3] = [(2, sym3), (3, xxx)]
     if order >= 4:
-        eye_pairs = (np.einsum("ab,cd->abcd", _EYE, _EYE)
-                     + np.einsum("ac,bd->abcd", _EYE, _EYE)
-                     + np.einsum("ad,bc->abcd", _EYE, _EYE))
-        sym_mix = (np.einsum("ab,cn,dn->abcdn", _EYE, xt, xt)
-                   + np.einsum("ac,bn,dn->abcdn", _EYE, xt, xt)
-                   + np.einsum("ad,bn,cn->abcdn", _EYE, xt, xt)
-                   + np.einsum("bc,an,dn->abcdn", _EYE, xt, xt)
-                   + np.einsum("bd,an,cn->abcdn", _EYE, xt, xt)
-                   + np.einsum("cd,an,bn->abcdn", _EYE, xt, xt))
-        d4 = p * (p - 2.0) * eye_pairs[:, :, :, :, None] * r2 ** (p / 2.0 - 2.0)
-        d4 = d4 + p * (p - 2.0) * (p - 4.0) * sym_mix * r2 ** (p / 2.0 - 3.0)
-        d4 = d4 + (p * (p - 2.0) * (p - 4.0) * (p - 6.0)
-                   * np.einsum("an,bn,cn,dn->abcdn", xt, xt, xt, xt) * r2 ** (p / 2.0 - 4.0))
-        out.append(d4)
+        sym_mix = (_EYE[None, :, :, None, None] * xx[:, None, None, :, :]
+                   + _EYE[None, :, None, :, None] * xx[:, None, :, None, :]
+                   + _EYE[None, :, None, None, :] * xx[:, None, :, :, None]
+                   + _EYE[None, None, :, :, None] * xx[:, :, None, None, :]
+                   + _EYE[None, None, :, None, :] * xx[:, :, None, :, None]
+                   + _EYE[None, None, None, :, :] * xx[:, :, :, None, None])
+        xxxx = xxx[:, :, :, :, None] * xb[:, None, None, None, :]
+        tensors[4] = [(2, _EYE_PAIRS), (3, sym_mix), (4, xxxx)]
+    return r2, tensors
+
+
+def _radial_derivs(basis, p: float, order: int):
+    """Derivatives of |x|^p up to ``order`` from a ``_radial_basis``.
+
+    Returns a list [rho, d rho, d2 rho, ...] with the batch axis first,
+    e.g. d2 rho has shape (N, 4, 4).
+    """
+    r2, tensors = basis
+    n = r2.shape[0]
+    if p == 0.0:
+        return [np.ones(n)] + [np.zeros((n,) + (DIM,) * k) for k in range(1, order + 1)]
+    out = [r2 ** (p / 2.0)]
+    falling = [1.0]  # falling[j] = p (p - 2) ... (p - 2j + 2)
+    for j in range(order):
+        falling.append(falling[-1] * (p - 2.0 * j))
+    powers = {j: r2 ** (p / 2.0 - j) for j in range(1, order + 1)}
+    for k in range(1, order + 1):
+        total = None
+        for j, b in tensors[k]:
+            part = falling[j] * b * powers[j].reshape((n,) + (1,) * k)
+            total = part if total is None else total + part
+        out.append(total)
     return out
 
 
@@ -99,22 +116,47 @@ def _angular(s: np.ndarray, xb: np.ndarray):
     single matrix products over flattened index pairs.
     """
     # S is symmetric in its first two slots, so dQ_aij = 2 S_alij x^l
-    q1 = 2.0 * (xb @ s.reshape(DIM, DIM ** 3)).reshape(-1, DIM, DIM, DIM)
+    q1 = 2.0 * _rows_times(xb, s.reshape(DIM, DIM ** 3)).reshape(-1, DIM, DIM, DIM)
     return _quadratic_form(s, xb), q1, 2.0 * s
 
 
 def _quadratic_form(s: np.ndarray, xb: np.ndarray):
     """Q_ij = S_klij x^k x^l as one product over the flattened (k, l) pair."""
     xx = (xb[:, :, None] * xb[:, None, :]).reshape(-1, DIM * DIM)
-    return (xx @ s.reshape(DIM * DIM, DIM * DIM)).reshape(-1, DIM, DIM)
+    return _rows_times(xx, s.reshape(DIM * DIM, DIM * DIM)).reshape(-1, DIM, DIM)
 
 
-def _profile_derivs(xb: np.ndarray, profile, order: int):
+def _rows_times(a: np.ndarray, b: np.ndarray):
+    """a @ b, with each row's result independent of how many rows come along.
+
+    NumPy hands a single row to BLAS gemv, whose sums can differ in the
+    last bit from the gemm used for two rows or more, so a lone row is
+    multiplied as a pair.
+    """
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
+def _one_block(shapes):
+    """Uninitialized arrays of the given shapes, carved out of one allocation.
+
+    A call's large arrays then make one block, which the C allocator keeps
+    for the next call of the same size; as separate arrays they are handed
+    back to the kernel when freed and faulted in again, page by page.
+    """
+    sizes = [prod(shape) for shape in shapes]
+    block = np.empty(sum(sizes))
+    return [block[end - size:end].reshape(shape)
+            for size, end, shape in zip(sizes, accumulate(sizes), shapes)]
+
+
+def _profile_derivs(basis, profile, order: int):
     """Derivatives of f = sum_k c_k |x|^p_k up to ``order``, laid out as in
     ``_radial_derivs`` and accumulated in the order of the terms."""
     rho = None
     for c, p in profile:
-        parts = _radial_derivs(xb, p, order)
+        parts = _radial_derivs(basis, p, order)
         if rho is None:
             rho = [c * part for part in parts]
         else:
@@ -123,55 +165,61 @@ def _profile_derivs(xb: np.ndarray, profile, order: int):
     return rho
 
 
-def _leibniz(q, rho, order: int):
-    """d^order (Q_ij f) from the angular factors q = (Q, dQ, d2Q) and the
-    radial derivatives rho of f (Q is quadratic, so d3Q = 0)."""
-    q0, q1, q2 = q
-    if order == 0:
-        return q0 * rho[0][:, None, None]
-    if order == 1:
-        term = q1 * rho[0][:, None, None, None]
-        term += np.einsum("nij,an->naij", q0, rho[1])
-    elif order == 2:
-        term = np.einsum("abij,n->nabij", q2, rho[0])
-        term += np.einsum("naij,bn->nabij", q1, rho[1])
-        term += np.einsum("nbij,an->nabij", q1, rho[1])
-        term += np.einsum("nij,abn->nabij", q0, rho[2])
-    elif order == 3:
-        term = np.einsum("abij,cn->nabcij", q2, rho[1])
-        term += np.einsum("acij,bn->nabcij", q2, rho[1])
-        term += np.einsum("bcij,an->nabcij", q2, rho[1])
-        term += np.einsum("naij,bcn->nabcij", q1, rho[2])
-        term += np.einsum("nbij,acn->nabcij", q1, rho[2])
-        term += np.einsum("ncij,abn->nabcij", q1, rho[2])
-        term += np.einsum("nij,abcn->nabcij", q0, rho[3])
-    else:
-        term = np.einsum("abij,cdn->nabcdij", q2, rho[2])
-        term += np.einsum("acij,bdn->nabcdij", q2, rho[2])
-        term += np.einsum("adij,bcn->nabcdij", q2, rho[2])
-        term += np.einsum("bcij,adn->nabcdij", q2, rho[2])
-        term += np.einsum("bdij,acn->nabcdij", q2, rho[2])
-        term += np.einsum("cdij,abn->nabcdij", q2, rho[2])
-        term += np.einsum("naij,bcdn->nabcdij", q1, rho[3])
-        term += np.einsum("nbij,acdn->nabcdij", q1, rho[3])
-        term += np.einsum("ncij,abdn->nabcdij", q1, rho[3])
-        term += np.einsum("ndij,abcn->nabcdij", q1, rho[3])
-        term += np.einsum("nij,abcdn->nabcdij", q0, rho[4])
-    return term
+def _products(axes: str):
+    """The products q_m rho_(k-m) of ``_leibniz`` for the derivative axes
+    labelled by ``axes``, in the order they are added: m = 2, 1, 0 and, for
+    each m, the m-subsets of the axes in ``combinations`` order.
+
+    Each is (m, q view, rho view); a view is (diagonal subscripts or None,
+    index) and turns the factor into a view broadcasting onto the output
+    axes "n" + axes + "ij", a repeated label taking the diagonal.
+    """
+    k = len(axes)
+    out = "n" + "".join(dict.fromkeys(axes)) + "ij"
+
+    def view(sub):
+        labels = "".join(dict.fromkeys(sub))
+        diagonal = f"{sub}->{labels}" if labels != sub else None
+        return diagonal, tuple(slice(None) if c in labels else None for c in out)
+
+    plan = []
+    for m in (2, 1, 0):
+        for pos in combinations(range(k), m):
+            ang = "".join(axes[i] for i in pos)
+            rad = "".join(axes[i] for i in range(k) if i not in pos)
+            plan.append((m, view(ang + "ij" if m == 2 else "n" + ang + "ij"), view("n" + rad)))
+    return tuple(plan)
 
 
-def _d3_slab(q, rho):
-    """d_a d_b d_b (Q_ij f): the order-3 sum of ``_leibniz`` at c = b,
-    with its two repeated products formed once and added twice."""
-    q0, q1, q2 = q
-    q2_rho1 = np.einsum("abij,bn->nabij", q2, rho[1])
-    q1_rho2 = np.einsum("nbij,abn->nabij", q1, rho[2])
-    term = q2_rho1 + q2_rho1
-    term += np.einsum("bbij,an->nabij", q2, rho[1])
-    term += np.einsum("naij,bbn->nabij", q1, rho[2])
-    term += q1_rho2
-    term += q1_rho2
-    term += np.einsum("nij,abbn->nabij", q0, rho[3])
+#: ``_products`` of the derivative orders 0-4 and of the slab d_a d_b d_b
+_PRODUCTS = {axes: _products(axes) for axes in ("", "a", "ab", "abc", "abcd", "abb")}
+
+
+def _view(arr: np.ndarray, view):
+    diagonal, index = view
+    return (arr if diagonal is None else np.einsum(diagonal, arr))[index]
+
+
+def _leibniz(q, rho, axes: str, term: np.ndarray, buf: np.ndarray):
+    """d_axes (Q_ij f) into ``term``, from the angular factors q = (Q, dQ,
+    d2Q) and the radial derivatives rho of f (Q is quadratic, so d3Q = 0).
+
+    ``axes`` labels the derivative axes: "" to "abcd" for orders 0-4, or
+    "abb" for the slab d_a d_b d_b.  The products (``_products``) are added
+    left to right: the first is formed in ``term``, each later one in
+    ``buf`` and then added.  Both have the output's shape and are
+    overwritten.
+    """
+    k = len(axes)
+    first = True
+    for m, q_view, rho_view in _PRODUCTS[axes]:
+        factors = (_view(q[m], q_view), _view(rho[k - m], rho_view))
+        if first:
+            np.multiply(*factors, out=term)
+            first = False
+        else:
+            np.multiply(*factors, out=buf)
+            term += buf
     return term
 
 
@@ -234,14 +282,18 @@ class CurvatureQuadraticField:
         if not 0 <= order <= 4:
             raise ValueError("derivative order must be 0..4")
         xb, single = _as_batch(x)
-        total = np.zeros((xb.shape[0],) + (DIM,) * order + (DIM, DIM))
+        total, term, buf = _one_block([(xb.shape[0],) + (DIM,) * order + (DIM, DIM)] * 3)
+        total.fill(0.0)
+        basis = None
         for s, profile in self.blocks:
             coeff = _constant(profile)
             if coeff is not None:
                 if order <= 2:
                     total += coeff * _angular(s, xb)[order]
                 continue
-            total += _leibniz(_angular(s, xb), _profile_derivs(xb, profile, order), order)
+            basis = basis or _radial_basis(xb, order)
+            rho = _profile_derivs(basis, profile, order)
+            total += _leibniz(_angular(s, xb), rho, "abcd"[:order], term, buf)
         return total[0] if single else total
 
     def jet(self, x, slab: bool = False):
@@ -249,18 +301,24 @@ class CurvatureQuadraticField:
         T[..., a, b, i, j] = d_a d_b d_b h_ij.
 
         One pass over the blocks computes each block's angular factors and
-        summed radial derivatives once; a block whose powers are all 0, so
-        that its profile is a constant c, adds only c Q, c dQ and c d2Q (and
-        nothing to T).  The first three arrays equal ``derivative(x, k)``
-        for k = 0, 1, 2 and T equals the b = c slab of ``derivative(x, 3)``
-        bit for bit: the same products are added in the same order.  T is
-        all the sphere integrands need of the third derivative, at a quarter
-        of its size.
+        summed radial derivatives once, against one ``_radial_basis`` of
+        the points; a block whose powers are all 0, so that its profile is
+        a constant c, adds only c Q, c dQ and c d2Q (and nothing to T).  The
+        first three arrays equal ``derivative(x, k)`` for k = 0, 1, 2 and T
+        equals the b = c slab of ``derivative(x, 3)`` bit for bit: the same
+        products are added in the same order.  T is all the sphere
+        integrands need of the third derivative, at a quarter of its size.
         """
         xb, single = _as_batch(x)
         n = xb.shape[0]
-        orders = (0, 1, 2, 2) if slab else (0, 1, 2)
-        out = [np.zeros((n,) + (DIM,) * k + (DIM, DIM)) for k in orders]
+        axes = ("", "a", "ab", "abb") if slab else ("", "a", "ab")
+        shapes = [(n,) + (DIM,) * len(set(a)) + (DIM, DIM) for a in axes]
+        # the outputs, then two flat product buffers shared by every order and block
+        *out, term, buf = _one_block(shapes + [(prod(shapes[-1]),)] * 2)
+        for total in out:
+            total.fill(0.0)
+        order = len(axes[-1])
+        basis = None
         for s, profile in self.blocks:
             q = _angular(s, xb)
             coeff = _constant(profile)
@@ -268,11 +326,11 @@ class CurvatureQuadraticField:
                 for total, qk in zip(out, q):
                     total += coeff * qk
                 continue
-            rho = _profile_derivs(xb, profile, 3 if slab else 2)
-            for k in range(3):
-                out[k] += _leibniz(q, rho, k)
-            if slab:
-                out[3] += _d3_slab(q, rho)
+            basis = basis or _radial_basis(xb, order)
+            rho = _profile_derivs(basis, profile, order)
+            for total, a in zip(out, axes):
+                total += _leibniz(q, rho, a, term[:total.size].reshape(total.shape),
+                                  buf[:total.size].reshape(total.shape))
         return tuple(o[0] for o in out) if single else tuple(out)
 
     def eval(self, x):

@@ -384,3 +384,65 @@ def test_boundary_cache_is_thread_safe(monkeypatch):
         sys.setswitchinterval(interval)
     assert all(results)
     assert len(en._boundary_cache) <= 1
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2 * 12 ** 3])
+def test_boundary_quadrature_is_chunk_invariant(monkeypatch, chunk):
+    # each integrand value depends on its own point alone, so the chunk
+    # size of the sphere loop changes no bit of any boundary integral
+    rng = np.random.default_rng(62)
+    wm, wz = random_weyl(rng), random_weyl(rng)
+    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=0.02, lam=3.0))
+    # the bracket's own sphere at level 12, the others at level 8 for time
+    cases = [(interp.wdot, 0.02, 12), (interp.wdot, 1.0, 8), (model_F(wm), 0.02, 8),
+             (model_H(wz), 1.0, 8), (CurvatureQuadraticField([]), 1.0, 8)]
+    expected = [en._boundary_quadrature(*case) for case in cases]
+    monkeypatch.setattr(en, "SPHERE_CHUNK", chunk)
+    for case, want in zip(cases, expected):
+        assert en._boundary_quadrature(*case) == want
+
+
+def test_other_sphere_loops_are_chunk_invariant(monkeypatch):
+    rng = np.random.default_rng(63)
+    w = random_weyl(rng)
+    h, f = model_H(w), model_F(w)
+
+    def run():
+        return (en.dilation_energy(h, [0.01, 0.1], level=6).tolist(),
+                en._bulk_integral(f, 0.5, 2.0, "biharm", level=6, n_radial=4),
+                en.weyl_energy_numeric(FieldChart(h, scale=0.2), 0.0, 1.0, level=4, n_radial=4))
+
+    expected = run()
+    monkeypatch.setattr(en, "SPHERE_CHUNK", 7)
+    assert run() == expected
+
+
+#: pool-1/p07 of the benchmark inputs (its "sd"/"asd" spectra) and the
+#: parameters ``choose_parameters`` selects for it at margin 1.0
+P07_M = ([1.3968784634435116, -0.2034982863551386, -1.193380177088373],
+         [-0.370545939521914, -1.030264479235384, 1.4008104187572978])
+P07_Z = ([-0.24691610606420947, -0.03735294596532606, 0.2842690520295355],
+         [-0.8198068314937882, -1.6065296561342064, 2.4263364876279945])
+P07_PARAMS = dict(a=2e-05, lam=2.6031259117448755, gamma=0.02)
+
+
+def test_energy_balance_does_not_drift():
+    """The level-12 quadrature's numbers for pool-1/p07, pinned.
+
+    C at gamma = 0.02 is the difference of two boundary functionals of
+    about 1.26e9, so one ulp of drift in either is about 2.4e-10 of the
+    largest term; the tolerance 1e-12 catches it.  The values are the
+    quadrature's, not exact: ROADMAP item 2 replaces them with exact mpmath
+    values of the closed form.
+    """
+    wm, wz = (tc.algweyl_from_spectrum(*tc.spectrum_from_json({"sd": sd, "asd": asd})).tensor
+              for sd, asd in (P07_M, P07_Z))
+    got = en.energy_balance(wm, wz, GluingParams(**P07_PARAMS)).to_json()
+    want = {"leading_bracket": -575.1815459245245,
+            "constant_C": 259.68372905254364,
+            "interaction": 28.087274288640124,
+            "interaction_term": -834.866765797587,
+            "remainder": 0.0014908205189385626}
+    scale = max(abs(v) for v in want.values())
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-12 * scale, key

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylglue import curvature as cv
+from weylglue import fields
 from weylglue import gluing as gl
 from weylglue import tensor_core as tc
 from weylglue.biharmonic import assemble_interpolant
@@ -71,6 +72,172 @@ def test_jet_equals_derivatives_bit_for_bit(seed):
         d3 = h.derivative(x, 3)
         assert slab.shape == d3.shape[:-5] + (4, 4, 4, 4)
         assert np.array_equal(slab, np.einsum("...abbij->...abij", d3))
+
+
+# The Leibniz kernel spelled with one einsum per product and the batch axis
+# last in the radial derivatives: the oracle for the buffered kernel in
+# ``weylglue.fields``, which must add the same products in the same order.
+
+DIM = 4
+_EYE = np.eye(DIM)
+
+
+def _oracle_radial_derivs(x: np.ndarray, p: float, order: int):
+    """Derivatives of |x|^p up to ``order`` at a batch of points.
+
+    Returns a list [rho, d rho, d2 rho, ...] with index axes leading and the
+    batch axis last, e.g. d2 rho has shape (4, 4, N).
+    """
+    n = x.shape[0]
+    r2 = np.einsum("na,na->n", x, x)
+    xt = x.T  # (4, N)
+    if p == 0.0:
+        out = [np.ones(n)]
+        for k in range(1, order + 1):
+            out.append(np.zeros((DIM,) * k + (n,)))
+        return out
+    out = [r2 ** (p / 2.0)]
+    if order >= 1:
+        out.append(p * xt * r2 ** (p / 2.0 - 1.0))
+    if order >= 2:
+        d2 = p * _EYE[:, :, None] * r2 ** (p / 2.0 - 1.0)
+        d2 = d2 + p * (p - 2.0) * np.einsum("an,bn->abn", xt, xt) * r2 ** (p / 2.0 - 2.0)
+        out.append(d2)
+    if order >= 3:
+        sym3 = (np.einsum("ab,cn->abcn", _EYE, xt)
+                + np.einsum("ac,bn->abcn", _EYE, xt)
+                + np.einsum("bc,an->abcn", _EYE, xt))
+        d3 = p * (p - 2.0) * sym3 * r2 ** (p / 2.0 - 2.0)
+        d3 = d3 + (p * (p - 2.0) * (p - 4.0)
+                   * np.einsum("an,bn,cn->abcn", xt, xt, xt) * r2 ** (p / 2.0 - 3.0))
+        out.append(d3)
+    if order >= 4:
+        eye_pairs = (np.einsum("ab,cd->abcd", _EYE, _EYE)
+                     + np.einsum("ac,bd->abcd", _EYE, _EYE)
+                     + np.einsum("ad,bc->abcd", _EYE, _EYE))
+        sym_mix = (np.einsum("ab,cn,dn->abcdn", _EYE, xt, xt)
+                   + np.einsum("ac,bn,dn->abcdn", _EYE, xt, xt)
+                   + np.einsum("ad,bn,cn->abcdn", _EYE, xt, xt)
+                   + np.einsum("bc,an,dn->abcdn", _EYE, xt, xt)
+                   + np.einsum("bd,an,cn->abcdn", _EYE, xt, xt)
+                   + np.einsum("cd,an,bn->abcdn", _EYE, xt, xt))
+        d4 = p * (p - 2.0) * eye_pairs[:, :, :, :, None] * r2 ** (p / 2.0 - 2.0)
+        d4 = d4 + p * (p - 2.0) * (p - 4.0) * sym_mix * r2 ** (p / 2.0 - 3.0)
+        d4 = d4 + (p * (p - 2.0) * (p - 4.0) * (p - 6.0)
+                   * np.einsum("an,bn,cn,dn->abcdn", xt, xt, xt, xt) * r2 ** (p / 2.0 - 4.0))
+        out.append(d4)
+    return out
+
+
+def _oracle_profile_derivs(xb: np.ndarray, profile, order: int):
+    """Derivatives of f = sum_k c_k |x|^p_k up to ``order``, laid out as in
+    ``_oracle_radial_derivs`` and accumulated in the order of the terms."""
+    rho = None
+    for c, p in profile:
+        parts = _oracle_radial_derivs(xb, p, order)
+        if rho is None:
+            rho = [c * part for part in parts]
+        else:
+            for total, part in zip(rho, parts):
+                total += c * part
+    return rho
+
+
+def _oracle_leibniz(q, rho, order: int):
+    """d^order (Q_ij f) from the angular factors q = (Q, dQ, d2Q) and the
+    radial derivatives rho of f (Q is quadratic, so d3Q = 0)."""
+    q0, q1, q2 = q
+    if order == 0:
+        return q0 * rho[0][:, None, None]
+    if order == 1:
+        term = q1 * rho[0][:, None, None, None]
+        term += np.einsum("nij,an->naij", q0, rho[1])
+    elif order == 2:
+        term = np.einsum("abij,n->nabij", q2, rho[0])
+        term += np.einsum("naij,bn->nabij", q1, rho[1])
+        term += np.einsum("nbij,an->nabij", q1, rho[1])
+        term += np.einsum("nij,abn->nabij", q0, rho[2])
+    elif order == 3:
+        term = np.einsum("abij,cn->nabcij", q2, rho[1])
+        term += np.einsum("acij,bn->nabcij", q2, rho[1])
+        term += np.einsum("bcij,an->nabcij", q2, rho[1])
+        term += np.einsum("naij,bcn->nabcij", q1, rho[2])
+        term += np.einsum("nbij,acn->nabcij", q1, rho[2])
+        term += np.einsum("ncij,abn->nabcij", q1, rho[2])
+        term += np.einsum("nij,abcn->nabcij", q0, rho[3])
+    else:
+        term = np.einsum("abij,cdn->nabcdij", q2, rho[2])
+        term += np.einsum("acij,bdn->nabcdij", q2, rho[2])
+        term += np.einsum("adij,bcn->nabcdij", q2, rho[2])
+        term += np.einsum("bcij,adn->nabcdij", q2, rho[2])
+        term += np.einsum("bdij,acn->nabcdij", q2, rho[2])
+        term += np.einsum("cdij,abn->nabcdij", q2, rho[2])
+        term += np.einsum("naij,bcdn->nabcdij", q1, rho[3])
+        term += np.einsum("nbij,acdn->nabcdij", q1, rho[3])
+        term += np.einsum("ncij,abdn->nabcdij", q1, rho[3])
+        term += np.einsum("ndij,abcn->nabcdij", q1, rho[3])
+        term += np.einsum("nij,abcdn->nabcdij", q0, rho[4])
+    return term
+
+
+def _oracle_d3_slab(q, rho):
+    """d_a d_b d_b (Q_ij f): the order-3 sum of ``_oracle_leibniz`` at c = b,
+    with its two repeated products formed once and added twice."""
+    q0, q1, q2 = q
+    q2_rho1 = np.einsum("abij,bn->nabij", q2, rho[1])
+    q1_rho2 = np.einsum("nbij,abn->nabij", q1, rho[2])
+    term = q2_rho1 + q2_rho1
+    term += np.einsum("bbij,an->nabij", q2, rho[1])
+    term += np.einsum("naij,bbn->nabij", q1, rho[2])
+    term += q1_rho2
+    term += q1_rho2
+    term += np.einsum("nij,abbn->nabij", q0, rho[3])
+    return term
+
+
+def _oracle_derivative(h, x, order):
+    xb, single = fields._as_batch(x)
+    total = np.zeros((xb.shape[0],) + (DIM,) * order + (DIM, DIM))
+    for s, profile in h.blocks:
+        coeff = fields._constant(profile)
+        if coeff is not None:
+            if order <= 2:
+                total += coeff * fields._angular(s, xb)[order]
+            continue
+        rho = _oracle_profile_derivs(xb, profile, order)
+        total += _oracle_leibniz(fields._angular(s, xb), rho, order)
+    return total[0] if single else total
+
+
+def _oracle_slab(h, x):
+    xb, single = fields._as_batch(x)
+    total = np.zeros((xb.shape[0],) + (DIM,) * 4)
+    for s, profile in h.blocks:
+        if fields._constant(profile) is None:
+            total += _oracle_d3_slab(fields._angular(s, xb),
+                                     _oracle_profile_derivs(xb, profile, 3))
+    return total[0] if single else total
+
+
+@pytest.mark.parametrize("seed", [66, 67])
+def test_kernel_equals_einsum_oracle_bit_for_bit(seed):
+    # a block of every interpolant power with a p = 0 term, a block whose
+    # powers are all 0, and a block of powers 2 and -4 in that order
+    rng = np.random.default_rng(seed)
+    w1, w2, w3 = random_weyl(rng), random_weyl(rng), random_weyl(rng)
+    c = rng.uniform(-2.0, 2.0, 8)
+    h = CurvatureQuadraticField([(c[0], w1, -6.0), (c[1], w1, -4.0), (c[2], w1, 0.0),
+                                 (c[3], w1, 2.0), (c[4], w2, 0.0), (c[5], w2, 0.0),
+                                 (c[6], w3, 2.0), (c[7], w3, -4.0)])
+    assert len(h.blocks) == 3
+    batch = rng.uniform(0.02, 1.5, (11, 1)) * rng.standard_normal((11, 4))
+    for x in (batch, batch[5]):
+        for order in range(5):
+            assert np.array_equal(h.derivative(x, order), _oracle_derivative(h, x, order))
+        *jet, slab = h.jet(x, slab=True)
+        for k, got in enumerate(jet):
+            assert np.array_equal(got, _oracle_derivative(h, x, k))
+        assert np.array_equal(slab, _oracle_slab(h, x))
 
 
 def _charts(rng):
