@@ -72,7 +72,9 @@ def _suite_sphere(rng):
         pts, wts = energy.sphere_rule(level)
         err = abs(float(wts.sum()) - energy.VOL_S3)
         checks.append(_check(f"sphere-volume-L{level}", "quadrature-volume", err, 1e-12))
-        moments = np.einsum("n,na,nb,nc,nd->abcd", wts, pts, pts, pts, pts)
+        # the degree-4 moments as one matrix product over the pairs x_a x_b
+        xx = (pts[:, :, None] * pts[:, None, :]).reshape(-1, 16)
+        moments = (wts[:, None] * xx).T @ xx
         moment_err = float(np.abs(moments.ravel() - exact).max())
         checks.append(_check(f"sphere-moments-L{level}", "quadrature-moments",
                              moment_err, 1e-12))

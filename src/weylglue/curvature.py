@@ -187,8 +187,9 @@ def riemann_from_data(g, dg, d2g):
     m = (low.transpose(0, 2, 1) @ up).reshape((n,) + (DIM,) * 4)
     # f_ijkl = d_i d_k g_jl - Gamma_{p,jk} Gamma^p_il, then R = Alt(f) / 2
     f = d2g.transpose(0, 1, 3, 2, 4) - m.transpose(0, 3, 1, 2, 4)
-    b = f - f.swapaxes(3, 4)
-    out = b - b.swapaxes(1, 2)
+    # m and f are dead once read: reuse them rather than allocate two more
+    b = np.subtract(f, f.swapaxes(3, 4), out=m)
+    out = np.subtract(b, b.swapaxes(1, 2), out=f)
     out *= 0.5
     return out
 
@@ -255,9 +256,10 @@ def weyl_density(chart: MetricChart, x):
     ginv = np.linalg.inv(g)
     pairs = (xb.shape[0], DIM * DIM, DIM * DIM)
     w = _weyl_part(riemann_from_data(g, dg, d2g), g, ginv).reshape(pairs)
-    # |W|^2_g = <G W G, W> for W as a matrix on index pairs and G = g^-1 (x) g^-1
-    gg = (ginv[:, :, None, :, None] * ginv[:, None, :, None, :]).reshape(pairs)
-    dens = np.einsum("nab,nab->n", gg @ w @ gg, w) * np.sqrt(np.linalg.det(g))
+    # |W|^2_g = tr(G W G W) for W as a symmetric matrix on index pairs and
+    # G = g^-1 (x) g^-1
+    gw = (ginv[:, :, None, :, None] * ginv[:, None, :, None, :]).reshape(pairs) @ w
+    dens = np.einsum("nab,nba->n", gw, gw) * np.sqrt(np.linalg.det(g))
     return dens[0] if single else dens
 
 

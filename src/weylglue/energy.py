@@ -102,6 +102,19 @@ def sphere_moment(mu: int, nu: int, k: int, l: int) -> float:
                                   + d(mu, l) * d(nu, k))
 
 
+def _half_sphere_rule(level: int):
+    """``sphere_rule`` for integrands with f(-x) = f(x): the nodes with phi
+    index below ``level``, at twice their weight.
+
+    Node (k, j, m) of ``sphere_rule`` has its antipode at
+    (level-1-k, level-1-j, m+level mod 2 level), with the same weight, so
+    the two halves contribute equally to the sum of an even integrand.
+    """
+    pts, wts = sphere_rule(level)
+    keep = (np.arange(wts.size) % (2 * level)) < level
+    return pts[keep], 2.0 * wts[keep]
+
+
 def sphere_moment_quadrature(mu: int, nu: int, k: int, l: int, level: int = 12) -> float:
     pts, wts = sphere_rule(level)
     return float(np.sum(wts * pts[:, mu] * pts[:, nu] * pts[:, k] * pts[:, l]))
@@ -162,7 +175,8 @@ def dilation_energy(h, ts, level: int = 10) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)) or np.any(ts <= 0.0):
         raise ValueError("ts must be a nonempty list of finite positive numbers")
-    pts, wts = sphere_rule(level)
+    # g = delta + s h is even in x, so is |W|^2_g sqrt(det g)
+    pts, wts = _half_sphere_rule(level)
     x, w = np.polynomial.legendre.leggauss(DILATION_NODES)
     s_max = float(ts.max())
     g = np.array([np.sum(wts * _pointwise(partial(_curv.weyl_density,
@@ -276,8 +290,10 @@ def _bulk_integral(h, r0: float, r1: float, form: str,
                    level: int = 8, n_radial: int = 24) -> float:
     # panelize wide radial ranges dyadically: a single Gauss rule loses
     # accuracy badly on steep r^-k integrands spanning many octaves; a range
-    # starting at (numerically) zero is smooth there and needs no panels
-    pts, wts = sphere_rule(level)
+    # starting at (numerically) zero is smooth there and needs no panels.
+    # h is a CurvatureQuadraticField, a sum of Q_S(x) f(|x|): even in x, so
+    # are its Laplacians and both integrands
+    pts, wts = _half_sphere_rule(level)
     if r0 > 1e-6 * r1:
         edges = [r0]
         while edges[-1] * 2.0 < r1:

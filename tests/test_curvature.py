@@ -191,6 +191,15 @@ def test_weyl_density_matches_pointwise_weyl_on_model_charts(seed):
         assert np.abs(dens - pointwise).max() <= 1e-12 * np.abs(pointwise).max()
 
 
+@pytest.mark.parametrize("seed", [83, 84])
+def test_weyl_density_is_even(seed):
+    # a field of power 0 or -4 is even in x, so dg is odd and d2g even: the
+    # half-sphere rule of the energy loops rests on this
+    for chart, x in _model_charts(seed):
+        dens = cv.weyl_density(chart, x)
+        assert np.abs(cv.weyl_density(chart, -x) - dens).max() <= 1e-14 * np.abs(dens).max()
+
+
 @pytest.mark.parametrize("seed", [81, 82])
 def test_batched_weyl_matches_pointwise_decomposition(seed):
     # tensor_core.weyl_from_riemann spells out the trace decomposition on its

@@ -57,6 +57,52 @@ def test_sphere_moment_index_validation():
         en.sphere_moment(0, 0, 0, 4)
 
 
+HALF_LEVELS = range(2, 17)
+
+
+def test_half_sphere_rule_keeps_one_node_of_each_antipodal_pair():
+    for level in HALF_LEVELS:
+        pts, wts = en.sphere_rule(level)
+        half, half_w = en._half_sphere_rule(level)
+        assert 2 * half.shape[0] == pts.shape[0]
+        kept, antipode = [], []
+        for start in range(0, half.shape[0], 512):
+            dots = half[start:start + 512] @ pts.T
+            kept.extend(np.argmax(dots, axis=1))
+            antipode.extend(np.argmin(dots, axis=1))
+        kept, antipode = np.array(kept), np.array(antipode)
+        assert np.abs(pts[kept] - half).max() == 0.0
+        assert np.abs(pts[antipode] + half).max() <= 2e-15
+        # every node of the full rule is kept or the antipode of a kept one
+        assert np.unique(np.concatenate([kept, antipode])).size == pts.shape[0]
+        assert np.abs(wts[antipode] - wts[kept]).max() <= 1e-15 * wts.max()
+        assert np.array_equal(half_w, 2.0 * wts[kept])
+
+
+def test_half_sphere_rule_volume():
+    for level in HALF_LEVELS:
+        _, half_w = en._half_sphere_rule(level)
+        assert abs(half_w.sum() - en.VOL_S3) < 1e-12
+
+
+def test_half_sphere_rule_matches_full_rule_on_even_integrands():
+    exponents = [e for e in np.ndindex((7,) * 4) if sum(e) == 6]
+    for level in HALF_LEVELS:
+        rules = [en.sphere_rule(level), en._half_sphere_rule(level)]
+        full, half = ([np.sum(w * np.prod(x ** np.array(e), axis=1)) for e in exponents]
+                      for x, w in rules)
+        assert np.abs(np.array(full) - np.array(half)).max() <= 1e-13
+
+
+def test_half_sphere_rule_degree_four_moments():
+    # the full rule is exact at degree 4 from level 3 on
+    exact = np.array([en.sphere_moment(*idx) for idx in np.ndindex((4,) * 4)])
+    for level in HALF_LEVELS[1:]:
+        x, w = en._half_sphere_rule(level)
+        got = np.einsum("n,na,nb,nc,nd->abcd", w, x, x, x, x).ravel()
+        assert np.abs(got - exact).max() <= 1e-13
+
+
 def test_boundary_forms_agree_on_ball():
     rng = np.random.default_rng(51)
     h = model_H(random_weyl(rng))
@@ -215,6 +261,28 @@ def test_dilation_slope_at_zero_is_second_variation():
     fit = np.polynomial.Legendre.fit(s, g, en.DILATION_NODES - 1, domain=[0.0, 1e-2])
     phi = en.second_variation(h, ("ball", 1.0), form="bilap").value
     assert fit.deriv()(0.0) / 4.0 == pytest.approx(phi, rel=1e-11)
+
+
+@pytest.mark.parametrize("level", [7, 10])
+def test_dilation_energy_half_rule_equals_full_rule(level, monkeypatch):
+    h = model_H(random_weyl(np.random.default_rng(65)))
+    ts = np.geomspace(1e-3, 1e-2, 5)
+    half = en.dilation_energy(h, ts, level=level)
+    monkeypatch.setattr(en, "_half_sphere_rule", en.sphere_rule)
+    full = en.dilation_energy(h, ts, level=level)
+    assert np.abs(half - full).max() <= 1e-13 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("form", ["bilap", "biharm"])
+def test_bulk_integral_half_rule_equals_full_rule(form, monkeypatch):
+    # powers 0, -4 and 4: the last is not biharmonic, so neither form vanishes
+    w = random_weyl(np.random.default_rng(66))
+    h = CurvatureQuadraticField([(1.0, w, 0.0), (0.5, w, -4.0), (0.3, w, 4.0)])
+    half = en._bulk_integral(h, 0.5, 2.0, form)
+    monkeypatch.setattr(en, "_half_sphere_rule", en.sphere_rule)
+    full = en._bulk_integral(h, 0.5, 2.0, form)
+    assert abs(full) > 1.0
+    assert half == pytest.approx(full, rel=1e-13)
 
 
 def test_phi_boundary_terms_reported():
