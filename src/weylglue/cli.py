@@ -115,12 +115,10 @@ def _suite_curvature(rng):
         x = 0.3 * rng.standard_normal(4)
         h = PolynomialField.random(rng, scale=1.0)
         lin = curvature.linearize_curvature(chart, h, x)
-        for quantity in ("inv", "gamma", "riem04", "ric", "scal", "weyl"):
+        for quantity in ("inv", "gamma", "riem13", "riem04", "ric", "scal", "weyl"):
             fd = curvature.fd_linearize(chart, h, x, quantity)
-            key = {"inv": "inv_dot", "gamma": "gamma_dot", "riem04": "riem04_dot",
-                   "ric": "ric_dot", "scal": "scal_dot", "weyl": "weyl_dot"}[quantity]
             scale = max(np.abs(fd).max(), 1.0)
-            err = max(err, np.abs(np.asarray(lin[key]) - fd).max() / scale)
+            err = max(err, np.abs(np.asarray(lin[f"{quantity}_dot"]) - fd).max() / scale)
     checks.append(_check("linearizations-vs-fd", "curvature-first-variation", err, 1e-6))
     return checks
 
@@ -377,6 +375,8 @@ def _apply_config(args, parser, argv):
         return args
     with open(args.config) as fh:
         conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise ValueError("config file must hold a JSON object")
     sub = parser.commands[args.command]
     options = {a.dest: a for a in sub._actions
                if a.option_strings and a.default is not argparse.SUPPRESS}
@@ -386,12 +386,39 @@ def _apply_config(args, parser, argv):
         action = options.get(alias.get(key, key.replace("-", "_")))
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
+        if action.nargs == 0:  # a store_true flag
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+        elif action.nargs == "+":
+            if not isinstance(value, list):
+                raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+            value = [_config_value(key, action, v) for v in value]
+        else:
+            value = _config_value(key, action, value)
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"config key {key!r} must be one of "
                              f"{sorted(action.choices)}, got {value!r}")
         defaults[action.dest] = value
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)
+
+
+def _config_value(key, action, value):
+    """One config value converted by the option's ``type`` as if it were
+    typed on the command line; an option without a type takes a string."""
+    if action.type is None:
+        if not isinstance(value, str):
+            raise ValueError(f"config key {key!r} must be a string, got {value!r}")
+        return value
+    # bool is an int in Python, and null or a list is no number at all
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+    try:
+        # through str, so that int rejects 1.5 as it does on the command line
+        return action.type(str(value))
+    except ValueError:
+        raise ValueError(f"config key {key!r} must be {action.type.__name__}, "
+                         f"got {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,15 @@ symmetry of Gamma_{p,jk} Gamma^p_il this is 1/2 (f_ijkl - f_jikl - f_ijlk
 + f_jilk) for f_ijkl = d_i d_k g_jl - Gamma_{p,jk} Gamma^p_il.  The Weyl
 part is W = Rm - P (.) g with the Schouten tensor P = Ric/2 - (R/12) g and
 the Kulkarni-Nomizu product
-    (a (.) b)_ijkl = a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik.
+    (a (.) b)_ijkl = a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik,
+which is twice ``tensor_core.kulkarni_nomizu`` (that one carries a 1/2).
+
+The linearization in a direction h with jet (h, dh, d2h) is the exact
+t-derivative of this chain for the metric g + t h by the product rule:
+Gamma_{p,ij}' is the first-kind bracket of dh, Gamma^p_ij' = g^pq
+(Gamma_{q,ij}' - h_qs Gamma^s_ij), Rm' = 1/2 Alt(f') with f'_ijkl = d_i d_k h_jl
+- (Gamma_{p,jk} Gamma^p_il)', and (g^ij)' = -g^ia h_ab g^bj carries Rm' into
+Ric', R' and R_ijk^l'.  No covariant derivative of h is formed.
 """
 
 from __future__ import annotations
@@ -164,28 +172,18 @@ def christoffel_from_data(g, dg):
     return np.einsum("nks,nsij->nkij", np.linalg.inv(g), _christoffel_first_kind(dg))
 
 
-def dchristoffel_from_data(g, dg, d2g):
-    """Coordinate derivative d_l Gamma^k_ij, shape (n, l, k, i, j)."""
-    n = g.shape[0]
-    ginv = np.linalg.inv(g)[:, None]  # (n, 1, k, s), broadcast over l
-    dginv = -(ginv @ dg @ ginv)  # d_l g^ks
-    low = _christoffel_first_kind(dg)
-    dbracket = (np.einsum("nlijs->nlsij", d2g) + np.einsum("nljis->nlsij", d2g)
-                - np.einsum("nlsij->nlsij", d2g))
-    # the s-contractions as matrix products over the flattened (i, j) pair
-    out = (dginv @ low.reshape(n, 1, DIM, DIM * DIM)
-           + 0.5 * (ginv @ dbracket.reshape(n, DIM, DIM, DIM * DIM)))
-    return out.reshape(n, DIM, DIM, DIM, DIM)
-
-
 def riemann_from_data(g, dg, d2g):
     """R_ijkl in its second-derivative form (module docstring), shape (n, 4, 4, 4, 4)."""
     n = g.shape[0]
     low = _christoffel_first_kind(dg).reshape(n, DIM, DIM * DIM)
     up = np.linalg.inv(g) @ low
-    # m[j, k, i, l] = Gamma_{p,jk} Gamma^p_il, one matrix product over p
-    m = (low.transpose(0, 2, 1) @ up).reshape((n,) + (DIM,) * 4)
-    # f_ijkl = d_i d_k g_jl - Gamma_{p,jk} Gamma^p_il, then R = Alt(f) / 2
+    # m[jk, il] = Gamma_{p,jk} Gamma^p_il, one matrix product over p
+    return _half_alternation(d2g, low.transpose(0, 2, 1) @ up)
+
+
+def _half_alternation(d2g, m):
+    """1/2 Alt(f), f_ijkl = d_i d_k g_jl - m[jk, il], written over the pair matrix m."""
+    m = m.reshape(d2g.shape)
     f = d2g.transpose(0, 1, 3, 2, 4) - m.transpose(0, 3, 1, 2, 4)
     # m and f are dead once read: reuse them rather than allocate two more
     b = np.subtract(f, f.swapaxes(3, 4), out=m)
@@ -271,98 +269,40 @@ def linearize_curvature(chart: MetricChart, h, x) -> dict:
 
     ``h`` is a symmetric 2-tensor field whose ``jet`` gives (h, dh, d2h).  Returns
     a dict with keys inv_dot, gamma_dot, riem13_dot, riem04_dot, ric_dot,
-    scal_dot, weyl_dot.  Covariant derivatives of h are expanded into
-    partials plus Christoffel corrections of the background chart.
+    scal_dot, weyl_dot: the t-derivatives at t = 0 of the steps of
+    ``riemann_from_data`` and its contractions for the metric g + t h.
     """
     xb, single, g, dg, d2g = _metric_data(chart, x)
     if not single:
         raise ValueError("linearize_curvature expects a single point")
-    ginv = np.linalg.inv(g)
-    gamma = christoffel_from_data(g, dg)
-    dgamma = dchristoffel_from_data(g, dg, d2g)
-    riem = riemann_from_data(g, dg, d2g)
-    riem13 = np.einsum("nijks,nsl->nijkl", riem, ginv)  # R_ijk^l
-    ric = np.einsum("nkijl,nkl->nij", riem, ginv)
-    scal = np.einsum("nij,nij->n", ginv, ric)
-
     h0, h1, h2 = h.jet(xb)
+    ginv = np.linalg.inv(g)
+    inv_dot = -ginv @ h0 @ ginv
+    low = _christoffel_first_kind(dg).reshape(1, DIM, DIM * DIM)
+    low_dot = _christoffel_first_kind(h1).reshape(1, DIM, DIM * DIM)
+    up = ginv @ low
+    up_dot = ginv @ (low_dot - h0 @ up)
+    riem = _half_alternation(d2g, low.transpose(0, 2, 1) @ up)
+    riem_dot = _half_alternation(
+        h2, low_dot.transpose(0, 2, 1) @ up + low.transpose(0, 2, 1) @ up_dot)
 
-    # nabla_a h_ij and nabla^2_{ab} h_ij
-    nh = (h1 - np.einsum("nsai,nsj->naij", gamma, h0)
-          - np.einsum("nsaj,nis->naij", gamma, h0))
-    dnh = (h2
-           - np.einsum("nbsai,nsj->nbaij", dgamma, h0)
-           - np.einsum("nsai,nbsj->nbaij", gamma, h1)
-           - np.einsum("nbsaj,nis->nbaij", dgamma, h0)
-           - np.einsum("nsaj,nbis->nbaij", gamma, h1))
-    n2h = (dnh
-           - np.einsum("nsab,nsij->nabij", gamma, nh)
-           - np.einsum("nsai,nbsj->nabij", gamma, nh)
-           - np.einsum("nsaj,nbis->nabij", gamma, nh))
+    ric = np.einsum("nkijl,nkl->nij", riem, ginv)
+    ric_dot = (np.einsum("nkijl,nkl->nij", riem_dot, ginv)
+               + np.einsum("nkijl,nkl->nij", riem, inv_dot))
+    scal = np.einsum("nij,nij->n", ginv, ric)
+    scal_dot = np.einsum("nij,nij->n", inv_dot, ric) + np.einsum("nij,nij->n", ginv, ric_dot)
+    riem13_dot = riem_dot @ ginv[:, None, None] + riem @ inv_dot[:, None, None]
 
-    inv_dot = -np.einsum("nai,nbj,nab->nij", ginv, ginv, h0)
-    gamma_dot = 0.5 * np.einsum(
-        "nkl,nlij->nkij", ginv,
-        np.einsum("nilj->nlij", nh) + np.einsum("njil->nlij", nh) - np.einsum("nlij->nlij", nh))
-
-    riem13_dot = 0.5 * np.einsum(
-        "nsl,nijks->nijkl", ginv,
-        np.einsum("nikjs->nijks", n2h) + np.einsum("njsik->nijks", n2h)
-        - np.einsum("nisjk->nijks", n2h) - np.einsum("njkis->nijks", n2h)
-        - np.einsum("nijsr,nrk->nijks", riem13, h0)
-        - np.einsum("nijkr,nsr->nijks", riem13, h0))
-
-    riem04_dot = 0.5 * (
-        np.einsum("nikjl->nijkl", n2h) + np.einsum("njlik->nijkl", n2h)
-        - np.einsum("niljk->nijkl", n2h) - np.einsum("njkil->nijkl", n2h)
-        + np.einsum("nijks,nls->nijkl", riem13, h0)
-        - np.einsum("nijls,nsk->nijkl", riem13, h0))
-
-    trh = np.einsum("nij,nij->n", ginv, h0)
-    # gradient and hessian of the scalar tr h = g^{ij} h_ij
-    dginv = -np.einsum("nia,nkab,nbj->nkij", ginv, dg, ginv)
-    dtrh = np.einsum("nkij,nij->nk", dginv, h0) + np.einsum("nij,nkij->nk", ginv, h1)
-    d2ginv_part = (-np.einsum("nlia,nkab,nbj->nklij", dginv, dg, ginv)
-                   - np.einsum("nia,nlkab,nbj->nklij", ginv, d2g, ginv)
-                   - np.einsum("nia,nkab,nlbj->nklij", ginv, dg, dginv))
-    d2trh = (np.einsum("nklij,nij->nkl", d2ginv_part, h0)
-             + np.einsum("nkij,nlij->nkl", dginv, h1)
-             + np.einsum("nlij,nkij->nkl", dginv, h1)
-             + np.einsum("nij,nklij->nkl", ginv, h2))
-    hess_trh = d2trh - np.einsum("nsab,ns->nab", gamma, dtrh)
-
-    # divergence (delta h)_i = g^{ab} nabla_a h_bi and its covariant derivative
-    divh = np.einsum("nab,nabi->ni", ginv, nh)
-    ddivh = (np.einsum("nkab,nabi->nki", dginv, nh)
-             + np.einsum("nab,nkabi->nki", ginv, dnh))
-    ndivh = ddivh - np.einsum("nski,ns->nki", gamma, divh)
-
-    lap_h = np.einsum("nab,nabij->nij", ginv, n2h)
-    ric_up = np.einsum("nst,nis->nit", ginv, ric)  # R_i^t
-    riem_mixed = np.einsum("nrt,nrijs->ntijs", ginv, riem13)  # R^t_ij^s
-    kterm = (np.einsum("nis,nsj->nij", ric_up, h0)
-             + np.einsum("njs,nis->nij", ric_up, h0)
-             - 2.0 * np.einsum("ntijs,nts->nij", riem_mixed, h0))
-    lterm = -lap_h - hess_trh + ndivh + np.einsum("nki->nik", ndivh)
-    ric_dot = 0.5 * (lterm + kterm)
-
-    div2h = np.einsum("nia,njb,nabij->n", ginv, ginv, n2h)
-    lap_trh = np.einsum("nab,nab->n", ginv, hess_trh)
-    hric = np.einsum("nia,njb,nab,nij->n", ginv, ginv, h0, ric)
-    scal_dot = -lap_trh + div2h - hric
-
-    # Weyl variation: the derivative of W = Rm - P (.) g is
-    #   W_dot = Rm_dot - (P_dot (.) g + P (.) h),
-    # with P_dot = ric_dot/2 - (scal_dot/12) g - (scal/12) h.
+    # W = Rm - P (.) g, so W_dot = Rm_dot - P_dot (.) g - P (.) h with
+    # P_dot = ric_dot/2 - (scal_dot/12) g - (scal/12) h
     schouten = 0.5 * ric - (scal / 12.0)[:, None, None] * g
     schouten_dot = (0.5 * ric_dot - (scal_dot / 12.0)[:, None, None] * g
                     - (scal / 12.0)[:, None, None] * h0)
-    weyl_dot = riem04_dot.copy()
-    _subtract_kulkarni_nomizu(weyl_dot, schouten_dot, g)
+    weyl_dot = _subtract_kulkarni_nomizu(riem_dot.copy(), schouten_dot, g)
     _subtract_kulkarni_nomizu(weyl_dot, schouten, h0)
 
-    return {"inv_dot": inv_dot[0], "gamma_dot": gamma_dot[0],
-            "riem13_dot": riem13_dot[0], "riem04_dot": riem04_dot[0],
+    return {"inv_dot": inv_dot[0], "gamma_dot": up_dot[0].reshape((DIM,) * 3),
+            "riem13_dot": riem13_dot[0], "riem04_dot": riem_dot[0],
             "ric_dot": ric_dot[0], "scal_dot": float(scal_dot[0]),
             "weyl_dot": weyl_dot[0]}
 
@@ -375,13 +315,11 @@ def linearized_weyl_flat_tt(h, x, tol: float = 1e-10):
                       - delta_ib Lap h_aj - delta_aj Lap h_ib).
     """
     xb, single = _as_batch(x)
-    h0 = h.derivative(xb, 0)
-    h1 = h.derivative(xb, 1)
+    h0, h1, h2 = h.jet(xb)
     tr = np.abs(np.einsum("nii->n", h0)).max()
     div = np.abs(np.einsum("nkki->ni", h1)).max()
     if max(tr, div) > tol:
         raise ValueError("not transverse-traceless")
-    h2 = h.derivative(xb, 2)
     lap = np.einsum("naaij->nij", h2)
     wdot = 0.5 * (np.einsum("najib->naijb", h2) + np.einsum("nibaj->naijb", h2)
                   - np.einsum("nabij->naijb", h2) - np.einsum("nijab->naijb", h2))
@@ -444,10 +382,12 @@ def fd_linearize(chart: MetricChart, h, x, quantity: str, step: float = 1e-4):
     ``quantity`` is one of inv, gamma, riem13, riem04, ric, scal, weyl.
     Central differences in t with one Richardson level.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)[None]
+    # the jets do not depend on t: form them once and add as SumChart does
+    base, jet = chart.metric_jet(x), h.jet(x)
 
     def value(t):
-        g, dg, d2g = SumChart(chart, h, t).metric_jet(x[None])
+        g, dg, d2g = (b + t * d for b, d in zip(base, jet))
         ginv = np.linalg.inv(g[0])
         if quantity == "inv":
             return ginv

@@ -220,13 +220,42 @@ def test_config_loses_to_flag_equal_to_default(capsys, tmp_path):
     assert json.loads(out)["seed"] == 0
 
 
-@pytest.mark.parametrize("payload", [{"sede": 5}, {"error-model": "exact"}])
+def _command_argv(command, spectra):
+    if command == "verify":
+        return ["verify", "sphere"]
+    return [command, spectra["pair"], spectra["pair"]]
+
+
+@pytest.mark.parametrize("payload", [
+    ("balance", {"sede": 5}), ("balance", {"error-model": "exact"}),
+    # not an object
+    ("balance", [1, 2]), ("balance", 3),
+    # a bool, list, null or non-integer where the option takes a number
+    ("verify", {"seed": 1.5}), ("verify", {"tol": [1]}), ("verify", {"seed": True}),
+    ("verify", {"seed": [1, 2]}), ("balance", {"lambda": None}),
+    ("balance", {"auto": "wide"}),
+    # a grid that is no list of numbers, a non-bool flag, a non-string path
+    ("sweep", {"lambda-grid": 2.0}), ("sweep", {"gamma-grid": [0.08, False]}),
+    ("interact", {"align": "yes"}), ("verify", {"output": 3}),
+    ("balance", {"sweep": 1})])
 def test_bad_config_key_exits_two(spectra, capsys, tmp_path, payload):
+    command, content = payload
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps(payload))
-    code, _ = run(["balance", spectra["pair"], spectra["pair"],
-                   "--config", str(conf)], capsys)
+    conf.write_text(json.dumps(content))
+    code, _ = run(_command_argv(command, spectra) + ["--config", str(conf)], capsys)
     assert code == cli.EXIT_INPUT
+
+
+def test_config_values_take_option_types(spectra, capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"lambda-grid": [2, 4], "gamma-grid": ["0.08"]}))
+    code, out = run(_command_argv("sweep", spectra) + ["--config", str(conf)], capsys)
+    assert code == cli.EXIT_PASS
+    assert [float(r["lambda"]) for r in csv.DictReader(io.StringIO(out))] == [2.0, 4.0]
+    conf.write_text(json.dumps({"align": True}))
+    code, out = run(_command_argv("interact", spectra) + ["--config", str(conf)], capsys)
+    assert code == cli.EXIT_PASS
+    assert json.loads(out)["aligned_value"] == pytest.approx(24.0, rel=1e-12)
 
 
 def test_missing_spectrum_file_exits_two(capsys, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from weylglue import curvature as cv
 from weylglue import tensor_core as tc
-from weylglue.fields import PolynomialField
+from weylglue.fields import CurvatureQuadraticField, PolynomialField
 
 
 def random_weyl(rng):
@@ -69,6 +69,21 @@ def test_linearization_matches_fd(quantity):
     key = quantity + "_dot"
     scale = max(np.abs(fd).max(), 1.0)
     assert np.abs(np.asarray(lin[key]) - fd).max() < 1e-6 * scale
+
+
+@pytest.mark.parametrize("seed", [85, 86])
+def test_linearization_matches_fd_on_model_charts(seed):
+    # the construction's own backgrounds, in directions of power 0 and -4
+    rng = np.random.default_rng(seed)
+    h = CurvatureQuadraticField([(1.0, random_weyl(rng), 0.0),
+                                 (0.5, random_weyl(rng), -4.0)])
+    for chart, x in _model_charts(seed):
+        for p in x:
+            lin = cv.linearize_curvature(chart, h, p)
+            for quantity in ("inv", "gamma", "riem13", "riem04", "ric", "scal", "weyl"):
+                fd = cv.fd_linearize(chart, h, p, quantity)
+                scale = max(np.abs(fd).max(), 1.0)
+                assert np.abs(np.asarray(lin[quantity + "_dot"]) - fd).max() < 1e-6 * scale
 
 
 def test_linearized_weyl_flat_tt_agrees_with_general():
@@ -141,9 +156,18 @@ def _random_chart_points(seed, n=6):
 def test_batched_contractions_match_einsum_oracle(seed):
     chart, x = _random_chart_points(seed)
     _, _, g, dg, d2g = cv._metric_data(chart, x)
-    for new, old in ((cv.dchristoffel_from_data(g, dg, d2g), _old_dchristoffel(g, dg, d2g)),
-                     (cv.riemann_from_data(g, dg, d2g), _old_riemann(g, dg, d2g))):
-        assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
+    new, old = cv.riemann_from_data(g, dg, d2g), _old_riemann(g, dg, d2g)
+    assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
+
+
+def test_kulkarni_nomizu_conventions():
+    # the curvature module's product carries no 1/2, tensor_core's does
+    rng = np.random.default_rng(87)
+    a, b = rng.standard_normal((2, 5, 4, 4))
+    a, b = a + a.swapaxes(1, 2), b + b.swapaxes(1, 2)
+    got = cv._subtract_kulkarni_nomizu(np.zeros((5,) + (4,) * 4), a, b)
+    want = np.array([-2.0 * tc.kulkarni_nomizu(p, q) for p, q in zip(a, b)])
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("seed", [74, 75, 76])
