@@ -289,15 +289,6 @@ class InterpSolution:
     chat_z: np.ndarray
     wdot: CurvatureQuadraticField
 
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "lam": self.lam,
-            "profile_powers": PROFILE_POWERS.tolist(),
-            "chat_m": self.chat_m.tolist(),
-            "chat_z": self.chat_z.tolist(),
-        }
-
 
 def assemble_interpolant(wm, wz, params) -> InterpSolution:
     """Solve the interpolation system for the pair of boundary Weyl tensors.

@@ -395,9 +395,6 @@ def _apply_config(args, parser, argv):
             value = [_config_value(key, action, v) for v in value]
         else:
             value = _config_value(key, action, value)
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"config key {key!r} must be one of "
-                             f"{sorted(action.choices)}, got {value!r}")
         defaults[action.dest] = value
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)

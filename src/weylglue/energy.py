@@ -217,13 +217,9 @@ def _boundary_terms(h, r: float, level: int = 12) -> dict:
     ``CurvatureQuadraticField`` plus r and level, so equal fields built
     separately (the inner model shared by C and the bracket, C at two
     values of lam, the bilap and biharm forms of one field) are integrated
-    once.  Each call returns a fresh dict.  Fields without ``terms`` are not
-    cached.
+    once.  Each call returns a fresh dict.
     """
-    terms = getattr(h, "terms", None)
-    if terms is None:
-        return _boundary_quadrature(h, r, level)
-    key = (tuple((c, s.tobytes(), p) for c, s, p in terms), float(r), int(level))
+    key = (tuple((c, s.tobytes(), p) for c, s, p in h.terms), float(r), int(level))
     with _boundary_lock:
         hit = _boundary_cache.get(key)
         if hit is not None:
@@ -320,54 +316,35 @@ def _bulk_integral(h, r0: float, r1: float, form: str,
 
 
 def second_variation(h, domain, form: str = "bilap", level: int = 12,
-                     tt_tol: float = 1e-9, r_far: float = 64.0) -> BoundaryFunctional:
+                     tt_tol: float = 1e-9) -> BoundaryFunctional:
     """Quadratic Weyl-energy coefficient Phi(h, Omega) for a TT field h.
 
-    ``domain`` is ("ball", r), ("annulus", r0, r1) or ("exterior", r0); the
-    exterior bulk (biharm form only) is truncated at ``r_far`` with the
-    truncation reported in the breakdown.  For a field with Lap^2 h = 0 the
-    bilap form is purely a boundary expression.
+    ``domain`` is ("ball", r) or ("annulus", r0, r1).  Phi sums, in this
+    order, the bulk integral and ``boundary_functional`` on the inner (sign
+    -1) and outer (sign +1) sphere; the breakdown prefixes each sphere's
+    terms "inner_" or "outer_".  For a field with Lap^2 h = 0 the bilap
+    form is purely a boundary expression.
     """
-    probe = np.array([[0.3, -0.2, 0.4, 0.1]]) * (1.0 if domain[0] == "ball" else domain[1])
+    if domain[0] == "ball":
+        bulk_range, spheres = (1e-8 * domain[1], domain[1]), [("outer", domain[1], 1.0)]
+    elif domain[0] == "annulus":
+        bulk_range = (domain[1], domain[2])
+        spheres = [("inner", domain[1], -1.0), ("outer", domain[2], 1.0)]
+    else:
+        raise ValueError(f"unknown domain {domain[0]!r}")
+    probe = np.array([[0.3, -0.2, 0.4, 0.1]]) * domain[1]
     tr = np.abs(h.trace(probe)).max()
     dv = np.abs(h.divergence(probe)).max()
     scale = max(np.abs(h.derivative(probe, 0)).max(), 1.0)
     if max(tr, dv) > tt_tol * scale:
         raise ValueError("second variation requires a transverse-traceless field")
 
-    breakdown = {}
-    if domain[0] == "ball":
-        r = domain[1]
-        bnd = boundary_functional(h, r, 1.0, form, level)
-        bulk = _bulk_integral(h, 1e-8 * r, r, form)
-        value = bulk + bnd.value
-        breakdown = {"bulk": bulk, **{f"outer_{k}": v for k, v in bnd.breakdown.items()}}
-    elif domain[0] == "annulus":
-        r0, r1 = domain[1], domain[2]
-        inner = boundary_functional(h, r0, -1.0, form, level)
-        outer = boundary_functional(h, r1, 1.0, form, level)
-        bulk = _bulk_integral(h, r0, r1, form)
-        value = bulk + inner.value + outer.value
-        breakdown = {"bulk": bulk,
-                     **{f"inner_{k}": v for k, v in inner.breakdown.items()},
-                     **{f"outer_{k}": v for k, v in outer.breakdown.items()}}
-    elif domain[0] == "exterior":
-        r0 = domain[1]
-        inner = boundary_functional(h, r0, -1.0, form, level)
-        if form == "biharm":
-            bulk = _bulk_integral(h, r0, r_far, form)
-            far = boundary_functional(h, r_far, 1.0, form, level)
-            value = bulk + inner.value + far.value
-            breakdown = {"bulk": bulk, "far_boundary": far.value,
-                         "truncation_radius": r_far,
-                         **{f"inner_{k}": v for k, v in inner.breakdown.items()}}
-        else:
-            bulk = 0.0
-            value = inner.value
-            breakdown = {"bulk": 0.0,
-                         **{f"inner_{k}": v for k, v in inner.breakdown.items()}}
-    else:
-        raise ValueError(f"unknown domain {domain[0]!r}")
+    value = bulk = _bulk_integral(h, *bulk_range, form)
+    breakdown = {"bulk": bulk}
+    for label, r, sign in spheres:
+        bnd = boundary_functional(h, r, sign, form, level)
+        value += bnd.value
+        breakdown.update({f"{label}_{k}": v for k, v in bnd.breakdown.items()})
     return BoundaryFunctional(value=float(value), form=form,
                               radius=float(domain[1]), sign=1.0,
                               breakdown=breakdown)

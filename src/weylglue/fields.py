@@ -11,13 +11,16 @@ Two families cover everything the construction needs:
   f(r) = sum_k c_k r^(p_k), so the interpolant is two blocks, not eight
   terms.  Exact derivatives up to fourth order come from one Leibniz
   expansion per block against the summed radial derivatives of f.
-  ``jet`` evaluates h, dh, d2h in one pass over the blocks, and with
+  ``derivative`` and ``jet`` share one pass over the blocks, which forms
+  the angular and radial factors only up to the highest order it returns
+  (an order-0 call forms Q alone).  ``jet`` evaluates h, dh, d2h, and with
   ``slab=True`` also the slab d_a d_b d_b h of the third derivative; the
   sphere integrals need nothing more, and the slab is a quarter of the full
   order-3 array.
 
-* ``PolynomialField`` - dense polynomial perturbations used as generic test
-  inputs for the linearization machinery.
+* ``PolynomialField`` - dense polynomial perturbations of degree 3 used as
+  generic test inputs for the linearization machinery, with derivatives to
+  order 2.
 
 Both families share ``jet(x)`` = (h, dh, d2h), the one entry point through
 which metric charts and the linearized curvature read a field.
@@ -54,8 +57,9 @@ def _as_batch(x):
 def _radial_basis(xb: np.ndarray, order: int):
     """The factors of the radial derivatives that depend on x alone.
 
-    Returns (r2, tensors): r2 = |x|^2 and, for each derivative order k, the
-    pairs (j, B) of d^k |x|^p = sum_j [p (p - 2) ... (p - 2j + 2)] B r^(p - 2j).
+    Returns (r2, tensors): r2 = |x|^2 and, for each derivative order k up
+    to ``order``, the pairs (j, B) of
+    d^k |x|^p = sum_j [p (p - 2) ... (p - 2j + 2)] B r^(p - 2j).
     Batch axis first: x_a, then delta_ab and x_a x_b, the symmetrized
     delta_ab x_c and x_a x_b x_c, the symmetrized delta_ab delta_cd,
     delta_ab x_c x_d and x_a x_b x_c x_d.  Every power of every block
@@ -64,8 +68,10 @@ def _radial_basis(xb: np.ndarray, order: int):
     or 1; the sums run in the order of the formula above.
     """
     r2 = np.einsum("na,na->n", xb, xb)
-    xx = xb[:, :, None] * xb[:, None, :]
-    tensors = {1: [(1, xb)], 2: [(1, _EYE), (2, xx)]}
+    tensors = {1: [(1, xb)]}
+    if order >= 2:
+        xx = xb[:, :, None] * xb[:, None, :]
+        tensors[2] = [(1, _EYE), (2, xx)]
     if order >= 3:
         sym3 = (_EYE[None, :, :, None] * xb[:, None, None, :]
                 + _EYE[None, :, None, :] * xb[:, None, :, None]
@@ -108,16 +114,21 @@ def _radial_derivs(basis, p: float, order: int):
     return out
 
 
-def _angular(s: np.ndarray, xb: np.ndarray):
-    """Q_ij = S_klij x^k x^l of one block and its first two derivatives.
+def _angular(s: np.ndarray, xb: np.ndarray, order: int = 2):
+    """Q_ij = S_klij x^k x^l of one block and its derivatives up to
+    min(``order``, 2), the highest that is not 0.
 
     Shapes (N, 4, 4), (N, 4, 4, 4) and (4, 4, 4, 4) for points xb of
     shape (N, 4); the second derivative 2 S is constant.  Both products are
     single matrix products over flattened index pairs.
     """
-    # S is symmetric in its first two slots, so dQ_aij = 2 S_alij x^l
-    q1 = 2.0 * _rows_times(xb, s.reshape(DIM, DIM ** 3)).reshape(-1, DIM, DIM, DIM)
-    return _quadratic_form(s, xb), q1, 2.0 * s
+    q = [_quadratic_form(s, xb)]
+    if order >= 1:
+        # S is symmetric in its first two slots, so dQ_aij = 2 S_alij x^l
+        q.append(2.0 * _rows_times(xb, s.reshape(DIM, DIM ** 3)).reshape(-1, DIM, DIM, DIM))
+    if order >= 2:
+        q.append(2.0 * s)
+    return q
 
 
 def _quadratic_form(s: np.ndarray, xb: np.ndarray):
@@ -272,6 +283,38 @@ class CurvatureQuadraticField:
     def scaled(self, factor: float) -> "CurvatureQuadraticField":
         return self._with_terms([(factor * c, s, p) for (c, s, p) in self.terms])
 
+    def _evaluate(self, x, axes):
+        """d_a h for each ``_leibniz`` axis label a in ``axes``, in one pass
+        over the blocks: each block's factors are formed once, to the highest
+        order asked for, and a block whose profile is a constant c adds only
+        c Q, c dQ and c d2Q.  The outputs and two flat product buffers share
+        one allocation."""
+        xb, single = _as_batch(x)
+        n = xb.shape[0]
+        shapes = [(n,) + (DIM,) * len(set(a)) + (DIM, DIM) for a in axes]
+        size = max(prod(shape) for shape in shapes)
+        *out, term, buf = _one_block(shapes + [(size,)] * 2)
+        for total in out:
+            total.fill(0.0)
+        order = max(len(a) for a in axes)
+        basis = None
+        for s, profile in self.blocks:
+            q = _angular(s, xb, order)
+            coeff = _constant(profile)
+            if coeff is None:
+                basis = basis or _radial_basis(xb, order)
+                rho = _profile_derivs(basis, profile, order)
+            for total, a in zip(out, axes):
+                if coeff is None:
+                    total += _leibniz(q, rho, a, term[:total.size].reshape(total.shape),
+                                      buf[:total.size].reshape(total.shape))
+                elif len(a) <= 2:
+                    total += coeff * q[len(a)]
+            # freed before the next block's: holding both lifts a small call past
+            # the allocator's trim threshold, so each call faults its pages anew
+            del q
+        return tuple(o[0] for o in out) if single else tuple(out)
+
     def derivative(self, x, order: int):
         """Partial derivatives of the field at x.
 
@@ -281,60 +324,18 @@ class CurvatureQuadraticField:
         """
         if not 0 <= order <= 4:
             raise ValueError("derivative order must be 0..4")
-        xb, single = _as_batch(x)
-        total, term, buf = _one_block([(xb.shape[0],) + (DIM,) * order + (DIM, DIM)] * 3)
-        total.fill(0.0)
-        basis = None
-        for s, profile in self.blocks:
-            coeff = _constant(profile)
-            if coeff is not None:
-                if order <= 2:
-                    total += coeff * _angular(s, xb)[order]
-                continue
-            basis = basis or _radial_basis(xb, order)
-            rho = _profile_derivs(basis, profile, order)
-            total += _leibniz(_angular(s, xb), rho, "abcd"[:order], term, buf)
-        return total[0] if single else total
+        return self._evaluate(x, ("abcd"[:order],))[0]
 
     def jet(self, x, slab: bool = False):
         """The jet (h, dh, d2h), and with ``slab=True`` also the slab
         T[..., a, b, i, j] = d_a d_b d_b h_ij.
 
-        One pass over the blocks computes each block's angular factors and
-        summed radial derivatives once, against one ``_radial_basis`` of
-        the points; a block whose powers are all 0, so that its profile is
-        a constant c, adds only c Q, c dQ and c d2Q (and nothing to T).  The
-        first three arrays equal ``derivative(x, k)`` for k = 0, 1, 2 and T
-        equals the b = c slab of ``derivative(x, 3)`` bit for bit: the same
+        The first three arrays equal ``derivative(x, k)`` for k = 0, 1, 2 and
+        T equals the b = c slab of ``derivative(x, 3)`` bit for bit: the same
         products are added in the same order.  T is all the sphere
         integrands need of the third derivative, at a quarter of its size.
         """
-        xb, single = _as_batch(x)
-        n = xb.shape[0]
-        axes = ("", "a", "ab", "abb") if slab else ("", "a", "ab")
-        shapes = [(n,) + (DIM,) * len(set(a)) + (DIM, DIM) for a in axes]
-        # the outputs, then two flat product buffers shared by every order and block
-        *out, term, buf = _one_block(shapes + [(prod(shapes[-1]),)] * 2)
-        for total in out:
-            total.fill(0.0)
-        order = len(axes[-1])
-        basis = None
-        for s, profile in self.blocks:
-            q = _angular(s, xb)
-            coeff = _constant(profile)
-            if coeff is not None:
-                for total, qk in zip(out, q):
-                    total += coeff * qk
-                continue
-            basis = basis or _radial_basis(xb, order)
-            rho = _profile_derivs(basis, profile, order)
-            for total, a in zip(out, axes):
-                total += _leibniz(q, rho, a, term[:total.size].reshape(total.shape),
-                                  buf[:total.size].reshape(total.shape))
-        return tuple(o[0] for o in out) if single else tuple(out)
-
-    def eval(self, x):
-        return self.derivative(x, 0)
+        return self._evaluate(x, ("", "a", "ab", "abb") if slab else ("", "a", "ab"))
 
     def _radial_factor(self, x, double: bool):
         # For a term c Q_ij r^p the angular part is harmonic (Delta Q = 0
@@ -365,7 +366,7 @@ class CurvatureQuadraticField:
         return self._radial_factor(x, double=True)
 
     def trace(self, x):
-        return np.einsum("...ii->...", self.eval(x))
+        return np.einsum("...ii->...", self.derivative(x, 0))
 
     def divergence(self, x):
         """Euclidean divergence sum_k d_k h_ki, shape (..., 4)."""
@@ -374,7 +375,7 @@ class CurvatureQuadraticField:
 
 
 class PolynomialField:
-    """Dense symmetric polynomial field of degree <= 3 with exact derivatives.
+    """Dense symmetric polynomial of degree <= 3 with exact derivatives to order 2.
 
     h_ij(x) = C0_ij + C1_aij x^a + C2_abij x^a x^b + C3_abcij x^a x^b x^c
     with the coefficient arrays symmetric in the derivative slots and in ij.
@@ -421,20 +422,13 @@ class PolynomialField:
         elif order == 2:
             out = (2.0 * np.broadcast_to(self.c2[None], (xb.shape[0],) + self.c2.shape).copy()
                    + 6.0 * np.einsum("abcij,cn->nabij", self.c3, xt))
-        elif order == 3:
-            out = np.broadcast_to(6.0 * self.c3[None], (xb.shape[0],) + self.c3.shape).copy()
-        elif order == 4:
-            out = np.zeros((xb.shape[0],) + (DIM,) * 4 + (DIM, DIM))
         else:
-            raise ValueError("derivative order must be 0..4")
+            raise ValueError("derivative order must be 0..2")
         return out[0] if single else out
 
     def jet(self, x):
         """(h, dh, d2h), equal to ``derivative(x, k)`` for k = 0, 1, 2."""
         return tuple(self.derivative(x, k) for k in range(3))
-
-    def eval(self, x):
-        return self.derivative(x, 0)
 
 
 def model_field(w: np.ndarray, coeff: float, power: float) -> CurvatureQuadraticField:

@@ -94,6 +94,16 @@ def test_balance_negative_bracket(spectra, capsys):
     assert report["interaction"] == pytest.approx(24.0, rel=1e-10)
 
 
+def test_balance_reports_regime_warnings(spectra, capsys):
+    # a > gamma^2 / 10 and gamma > 1 / (10 lam) both leave the regime
+    code, out = run(["balance", spectra["pair"], spectra["pair"],
+                     "--lambda", "2", "--gamma", "0.2", "--a", "0.005"], capsys)
+    assert code == cli.EXIT_PASS
+    assert json.loads(out)["regime_warnings"] == [
+        "regime violated: a = 0.005 > gamma^2/10 = 0.004",
+        "regime violated: gamma = 0.2 > 1/(10 lam) = 0.05"]
+
+
 def test_balance_missing_params_exits_two(spectra, capsys):
     code, _ = run(["balance", spectra["pair"], spectra["pair"],
                    "--lambda", "2.0"], capsys)

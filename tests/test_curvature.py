@@ -56,6 +56,19 @@ def test_fd_curvature_matches_exact():
     assert np.abs(exact - fd).max() < 1e-5 * max(np.abs(exact).max(), 1.0)
 
 
+def test_christoffel_matches_finite_differences():
+    # three polynomial charts; a batch equals its points taken one at a time
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        chart = cv.polynomial_chart(PolynomialField.random(rng, scale=0.05))
+        x = 0.25 * rng.standard_normal((5, 4))
+        got = cv.christoffel(chart, x)
+        assert got.shape == (5, 4, 4, 4)
+        for point, gamma in zip(x, got):
+            assert np.array_equal(cv.christoffel(chart, point), gamma)
+            assert np.abs(gamma - cv.fd_curvature(chart, point)["christoffel"]).max() < 1e-8
+
+
 @pytest.mark.parametrize("quantity", ["inv", "gamma", "riem13", "riem04",
                                       "ric", "scal", "weyl"])
 def test_linearization_matches_fd(quantity):

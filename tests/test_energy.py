@@ -103,21 +103,28 @@ def test_half_sphere_rule_degree_four_moments():
         assert np.abs(got - exact).max() <= 1e-13
 
 
+def _breakdown_keys(*sides):
+    return {"bulk"} | {f"{side}_{key}" for side in sides for key in en._BOUNDARY_KEYS}
+
+
 def test_boundary_forms_agree_on_ball():
     rng = np.random.default_rng(51)
     h = model_H(random_weyl(rng))
-    a = en.second_variation(h, ("ball", 1.0), form="bilap").value
-    b = en.second_variation(h, ("ball", 1.0), form="biharm").value
-    assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+    a, b = (en.second_variation(h, ("ball", 1.0), form=form) for form in ("bilap", "biharm"))
+    assert abs(a.value - b.value) < 1e-10 * max(abs(a.value), 1.0)
+    for phi in (a, b):
+        assert phi.breakdown.keys() == _breakdown_keys("outer")
 
 
 def test_boundary_forms_agree_on_annulus():
     # F has nonvanishing Laplacian, so this exercises the genuine bulk term
     rng = np.random.default_rng(52)
     F = model_F(random_weyl(rng))
-    a = en.second_variation(F, ("annulus", 0.5, 2.0), form="bilap").value
-    b = en.second_variation(F, ("annulus", 0.5, 2.0), form="biharm").value
-    assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+    a, b = (en.second_variation(F, ("annulus", 0.5, 2.0), form=form)
+            for form in ("bilap", "biharm"))
+    assert abs(a.value - b.value) < 1e-10 * max(abs(a.value), 1.0)
+    for phi in (a, b):
+        assert phi.breakdown.keys() == _breakdown_keys("inner", "outer")
 
 
 def test_second_variation_rejects_non_tt():
@@ -126,6 +133,12 @@ def test_second_variation_rejects_non_tt():
     h = model_field(kn, 1.0, 0.0)
     with pytest.raises(ValueError):
         en.second_variation(h, ("ball", 1.0))
+
+
+def test_second_variation_rejects_unknown_domain():
+    h = model_H(random_weyl(np.random.default_rng(53)))
+    with pytest.raises(ValueError, match="unknown domain"):
+        en.second_variation(h, ("exterior", 1.0))
 
 
 def test_second_variation_positive_for_models():

@@ -309,3 +309,20 @@ def test_metric_jet_matches_finite_differences(seed):
             for k in (1, 2):
                 tol = 100 * eps * np.abs(jet[0]).max() / step ** k + 1e-5 * np.abs(jet[k]).max()
                 assert np.abs(fd[k] - jet[k]).max() <= tol, (chart.kind, np.linalg.norm(x), k)
+
+
+@pytest.mark.parametrize("seed", [68, 69])
+def test_laplacians_equal_traced_derivatives(seed):
+    # the closed forms p (p + 6) Q r^(p-2) of ``laplacian`` and
+    # ``bilaplacian`` against the traces of the Leibniz derivatives
+    rng = np.random.default_rng(seed)
+    wm, wz = random_weyl(rng), random_weyl(rng)
+    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=0.05, lam=1.5))
+    batch = rng.uniform(0.05, 1.5, (9, 1)) * rng.standard_normal((9, 4))
+    for h in (jet_field(rng), interp.wdot):
+        for x in (batch, batch[2]):
+            d2, d4 = h.derivative(x, 2), h.derivative(x, 4)
+            for got, d, spec in ((h.laplacian(x), d2, "...aaij->...ij"),
+                                 (h.bilaplacian(x), d4, "...aabbij->...ij")):
+                assert got.shape == x.shape[:-1] + (4, 4)
+                assert np.abs(got - np.einsum(spec, d)).max() <= 1e-12 * np.abs(d).max()
