@@ -14,7 +14,7 @@ from .duality import (aligned_interaction_value, align_and_interact,
                       reverse_orientation, spectra)
 from .biharmonic import (InterpSolution, assemble_interpolant, smallgamma_expansion,
                          solve_profile)
-from .gluing import CutoffSpec, GluedChart, GluingParams, RegimeWarning, glued_chart
+from .gluing import GluedChart, GluingParams, RegimeWarning
 from .energy import (EnergyBalance, boundary_functional, choose_parameters,
                      dilation_energy, energy_balance, extract_interaction_coefficient,
                      phi_inner, phi_outer, rough_energy_bound, second_variation,
@@ -29,7 +29,7 @@ __all__ = [
     "interaction_star", "positivity_bound", "reverse_orientation", "spectra",
     "InterpSolution", "assemble_interpolant", "smallgamma_expansion",
     "solve_profile",
-    "CutoffSpec", "GluedChart", "GluingParams", "RegimeWarning", "glued_chart",
+    "GluedChart", "GluingParams", "RegimeWarning",
     "EnergyBalance", "boundary_functional", "choose_parameters", "dilation_energy",
     "energy_balance",
     "extract_interaction_coefficient", "phi_inner", "phi_outer",

@@ -115,24 +115,6 @@ class ScaledChart(MetricChart):
         return tuple(self.factor * d for d in self.base.metric_jet(x))
 
 
-class SumChart(MetricChart):
-    """Chart whose metric is base + t * extra field; used by the t-oracles."""
-
-    def __init__(self, base: MetricChart, h, t: float):
-        self.base = base
-        self.h = h
-        self.t = float(t)
-        self.kind = f"{base.kind}+t*h"
-
-    def contains(self, x):
-        return self.base.contains(x)
-
-    def metric_jet(self, x):
-        xb, single = _as_batch(x)
-        return _unbatch(tuple(b + self.t * d for b, d in
-                              zip(self.base.metric_jet(xb), self.h.jet(xb))), single)
-
-
 def _unbatch(arrays, single):
     return tuple(a[0] for a in arrays) if single else tuple(arrays)
 
@@ -383,7 +365,8 @@ def fd_linearize(chart: MetricChart, h, x, quantity: str, step: float = 1e-4):
     Central differences in t with one Richardson level.
     """
     x = np.asarray(x, dtype=float)[None]
-    # the jets do not depend on t: form them once and add as SumChart does
+    # the jets do not depend on t: form them once and add t times h's jet
+    # to the chart's at each t
     base, jet = chart.metric_jet(x), h.jet(x)
 
     def value(t):

@@ -4,22 +4,23 @@ The two manifolds are represented by their quadratic curvature models around
 the gluing points: the inner end delta + a^2 F (F decaying like |x|^-2, the
 image of the conformal normal form under inversion) and the outer end
 delta + b^2 H (H growing like |x|^2), with b = lam * a.  The glued metric
-g_X lives on the annulus a <= |x| <= 2 and consists of the two models, the
-biharmonic interpolant in between, and optional cutoff-damped error tensors
-standing in for the higher-order terms of the real metrics.
+g_X lives on the annulus a <= |x| <= 2 and consists of the two models and
+the biharmonic interpolant between them.  It is the truncated metric: it has
+no optional error tensors standing in for the higher-order terms of the real
+metrics.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor_core import DIM, AlgWeyl, check_class
 from .fields import CurvatureQuadraticField, _as_batch, model_field
 from .curvature import MetricChart, _unbatch
-from .biharmonic import InterpSolution
+from .biharmonic import assemble_interpolant
 
 _EYE = np.eye(DIM)
 
@@ -111,91 +112,24 @@ def invert_pullback(wm, y, cubic_scale: float = 0.0,
     return out
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Quintic smoothstep rising from 0 to 1 on the band [sqrt(a)/4, 3 sqrt(a)/4]."""
-
-    a: float
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("a must be positive")
-
-    @property
-    def band(self):
-        s = np.sqrt(self.a)
-        return s / 4.0, 3.0 * s / 4.0
-
-
-def cutoff(spec: CutoffSpec, t, order: int = 0):
-    """The cutoff chi_a(t) or its derivative of the given order (0, 1 or 2).
-
-    chi_a is 0 below the band, 1 above it, and the quintic smoothstep
-    6u^5 - 15u^4 + 10u^3 inside, which makes it C^2 everywhere.  The
-    combination |chi| + sqrt(a)|chi'| + a|chi''| is bounded by a constant
-    independent of a.
-    """
-    lo, hi = spec.band
-    width = hi - lo
-    t = np.asarray(t, dtype=float)
-    u = np.clip((t - lo) / width, 0.0, 1.0)
-    if order == 0:
-        out = u ** 3 * (6.0 * u ** 2 - 15.0 * u + 10.0)
-    elif order == 1:
-        out = 30.0 * u ** 2 * (u - 1.0) ** 2 / width
-    elif order == 2:
-        out = 60.0 * u * (u - 1.0) * (2.0 * u - 1.0) / width ** 2
-    else:
-        raise ValueError("cutoff derivatives available to order 2")
-    return float(out) if out.ndim == 0 else out
-
-
-def cutoff_constant(spec: CutoffSpec, samples: int = 2001) -> float:
-    """Realized constant sup_t (|chi| + sqrt(a)|chi'| + a|chi''|) on a dense grid."""
-    lo, hi = spec.band
-    ts = np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), samples)
-    total = (np.abs(cutoff(spec, ts))
-             + np.sqrt(spec.a) * np.abs(cutoff(spec, ts, 1))
-             + spec.a * np.abs(cutoff(spec, ts, 2)))
-    return float(total.max())
-
-
 class GluedChart(MetricChart):
-    """The glued metric g_X on the annulus a <= |x| <= 2.
+    """The truncated glued metric g_X on the annulus a <= |x| <= 2.
 
-    Zones: delta + a^2 F (plus optional damped error zeta) for |x| < gamma,
-    the biharmonic interpolant for gamma < |x| < 1, and delta + b^2 H (plus
-    optional damped error eta) for |x| >= 1.  The metric is C^1 across both
-    interfaces by the interpolation boundary conditions.
+    Zones: delta + a^2 F for |x| < gamma, the biharmonic interpolant for
+    gamma < |x| < 1, and delta + b^2 H for |x| >= 1, with no optional error
+    tensors.  The metric is C^1 across both interfaces by the interpolation
+    boundary conditions.
     """
 
     kind = "glued"
 
-    def __init__(self, interp: InterpSolution, params: GluingParams,
-                 error_model: str = "truncated",
-                 zeta_scale: float = 0.0, eta_scale: float = 0.0, seed: int = 0):
-        if abs(interp.gamma - params.gamma) > 1e-14 or abs(interp.lam - params.lam) > 1e-14:
-            raise ValueError("interpolant was built with different parameters")
-        if error_model not in ("truncated", "synthetic"):
-            raise ValueError(f"unknown error model {error_model!r}")
+    def __init__(self, wm, wz, params: GluingParams):
         self.params = params
-        self.interp = interp
-        self.error_model = error_model
-        self.seed = seed
+        self.interp = assemble_interpolant(_weyl_tensor(wm), _weyl_tensor(wz), params)
         a = params.a
-        self.inner = model_F(interp.wm).scaled(a * a)
-        self.outer = model_H(interp.wz).scaled(params.b ** 2)
-        self.mid = interp.wdot.scaled(a * a)
-        self.cut = CutoffSpec(a)
-        if error_model == "synthetic":
-            rng = np.random.default_rng(seed)
-            s_in = rng.standard_normal((DIM, DIM))
-            s_out = rng.standard_normal((DIM, DIM))
-            self._zeta = zeta_scale * 0.5 * (s_in + s_in.T)
-            self._eta = eta_scale * 0.5 * (s_out + s_out.T)
-        else:
-            self._zeta = np.zeros((DIM, DIM))
-            self._eta = np.zeros((DIM, DIM))
+        self.inner = model_F(self.interp.wm).scaled(a * a)
+        self.outer = model_H(self.interp.wz).scaled(params.b ** 2)
+        self.mid = self.interp.wdot.scaled(a * a)
 
     def contains(self, x):
         xb, _ = _as_batch(x)
@@ -209,37 +143,6 @@ class GluedChart(MetricChart):
         out = np.where(r < self.params.gamma, 0, np.where(r < 1.0, 1, 2))
         return int(out[0]) if single else out
 
-    def _add_error_terms(self, xb, jet):
-        """Add the damped error tensors zeta |x|^-3 chi_a(gamma - |x|) inside
-        and eta |x|^3 chi_a(|x| - 1) outside, with their first two
-        derivatives, to the jet (g, dg, d2g)."""
-        if self.error_model != "synthetic":
-            return
-        r = np.sqrt(np.einsum("na,na->n", xb, xb))
-        xhat = xb / r[:, None]
-        for const, power, tfun, tsign, mask in (
-                (self._zeta, -3.0, lambda rr: self.params.gamma - rr, -1.0,
-                 r < self.params.gamma),
-                (self._eta, 3.0, lambda rr: rr - 1.0, 1.0, r >= 1.0)):
-            if not mask.any():
-                continue
-            rr = r[mask]
-            chi = np.array([cutoff(self.cut, tfun(rr), k) for k in range(3)])
-            chi[1] *= tsign
-            rad = np.stack([rr ** power,
-                            power * rr ** (power - 1.0),
-                            power * (power - 1.0) * rr ** (power - 2.0)])
-            # radial profile rho(r) = r^power * chi(t(r)) and its r-derivatives
-            rho0 = rad[0] * chi[0]
-            rho1 = rad[1] * chi[0] + rad[0] * chi[1]
-            rho2 = rad[2] * chi[0] + 2.0 * rad[1] * chi[1] + rad[0] * chi[2]
-            xh = xhat[mask]
-            proj = (_EYE[None] - np.einsum("na,nb->nab", xh, xh)) / rr[:, None, None]
-            ang = np.einsum("n,nab,ij->nabij", rho1, proj, const)
-            jet[0][mask] += rho0[:, None, None] * const[None]
-            jet[1][mask] += np.einsum("n,na,ij->naij", rho1, xh, const)
-            jet[2][mask] += ang + np.einsum("n,na,nb,ij->nabij", rho2, xh, xh, const)
-
     def metric_jet(self, x):
         xb, single = _as_batch(x)
         zone = np.asarray(self.zone(xb))
@@ -250,7 +153,6 @@ class GluedChart(MetricChart):
             if mask.any():
                 for out, part in zip(jet, fld.jet(xb[mask])):
                     out[mask] = part
-        self._add_error_terms(xb, jet)
         jet[0] += _EYE[None]
         return _unbatch(jet, single)
 
@@ -261,15 +163,4 @@ class GluedChart(MetricChart):
                       "outer": [1.0, 2.0]},
             "params": {"a": self.params.a, "lam": self.params.lam,
                        "gamma": self.params.gamma, "b": self.params.b},
-            "error_model": self.error_model,
-            "seed": self.seed,
         }
-
-
-def glued_chart(wm, wz, params: GluingParams, interp: InterpSolution,
-                error_model: str = "truncated", **kw) -> GluedChart:
-    """Build the glued metric chart; see GluedChart for the zone layout."""
-    if np.abs(interp.wm - _weyl_tensor(wm)).max() > 1e-12 or \
-       np.abs(interp.wz - _weyl_tensor(wz)).max() > 1e-12:
-        raise ValueError("interpolant was built from different Weyl tensors")
-    return GluedChart(interp, params, error_model=error_model, **kw)

@@ -50,21 +50,20 @@ def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * term
 
 
-def validate(t: np.ndarray, symmetry_class: str = "riemann",
-             tol: float = DEFAULT_TOL) -> dict[str, float]:
+def validate(t: np.ndarray, symmetry_class: str = "riemann") -> dict[str, float]:
     """Max residual of each algebraic symmetry for the requested class.
 
     Returns a dict of residuals; entries are zero (up to roundoff) for a
-    compliant tensor.  ``symmetry_class`` is one of ``none``, ``riemann``,
-    ``weyl``; the weyl class adds the first Bianchi identity and vanishing
-    of all metric traces (taken with the identity metric).
+    compliant tensor.  ``symmetry_class`` is ``riemann`` or ``weyl``; the
+    weyl class adds the first Bianchi identity and vanishing of all metric
+    traces (taken with the identity metric).
     """
+    if symmetry_class not in ("riemann", "weyl"):
+        raise TensorSymmetryError(f"unknown symmetry class {symmetry_class!r}")
     t = np.asarray(t, dtype=float)
     if t.shape != (DIM,) * 4:
         raise TensorSymmetryError(f"expected shape {(DIM,)*4}, got {t.shape}")
     report: dict[str, float] = {}
-    if symmetry_class == "none":
-        return report
     report["antisym_first_pair"] = float(np.abs(t + t.transpose(1, 0, 2, 3)).max())
     report["antisym_last_pair"] = float(np.abs(t + t.transpose(0, 1, 3, 2)).max())
     report["pair_exchange"] = float(np.abs(t - t.transpose(2, 3, 0, 1)).max())
@@ -72,14 +71,12 @@ def validate(t: np.ndarray, symmetry_class: str = "riemann",
         bianchi = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
         report["first_bianchi"] = float(np.abs(bianchi).max())
         report["trace"] = float(np.abs(np.einsum("kijk->ij", t)).max())
-    elif symmetry_class != "riemann":
-        raise TensorSymmetryError(f"unknown symmetry class {symmetry_class!r}")
     return report
 
 
 def check_class(t: np.ndarray, symmetry_class: str, tol: float = DEFAULT_TOL) -> None:
     """Raise TensorSymmetryError if any residual of ``validate`` exceeds tol."""
-    report = validate(t, symmetry_class, tol)
+    report = validate(t, symmetry_class)
     bad = {k: v for k, v in report.items() if v > tol}
     if bad:
         raise TensorSymmetryError(f"{symmetry_class} symmetry violated: {bad}")

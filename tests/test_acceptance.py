@@ -239,8 +239,7 @@ def test_cutoff_region_scaling():
         for gamma in (0.08, 0.04, 0.02):
             for a in (1e-6, 2e-6, 4e-6):
                 params = gl.GluingParams(a=a, lam=2.0, gamma=gamma)
-                interp = bh.assemble_interpolant(wm, wz, params)
-                chart = gl.glued_chart(wm, wz, params, interp)
+                chart = gl.GluedChart(wm, wz, params)
                 r0 = gamma - np.sqrt(a)
                 bound = en.rough_energy_bound(chart, r0, gamma,
                                               level=6, n_radial=10)

@@ -169,6 +169,19 @@ def test_tt_residual_raises_outside_annulus():
         bh.tt_residual(sol, np.array([0.05, 0.0, 0.0, 0.0]))
 
 
+def test_tt_residual_single_point_is_row_of_batch():
+    rng = np.random.default_rng(39)
+    sol = bh.assemble_interpolant(random_weyl(rng), random_weyl(rng),
+                                  params(0.3, 1.0))
+    x = rng.uniform(0.4, 0.9, (3, 1)) * np.array([[0.5, -0.5, 0.5, 0.5]])
+    trace, div = bh.tt_residual(sol, x)
+    one_trace, one_div = bh.tt_residual(sol, x[0])
+    assert type(one_trace) is float
+    assert one_div.shape == (4,)
+    assert one_trace == trace[0]
+    assert np.array_equal(one_div, div[0])
+
+
 def test_unit_sources_scaling():
     gamma, lam = 0.2, 3.0
     um, uz = bh.unit_sources(gamma, lam)

@@ -230,6 +230,17 @@ def test_config_loses_to_flag_equal_to_default(capsys, tmp_path):
     assert json.loads(out)["seed"] == 0
 
 
+def test_config_output_takes_a_path(capsys, tmp_path):
+    # --output has no type, so its config value is taken as the string given
+    target = tmp_path / "r.json"
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"output": str(target)}))
+    code, out = run(["verify", "sphere", "--config", str(conf)], capsys)
+    assert code == cli.EXIT_PASS
+    assert out == ""
+    assert json.loads(target.read_text())["checks"]
+
+
 def _command_argv(command, spectra):
     if command == "verify":
         return ["verify", "sphere"]

@@ -121,6 +121,13 @@ def test_chart_domain_errors():
     chart = cv.inverted_model(random_weyl(rng), r_min=0.1)
     with pytest.raises(cv.ChartDomainError):
         chart.check_domain(np.zeros(4))
+    # a rescaled chart keeps its base's domain
+    scaled = cv.ScaledChart(chart, 2.0)
+    x = np.outer([0.05, 0.0999, 0.1, 0.5], [0.5, 0.5, -0.5, 0.5])
+    assert np.array_equal(scaled.contains(x), chart.contains(x))
+    assert scaled.contains(x).tolist() == [False, False, True, True]
+    with pytest.raises(cv.ChartDomainError):
+        cv.riemann(scaled, x[0])
 
 
 def test_scaled_chart_metric():

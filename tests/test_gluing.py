@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 import warnings
-from types import SimpleNamespace
 
 from weylglue import gluing as gl
 from weylglue import tensor_core as tc
-from weylglue.biharmonic import assemble_interpolant
 
 
 def random_weyl(rng):
@@ -36,25 +34,6 @@ def test_params_b_scale():
     assert p.b == pytest.approx(2e-4)
 
 
-def test_cutoff_smoothstep():
-    spec = gl.CutoffSpec(0.01)
-    lo, hi = spec.band
-    assert lo == pytest.approx(np.sqrt(0.01) / 4)
-    assert hi == pytest.approx(3 * np.sqrt(0.01) / 4)
-    assert gl.cutoff(spec, lo - 1e-9) == 0.0
-    assert gl.cutoff(spec, hi + 1e-9) == 1.0
-    assert gl.cutoff(spec, 0.5 * (lo + hi)) == pytest.approx(0.5)
-    # C^1 at the band edges
-    assert gl.cutoff(spec, lo + 1e-12, order=1) == pytest.approx(0.0, abs=1e-6)
-    assert gl.cutoff(spec, hi - 1e-12, order=1) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_cutoff_constant_independent_of_a():
-    c1 = gl.cutoff_constant(gl.CutoffSpec(1e-4))
-    c2 = gl.cutoff_constant(gl.CutoffSpec(4e-6))
-    assert c1 == pytest.approx(c2, rel=1e-6)
-
-
 def test_invert_pullback_exact():
     rng = np.random.default_rng(41)
     wm = random_weyl(rng)
@@ -78,12 +57,22 @@ def test_invert_pullback_cubic_decay():
     assert slope <= -2.7
 
 
-def _glued(rng, a=1e-5, lam=1.5, gamma=0.05, **kw):
+def test_invert_pullback_default_generator():
+    rng = np.random.default_rng(48)
+    wm = random_weyl(rng)
+    y = np.array([[1.7, -0.3, 0.4, 0.2], [0.1, 2.5, -1.0, 0.3]])
+    default = gl.invert_pullback(wm, y, cubic_scale=1.0)
+    seeded = gl.invert_pullback(wm, y, cubic_scale=1.0, rng=np.random.default_rng(0))
+    assert np.abs(default["pullback"] - default["model"]).max() > 0.0
+    for key in ("pullback", "model", "residual"):
+        assert np.array_equal(default[key], seeded[key])
+
+
+def _glued(rng, a=1e-5, lam=1.5, gamma=0.05):
     wm = random_weyl(rng)
     wz = random_weyl(rng)
     params = gl.GluingParams(a=a, lam=lam, gamma=gamma)
-    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=gamma, lam=lam))
-    return gl.glued_chart(wm, wz, params, interp, **kw), params
+    return gl.GluedChart(wm, wz, params), params
 
 
 def test_glued_chart_zones():
@@ -110,28 +99,3 @@ def test_glued_chart_json():
     chart, params = _glued(np.random.default_rng(45))
     payload = chart.to_json()
     assert payload["params"]["gamma"] == params.gamma
-    assert payload["error_model"] == "truncated"
-
-
-def test_synthetic_error_model_changes_metric():
-    rng = np.random.default_rng(46)
-    wm = random_weyl(rng)
-    wz = random_weyl(rng)
-    params = gl.GluingParams(a=1e-5, lam=1.5, gamma=0.05)
-    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=0.05, lam=1.5))
-    plain = gl.glued_chart(wm, wz, params, interp)
-    noisy = gl.glued_chart(wm, wz, params, interp, error_model="synthetic",
-                           zeta_scale=1e-6, eta_scale=1e-6, seed=3)
-    x = np.array([0.02, 0.0, 0.0, 0.0])
-    assert np.abs(plain.metric(x) - noisy.metric(x)).max() > 0.0
-
-
-def test_glued_chart_rejects_mismatched_interp():
-    rng = np.random.default_rng(47)
-    wm = random_weyl(rng)
-    wz = random_weyl(rng)
-    other = random_weyl(rng)
-    params = gl.GluingParams(a=1e-5, lam=1.5, gamma=0.05)
-    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=0.05, lam=1.5))
-    with pytest.raises(ValueError):
-        gl.glued_chart(other, wz, params, interp)

@@ -109,6 +109,15 @@ def test_weyl_class_from_any_spectrum(vals):
     assert max(report.values()) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("symmetry_class", ["none", "ricci"])
+def test_validate_rejects_unknown_class(symmetry_class):
+    w = random_weyl(np.random.default_rng(8)).tensor
+    with pytest.raises(tc.TensorSymmetryError):
+        tc.validate(w, symmetry_class)
+    with pytest.raises(tc.TensorSymmetryError):
+        tc.check_class(w, symmetry_class)
+
+
 def test_weyl_from_riemann_kills_traces():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((4, 4))
