@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import DIM, AlgWeyl
+from .tensor_core import DIM, as_tensor
 from .fields import CurvatureQuadraticField, _as_batch
 
 #: Powers of the radial profile basis r^p.
@@ -142,10 +142,6 @@ def a_gamma(gamma: float):
 _BV_CASES = ("diag-phi", "diag-psi", "offdiag-phi", "offdiag-phi-st", "offdiag-psi-st")
 
 
-def _w_tensor(w) -> np.ndarray:
-    return w.tensor if isinstance(w, AlgWeyl) else np.asarray(w, dtype=float)
-
-
 def boundary_vector(case: str, indices, wm, wz, gamma: float, lam: float) -> np.ndarray:
     """Right-hand side 4-vector of the radial system for one boundary case.
 
@@ -159,7 +155,7 @@ def boundary_vector(case: str, indices, wm, wz, gamma: float, lam: float) -> np.
     v = (-w_M gamma^2 / 3, 2 w_M gamma^2 / 3, -w_Z lam^2 / 3, -2 w_Z lam^2 / 3)
     in the case weight w, so v2 = -2 v1 and v4 = 2 v3 exactly.
     """
-    tm, tz = _w_tensor(wm), _w_tensor(wz)
+    tm, tz = as_tensor(wm), as_tensor(wz)
     idx = tuple(int(k) for k in indices)
 
     def weight(t):
@@ -304,7 +300,7 @@ def assemble_interpolant(wm, wz, params) -> InterpSolution:
         raise AnnulusDomainError(f"gamma must lie in (0, 1), got {gamma}")
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    tm, tz = _w_tensor(wm), _w_tensor(wz)
+    tm, tz = as_tensor(wm), as_tensor(wz)
     u_m, u_z = unit_sources(gamma, lam)
     chat_m = solve_profile(gamma, u_m)
     chat_z = solve_profile(gamma, u_z)

@@ -260,18 +260,6 @@ def cmd_interact(args) -> int:
 # ---------------------------------------------------------------------------
 # balance
 
-def _balance_row(wm, wz, lam: float, gamma: float, a: float) -> dict:
-    """One grid row of the balance; the CSVs do not record the regime, so
-    its warnings are silenced here, for ``sweep`` and ``balance --sweep``."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", gluing.RegimeWarning)
-        params = gluing.GluingParams(a=a, lam=lam, gamma=gamma)
-        bal = energy.energy_balance(wm.tensor, wz.tensor, params)
-    return {"lambda": params.lam, "gamma": params.gamma, "a": params.a,
-            "bracket": bal.leading_bracket, "interaction": bal.interaction,
-            "constant_C": bal.constant_C, "fit_residual": bal.remainder}
-
-
 def cmd_balance(args) -> int:
     wm = _load_spectrum(args.wm)
     wz = _load_spectrum(args.wz)
@@ -308,10 +296,6 @@ def cmd_balance(args) -> int:
     if args.auto is not None:
         report["selected"] = {"lambda": params.lam, "gamma": params.gamma, "a": params.a}
     _emit(report, args.output)
-    if args.sweep:
-        rows = [_balance_row(wm, wz, lam, params.gamma, params.a)
-                for lam in energy.LAMBDA_GRID]
-        _write_csv(rows, args.sweep)
     return EXIT_PASS if bal.leading_bracket < 0.0 else EXIT_FAIL
 
 
@@ -327,7 +311,7 @@ def _write_csv(rows, path: str | None) -> None:
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: row.get(k, "") for k in CSV_COLUMNS})
+        writer.writerow(row)
     if path:
         with open(path, "w") as fh:
             fh.write(buf.getvalue())
@@ -343,16 +327,24 @@ def cmd_sweep(args) -> int:
     if not lam_grid or not gamma_grid:
         raise ValueError("empty sweep grid")
     flags = duality.positivity_bound(wm, wz)
-    grid = [(lam, gamma) for lam in lam_grid for gamma in gamma_grid]
+    inconclusive = flags["excluded_case"] or flags["conformally_flat_factor"]
+    # the CSV does not record the regime, so its warnings are silenced here, on
+    # this thread (catch_warnings is not thread-safe); energy_balance emits none
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", gluing.RegimeWarning)
+        grid = [gluing.GluingParams(a=gamma ** 2 / 20.0, lam=lam, gamma=gamma)
+                for lam in lam_grid for gamma in gamma_grid]
 
-    def one(point):
-        lam, gamma = point
-        row = _balance_row(wm, wz, lam, gamma, gamma ** 2 / 20.0)
-        if flags["excluded_case"] or flags["conformally_flat_factor"]:
-            row["sign"] = "inconclusive"
+    def one(params):
+        bal = energy.energy_balance(wm.tensor, wz.tensor, params)
+        if inconclusive:
+            sign = "inconclusive"
         else:
-            row["sign"] = "negative" if row["bracket"] < 0.0 else "nonnegative"
-        return row
+            sign = "negative" if bal.leading_bracket < 0.0 else "nonnegative"
+        return {"lambda": params.lam, "gamma": params.gamma, "a": params.a,
+                "bracket": bal.leading_bracket, "interaction": bal.interaction,
+                "constant_C": bal.constant_C, "fit_residual": bal.remainder,
+                "sign": sign}
 
     n_workers = _threads()
     if n_workers > 1:
@@ -449,9 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bal.add_argument("--gamma", type=float, default=None)
     p_bal.add_argument("--a", type=float, default=None)
     p_bal.add_argument("--auto", type=float, default=None, metavar="MARGIN",
-                       help="select parameters automatically for this margin")
-    p_bal.add_argument("--sweep", default=None, metavar="CSV",
-                       help="also emit a lambda-grid sweep CSV")
+                       help="select parameters automatically for this margin (>= 0)")
     p_bal.add_argument("--output", default=None)
     p_bal.add_argument("--config", default=None)
     p_bal.set_defaults(func=cmd_balance)

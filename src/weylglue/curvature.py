@@ -131,8 +131,8 @@ def inverted_model(w: np.ndarray, r_min: float = 1e-8) -> FieldChart:
     return FieldChart(CurvatureQuadraticField([(-1.0 / 3.0, w, -4.0)]),
                       kind="inverted_model", r_min=r_min)
 
-def polynomial_chart(field: PolynomialField, scale: float = 1.0) -> FieldChart:
-    return FieldChart(field, scale=scale, kind="polynomial")
+def polynomial_chart(field: PolynomialField) -> FieldChart:
+    return FieldChart(field, kind="polynomial")
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,7 @@ def linearize_curvature(chart: MetricChart, h, x) -> dict:
             "weyl_dot": weyl_dot[0]}
 
 
-def linearized_weyl_flat_tt(h, x, tol: float = 1e-10):
+def linearized_weyl_flat_tt(h, x):
     """Linearized Weyl tensor at the flat metric for a TT perturbation.
 
     W_dot_aijb = 1/2 (d2_aj h_ib + d2_ib h_aj - d2_ab h_ij - d2_ij h_ab)
@@ -300,7 +300,7 @@ def linearized_weyl_flat_tt(h, x, tol: float = 1e-10):
     h0, h1, h2 = h.jet(xb)
     tr = np.abs(np.einsum("nii->n", h0)).max()
     div = np.abs(np.einsum("nkki->ni", h1)).max()
-    if max(tr, div) > tol:
+    if max(tr, div) > 1e-10:
         raise ValueError("not transverse-traceless")
     lap = np.einsum("naaij->nij", h2)
     wdot = 0.5 * (np.einsum("najib->naijb", h2) + np.einsum("nibaj->naijb", h2)
@@ -358,11 +358,12 @@ def fd_curvature(chart: MetricChart, x, step: float = 1e-5) -> dict:
     return {"christoffel": gamma, "riemann": riem, "ricci": ric, "scalar": scal}
 
 
-def fd_linearize(chart: MetricChart, h, x, quantity: str, step: float = 1e-4):
+def fd_linearize(chart: MetricChart, h, x, quantity: str):
     """d/dt at t=0 of a nonlinear curvature quantity of chart + t*h.
 
     ``quantity`` is one of inv, gamma, riem13, riem04, ric, scal, weyl.
-    Central differences in t with one Richardson level.
+    Central differences in t at steps 1e-4 and 1e-4 / 2, with one
+    Richardson level.
     """
     x = np.asarray(x, dtype=float)[None]
     # the jets do not depend on t: form them once and add t times h's jet
@@ -395,4 +396,4 @@ def fd_linearize(chart: MetricChart, h, x, quantity: str, step: float = 1e-4):
     def central(tt):
         return (value(tt) - value(-tt)) / (2 * tt)
 
-    return (4 * central(step / 2) - central(step)) / 3.0
+    return (4 * central(1e-4 / 2) - central(1e-4)) / 3.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import (DIM, LEX_PAIRS, AlgWeyl, algweyl_from_spectrum,
+from .tensor_core import (DIM, LEX_PAIRS, AlgWeyl, algweyl_from_spectrum, as_tensor,
                           frame_two_forms, op_from_tensor, tensor_from_op)
 
 #: Signature of the Hodge star in the lexicographic 2-form basis: the star
@@ -44,7 +44,8 @@ def hodge_split(op: np.ndarray, tol: float = 1e-12):
 
     Returns (sd_block, asd_block) in the omega/eta/theta bases.  Raises
     BlockStructureError if the off-diagonal coupling exceeds ``tol`` times
-    the operator scale; a Weyl operator always passes.
+    the operator scale, max(max |op|, 1); a Weyl operator always passes.
+    ``spectra`` uses the default 1e-12 and ``derdzinski_frame`` 1e-9.
     """
     op = np.asarray(op, dtype=float)
     p = SD_BASIS / np.sqrt(2.0)
@@ -59,10 +60,9 @@ def hodge_split(op: np.ndarray, tol: float = 1e-12):
     return sd, asd
 
 
-def spectra(w: AlgWeyl | np.ndarray, tol: float = 1e-12):
+def spectra(w: AlgWeyl | np.ndarray):
     """Descending SD and ASD eigenvalue triples of an algebraic Weyl tensor."""
-    op = w.operator() if isinstance(w, AlgWeyl) else op_from_tensor(np.asarray(w))
-    sd, asd = hodge_split(op, tol)
+    sd, asd = hodge_split(op_from_tensor(as_tensor(w)))
     lam_sd = np.sort(np.linalg.eigvalsh(sd))[::-1]
     lam_asd = np.sort(np.linalg.eigvalsh(asd))[::-1]
     return lam_sd, lam_asd
@@ -82,7 +82,7 @@ def _eigh_descending(block: np.ndarray):
     return vals[order], vecs[:, order]
 
 
-def derdzinski_frame(w: AlgWeyl | np.ndarray, tol: float = 1e-9):
+def derdzinski_frame(w: AlgWeyl | np.ndarray):
     """Orthonormal oriented frame diagonalizing both Weyl blocks.
 
     Returns (frame, sd_triple, asd_triple) where the rows e_1..e_4 of
@@ -92,8 +92,8 @@ def derdzinski_frame(w: AlgWeyl | np.ndarray, tol: float = 1e-9):
     eigen-2-forms, so it works for any spectra.  The frame is canonicalized
     by making the largest-magnitude component of e_1 positive.
     """
-    op = w.operator() if isinstance(w, AlgWeyl) else op_from_tensor(np.asarray(w))
-    sd, asd = hodge_split(op, max(tol, 1e-12))
+    op = op_from_tensor(as_tensor(w))
+    sd, asd = hodge_split(op, 1e-9)
     lam_sd, u_sd = _eigh_descending(sd)
     lam_asd, u_asd = _eigh_descending(asd)
 
@@ -133,7 +133,7 @@ def derdzinski_frame(w: AlgWeyl | np.ndarray, tol: float = 1e-9):
     # sanity: rebuild must reproduce the operator
     rebuilt = algweyl_from_spectrum(lam_sd, lam_asd, frame=frame).tensor
     orig = tensor_from_op(op)
-    if np.abs(rebuilt - orig).max() > max(tol, 1e-7) * max(np.abs(orig).max(), 1.0):
+    if np.abs(rebuilt - orig).max() > 1e-7 * max(np.abs(orig).max(), 1.0):
         raise BlockStructureError("frame reconstruction failed to reproduce the tensor")
     return frame, lam_sd, lam_asd
 
@@ -152,8 +152,7 @@ def reverse_orientation(w: AlgWeyl) -> AlgWeyl:
 
 def interaction_star(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray) -> float:
     """The interaction pairing W * W = sum_ijkl Z_kijl (M_kijl + M_lijk)."""
-    tm = wm.tensor if isinstance(wm, AlgWeyl) else np.asarray(wm, dtype=float)
-    tz = wz.tensor if isinstance(wz, AlgWeyl) else np.asarray(wz, dtype=float)
+    tm, tz = as_tensor(wm), as_tensor(wz)
     return float(np.einsum("kijl,kijl->", tz, tm) + np.einsum("kijl,lijk->", tz, tm))
 
 
@@ -165,8 +164,7 @@ def aligned_interaction_value(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray
     return 6.0 * float(lm_sd @ lz_sd + lm_asd @ lz_asd)
 
 
-def positivity_bound(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray,
-                     tol: float = 1e-14) -> dict:
+def positivity_bound(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray) -> dict:
     """Lower bound and obstruction flags for the aligned interaction.
 
     Sorted zero-sum eigenvalue triples lie in a 60-degree cone sector of the
@@ -178,12 +176,12 @@ def positivity_bound(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray,
     factor (one tensor vanishes entirely) and the excluded case where one
     tensor is purely self-dual and the other purely anti-self-dual.
 
-    ``tol`` is relative: a factor counts as flat, or a block as absent,
-    below ``tol`` times the largest eigenvalue magnitude of the pair, and
-    the value counts as positive above ``tol`` times the product of the two
-    factors' largest magnitudes.  So the flags do not change when both
-    tensors are scaled together, and roundoff in a block that should vanish
-    does not make the excluded case positive.
+    The thresholds are relative, at 1e-14: a factor counts as flat, or a
+    block as absent, below 1e-14 times the largest eigenvalue magnitude of
+    the pair, and the value counts as positive above 1e-14 times the
+    product of the two factors' largest magnitudes.  So the flags do not
+    change when both tensors are scaled together, and roundoff in a block
+    that should vanish does not make the excluded case positive.
     """
     lm_sd, lm_asd = spectra(wm)
     lz_sd, lz_asd = spectra(wz)
@@ -193,7 +191,7 @@ def positivity_bound(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray,
     m_sd, m_asd = np.abs(lm_sd).max(), np.abs(lm_asd).max()
     z_sd, z_asd = np.abs(lz_sd).max(), np.abs(lz_asd).max()
     m_max, z_max = max(m_sd, m_asd), max(z_sd, z_asd)
-    tiny = tol * max(m_max, z_max)
+    tiny = 1e-14 * max(m_max, z_max)
     m_flat = m_max <= tiny
     z_flat = z_max <= tiny
     m_sd_only = m_asd <= tiny < m_sd
@@ -206,7 +204,7 @@ def positivity_bound(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray,
         "bound": float(bound),
         "conformally_flat_factor": bool(m_flat or z_flat),
         "excluded_case": bool(excluded),
-        "positive": bool(value > tol * m_max * z_max),
+        "positive": bool(value > 1e-14 * m_max * z_max),
     }
 
 

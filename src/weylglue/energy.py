@@ -45,6 +45,9 @@ VOL_S3 = 2.0 * np.pi ** 2
 LAMBDA_GRID = (2.0, 4.0, 6.0, 8.0, 10.0)
 #: Default gamma grid for remainder studies and parameter selection.
 GAMMA_GRID = (0.08, 0.04, 0.02)
+#: Coefficient of lam^2 (W * W) in the leading bracket; Phi_gamma and Phi_1
+#: each carry half of it.
+INTERACTION_COEFFICIENT = -(4.0 / 9.0) * np.pi ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +318,7 @@ def _bulk_integral(h, r0: float, r1: float, form: str,
     return 0.5 * total
 
 
-def second_variation(h, domain, form: str = "bilap", level: int = 12,
-                     tt_tol: float = 1e-9) -> BoundaryFunctional:
+def second_variation(h, domain, form: str = "bilap") -> BoundaryFunctional:
     """Quadratic Weyl-energy coefficient Phi(h, Omega) for a TT field h.
 
     ``domain`` is ("ball", r) or ("annulus", r0, r1).  Phi sums, in this
@@ -336,13 +338,13 @@ def second_variation(h, domain, form: str = "bilap", level: int = 12,
     tr = np.abs(h.trace(probe)).max()
     dv = np.abs(h.divergence(probe)).max()
     scale = max(np.abs(h.derivative(probe, 0)).max(), 1.0)
-    if max(tr, dv) > tt_tol * scale:
+    if max(tr, dv) > 1e-9 * scale:
         raise ValueError("second variation requires a transverse-traceless field")
 
     value = bulk = _bulk_integral(h, *bulk_range, form)
     breakdown = {"bulk": bulk}
     for label, r, sign in spheres:
-        bnd = boundary_functional(h, r, sign, form, level)
+        bnd = boundary_functional(h, r, sign, form)
         value += bnd.value
         breakdown.update({f"{label}_{k}": v for k, v in bnd.breakdown.items()})
     return BoundaryFunctional(value=float(value), form=form,
@@ -353,28 +355,27 @@ def second_variation(h, domain, form: str = "bilap", level: int = 12,
 # ---------------------------------------------------------------------------
 # the inner and outer expansions
 
-def phi_inner(interp: InterpSolution, level: int = 12) -> BoundaryFunctional:
+def phi_inner(interp: InterpSolution) -> BoundaryFunctional:
     """Boundary functional of the interpolant at |x| = gamma, annulus side."""
-    return boundary_functional(interp.wdot, interp.gamma, -1.0, "bilap", level)
+    return boundary_functional(interp.wdot, interp.gamma, -1.0, "bilap")
 
 
-def phi_outer(interp: InterpSolution, level: int = 12) -> BoundaryFunctional:
+def phi_outer(interp: InterpSolution) -> BoundaryFunctional:
     """Boundary functional of the interpolant at |x| = 1, annulus side."""
-    return boundary_functional(interp.wdot, 1.0, 1.0, "bilap", level)
+    return boundary_functional(interp.wdot, 1.0, 1.0, "bilap")
 
 
-def inner_model_energy(wm, gamma: float, level: int = 12) -> float:
+def inner_model_energy(wm, gamma: float) -> float:
     """a^-4-normalized Weyl energy of the decaying model on |x| > gamma."""
-    return boundary_functional(model_F(wm), gamma, -1.0, "bilap", level).value
+    return boundary_functional(model_F(wm), gamma, -1.0, "bilap").value
 
 
-def outer_model_energy(wz, level: int = 12) -> float:
+def outer_model_energy(wz) -> float:
     """b^-4-normalized Weyl energy of the growing model on the unit ball."""
-    return boundary_functional(model_H(wz), 1.0, 1.0, "bilap", level).value
+    return boundary_functional(model_H(wz), 1.0, 1.0, "bilap").value
 
 
-def extract_interaction_coefficient(wm, wz, gamma: float,
-                                    lam_grid=LAMBDA_GRID, level: int = 12) -> dict:
+def extract_interaction_coefficient(wm, wz, gamma: float, lam_grid=LAMBDA_GRID) -> dict:
     """Least-squares fit of Phi_gamma and Phi_1 against the basis {1, lam^2, lam^4}.
 
     Both functionals are exactly quadratic in lam^2, so the fit recovers the
@@ -385,8 +386,8 @@ def extract_interaction_coefficient(wm, wz, gamma: float,
     rows, inner_vals, outer_vals = [], [], []
     for lam in lam_grid:
         interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=gamma, lam=lam))
-        inner_vals.append(phi_inner(interp, level).value)
-        outer_vals.append(phi_outer(interp, level).value)
+        inner_vals.append(phi_inner(interp).value)
+        outer_vals.append(phi_outer(interp).value)
         rows.append([1.0, lam ** 2, lam ** 4])
     basis = np.asarray(rows)
     cond = np.linalg.cond(basis)
@@ -402,7 +403,7 @@ def extract_interaction_coefficient(wm, wz, gamma: float,
         "lam_grid": lam_grid,
         "fit_residual": float((np.sum(res_in) + np.sum(res_out)) ** 0.5
                               if res_in.size and res_out.size else 0.0),
-        "predicted": -(2.0 / 9.0) * np.pi ** 2 * interaction_star(wm, wz),
+        "predicted": 0.5 * INTERACTION_COEFFICIENT * interaction_star(wm, wz),
     }
 
 
@@ -411,7 +412,9 @@ def extract_interaction_coefficient(wm, wz, gamma: float,
 
 @dataclass(frozen=True)
 class EnergyBalance:
-    """Decomposition of the a^4-order energy bracket E_{lam, gamma}."""
+    """Decomposition of the a^4-order energy bracket E_{lam, gamma}: the
+    bracket is C + INTERACTION_COEFFICIENT lam^2 (W * W) + remainder, and
+    ``to_json`` reports the middle term as ``interaction_term``."""
 
     leading_bracket: float
     constant_C: float
@@ -421,14 +424,13 @@ class EnergyBalance:
     a: float
     remainder: float
     cutoff_region_term: float
-    interaction_coefficient: float = -(4.0 / 9.0) * np.pi ** 2
 
     def to_json(self) -> dict:
         return {
             "leading_bracket": self.leading_bracket,
             "constant_C": self.constant_C,
             "interaction": self.interaction,
-            "interaction_term": self.interaction_coefficient * self.lam ** 2 * self.interaction,
+            "interaction_term": INTERACTION_COEFFICIENT * self.lam ** 2 * self.interaction,
             "remainder": self.remainder,
             "cutoff_region_term": self.cutoff_region_term,
             "lam": self.lam,
@@ -437,15 +439,15 @@ class EnergyBalance:
         }
 
 
-def leading_bracket(wm, wz, gamma: float, lam: float, level: int = 12) -> float:
+def leading_bracket(wm, wz, gamma: float, lam: float) -> float:
     """Phi_gamma + Phi_1 minus the two model energies at the same scales."""
     interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=gamma, lam=lam))
-    return (phi_inner(interp, level).value + phi_outer(interp, level).value
-            - inner_model_energy(wm, gamma, level)
-            - lam ** 4 * outer_model_energy(wz, level))
+    return (phi_inner(interp).value + phi_outer(interp).value
+            - inner_model_energy(wm, gamma)
+            - lam ** 4 * outer_model_energy(wz))
 
 
-def energy_balance(wm, wz, params: GluingParams, level: int = 12) -> EnergyBalance:
+def energy_balance(wm, wz, params: GluingParams) -> EnergyBalance:
     """The a^4-order Weyl-energy balance of the glued metric.
 
     leading_bracket = C - (4/9) pi^2 lam^2 (W * W) + remainder, where C is
@@ -453,10 +455,10 @@ def energy_balance(wm, wz, params: GluingParams, level: int = 12) -> EnergyBalan
     the remainder collects the O(lam^2 gamma^2) terms.  With the truncated
     error model the cutoff-region contribution is exactly zero.
     """
-    bracket = leading_bracket(wm, wz, params.gamma, params.lam, level)
-    c_const = leading_bracket(wm, np.zeros((DIM,) * 4), params.gamma, params.lam, level)
+    bracket = leading_bracket(wm, wz, params.gamma, params.lam)
+    c_const = leading_bracket(wm, np.zeros((DIM,) * 4), params.gamma, params.lam)
     inter = interaction_star(wm, wz)
-    predicted = c_const - (4.0 / 9.0) * np.pi ** 2 * params.lam ** 2 * inter
+    predicted = c_const + INTERACTION_COEFFICIENT * params.lam ** 2 * inter
     return EnergyBalance(leading_bracket=float(bracket), constant_C=float(c_const),
                          interaction=float(inter), lam=params.lam, gamma=params.gamma,
                          a=params.a, remainder=float(bracket - predicted),
@@ -467,29 +469,29 @@ class MarginNotReached(ValueError):
     """No gamma of the grid brings the leading bracket below -margin."""
 
 
-def choose_parameters(wm, wz, margin: float = 1.0, level: int = 12) -> GluingParams:
+def choose_parameters(wm, wz, margin: float = 1.0) -> GluingParams:
     """Pick (lam, gamma, a) making the leading bracket < -margin.
 
     Follows the existence proof's order: lam first from the fitted constant
     and interaction, then gamma from the descending grid with the bracket
     measured directly, then a safely inside the regime.
     """
-    if not np.isfinite(margin):
-        raise ValueError(f"margin must be finite, got {margin}")
+    if not 0.0 <= margin < np.inf:
+        raise ValueError(f"margin must be finite and at least 0, got {margin}")
     flags = positivity_bound(wm, wz)
     if flags["conformally_flat_factor"] or flags["excluded_case"] or not flags["positive"]:
         raise ValueError("hypotheses violated: interaction term is not positive "
                          f"(flags: {flags})")
     inter = interaction_star(wm, wz)
     gamma0 = GAMMA_GRID[-1]
-    c_const = leading_bracket(wm, np.zeros((DIM,) * 4), gamma0, 1.0, level)
-    lam2 = max((c_const + 2.0 * margin) / ((4.0 / 9.0) * np.pi ** 2 * inter), 0.0)
+    c_const = leading_bracket(wm, np.zeros((DIM,) * 4), gamma0, 1.0)
+    lam2 = max((c_const + 2.0 * margin) / (-INTERACTION_COEFFICIENT * inter), 0.0)
     lam = float(np.sqrt(lam2) * 1.1 + 1.0)
     chosen = None
     compatible = [g for g in GAMMA_GRID if g <= 1.0 / (10.0 * lam)]
     fallback = [g for g in GAMMA_GRID if g not in compatible]
     for gamma in compatible + fallback:
-        bracket = leading_bracket(wm, wz, gamma, lam, level)
+        bracket = leading_bracket(wm, wz, gamma, lam)
         if bracket < -margin:
             chosen = gamma
             break

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import DIM, AlgWeyl, check_class
+from .tensor_core import DIM, as_tensor, check_class
 from .fields import CurvatureQuadraticField, _as_batch, model_field
 from .curvature import MetricChart, _unbatch
 from .biharmonic import assemble_interpolant
@@ -59,7 +59,7 @@ class GluingParams:
 
 
 def _weyl_tensor(w) -> np.ndarray:
-    t = w.tensor if isinstance(w, AlgWeyl) else np.asarray(w, dtype=float)
+    t = as_tensor(w)
     check_class(t, "weyl", 1e-9)
     return t
 

@@ -88,7 +88,13 @@ def tensor_norm2(t: np.ndarray) -> float:
     return float(np.sum(t * t))
 
 
-def op_from_tensor(w: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def as_tensor(w: "AlgWeyl | np.ndarray") -> np.ndarray:
+    """The (0,4) array of an ``AlgWeyl``, or any other input as a float
+    array; nothing is checked."""
+    return w.tensor if isinstance(w, AlgWeyl) else np.asarray(w, dtype=float)
+
+
+def op_from_tensor(w: np.ndarray) -> np.ndarray:
     """Curvature operator on 2-forms induced by a (0,4) curvature tensor.
 
     The operator sends e^i^e^j to (1/2) W_ijlk e^k^e^l; note the reversal of
@@ -96,7 +102,7 @@ def op_from_tensor(w: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     lexicographic basis.  With this convention |W|^2 = 4 ||W_hat||^2.
     """
     w = np.asarray(w, dtype=float)
-    check_class(w, "riemann", tol)
+    check_class(w, "riemann", 1e-10)
     mat = np.empty((6, 6))
     for a, (k, l) in enumerate(LEX_PAIRS):
         for b, (i, j) in enumerate(LEX_PAIRS):
@@ -104,12 +110,12 @@ def op_from_tensor(w: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return mat
 
 
-def tensor_from_op(op: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def tensor_from_op(op: np.ndarray) -> np.ndarray:
     """Inverse of ``op_from_tensor``: rebuild the (0,4) tensor from the 6x6 matrix."""
     op = np.asarray(op, dtype=float)
     if op.shape != (6, 6):
         raise TensorSymmetryError(f"expected 6x6 matrix, got {op.shape}")
-    if np.abs(op - op.T).max() > tol:
+    if np.abs(op - op.T).max() > 1e-10:
         raise TensorSymmetryError("operator matrix is not symmetric")
     # W_ijkl on sorted pairs equals -op[(k,l), (i,j)]; extend antisymmetrically.
     return -np.einsum("ab,bpq,ars->pqrs", op, _BASIS_FORMS, _BASIS_FORMS)
@@ -173,20 +179,19 @@ def frame_two_forms(frame: np.ndarray) -> np.ndarray:
                      e12 - e34, e13 - e42, e14 - e23])
 
 
-def algweyl_from_spectrum(sd, asd, frame: np.ndarray | None = None,
-                          tol: float = 1e-12) -> "AlgWeyl":
+def algweyl_from_spectrum(sd, asd, frame: np.ndarray | None = None) -> "AlgWeyl":
     """Algebraic Weyl tensor with prescribed self-dual / anti-self-dual spectra.
 
     Builds the operator W_hat = 1/2 sum lambda_k (form_k (x) form_k) over the
     six basis 2-forms of the frame, then converts to a (0,4) tensor.  Each
-    triple must sum to zero; the frame defaults to the identity.
+    triple must sum to zero within 1e-12; the frame defaults to the identity.
     """
     sd = np.asarray(sd, dtype=float)
     asd = np.asarray(asd, dtype=float)
     if sd.shape != (3,) or asd.shape != (3,):
         raise ValueError("spectra must be triples")
     for name, triple in (("sd", sd), ("asd", asd)):
-        if abs(triple.sum()) > tol:
+        if abs(triple.sum()) > 1e-12:
             raise ValueError(f"trace-free violation: {name} triple sums to {triple.sum()}")
     if frame is None:
         frame = np.eye(DIM)
@@ -198,11 +203,12 @@ def algweyl_from_spectrum(sd, asd, frame: np.ndarray | None = None,
     return AlgWeyl(tensor=tensor, spectra=spectra)
 
 
-def spectrum_from_json(payload: dict, tol: float = 1e-9):
+def spectrum_from_json(payload: dict):
     """Parse the {"sd": [...], "asd": [...]} spectrum payload.
 
-    Triples whose sum is nonzero but within ``tol`` are projected back onto
-    the trace-free plane; larger violations are rejected.
+    Each triple must be finite.  One whose sum is nonzero but at most 1e-9
+    in magnitude is projected back onto the trace-free plane; a larger sum
+    is rejected.
     """
     out = []
     for key in ("sd", "asd"):
@@ -214,7 +220,7 @@ def spectrum_from_json(payload: dict, tol: float = 1e-9):
         if not np.isfinite(triple).all():
             raise ValueError(f"{key!r} has non-finite entries: {triple.tolist()}")
         s = triple.sum()
-        if abs(s) > tol:
+        if abs(s) > 1e-9:
             raise ValueError(f"{key!r} triple sums to {s}, not trace-free")
         out.append(triple - s / 3.0)
     return out[0], out[1]

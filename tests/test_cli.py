@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import threading
 import warnings
 
 import pytest
@@ -104,6 +105,20 @@ def test_balance_reports_regime_warnings(spectra, capsys):
         "regime violated: gamma = 0.2 > 1/(10 lam) = 0.05"]
 
 
+def test_balance_sweep_option_is_gone(spectra, capsys):
+    # a lambda sweep at one gamma is `sweep --gamma-grid <gamma>`
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["balance", spectra["pair"], spectra["pair"], "--auto", "1.0",
+                  "--sweep", "x.csv"])
+    assert exc.value.code == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("margin, want", [("-1", cli.EXIT_INPUT), ("0", cli.EXIT_PASS)])
+def test_balance_auto_margin_must_be_nonnegative(spectra, capsys, margin, want):
+    code, _ = run(["balance", spectra["pair"], spectra["pair"], "--auto", margin], capsys)
+    assert code == want
+
+
 def test_balance_missing_params_exits_two(spectra, capsys):
     code, _ = run(["balance", spectra["pair"], spectra["pair"],
                    "--lambda", "2.0"], capsys)
@@ -141,28 +156,25 @@ def test_sweep_csv_shape(spectra, capsys):
     assert by_lam[4.0] == "negative"
 
 
-def test_balance_sweep_rows_equal_sweep_rows(spectra, capsys, tmp_path):
-    gamma = 0.04
-    a = gamma ** 2 / 20.0
-    target = tmp_path / "lam.csv"
-    # lam >= 4 breaks gamma <= 1/(10 lam): neither CSV reports the regime,
-    # so no RegimeWarning may reach stderr
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, _ = run(["balance", spectra["pair"], spectra["pair"], "--lambda", "2.0",
-                       "--gamma", str(gamma), "--a", repr(a), "--sweep", str(target)],
-                      capsys)
-        assert code == cli.EXIT_PASS
-        code, out = run(["sweep", spectra["pair"], spectra["pair"],
-                         "--gamma-grid", str(gamma)], capsys)
-        assert code == cli.EXIT_PASS
-    assert not [w for w in caught if issubclass(w.category, RegimeWarning)]
-    columns = [c for c in cli.CSV_COLUMNS if c != "sign"]
-    want = [[row[c] for c in columns] for row in csv.DictReader(io.StringIO(out))]
-    got = [[row[c] for c in columns]
-           for row in csv.DictReader(io.StringIO(target.read_text()))]
-    assert len(got) == len(want) == 5
-    assert got == want
+def test_sweep_silences_regime_warnings_on_main_thread(spectra, capsys, monkeypatch,
+                                                      recwarn):
+    # catch_warnings swaps the process-wide warnings.filters, so entering it
+    # on pool threads can leave the filters changed after the sweep
+    entered = []
+
+    class Recording(warnings.catch_warnings):
+        def __enter__(self):
+            entered.append(threading.current_thread() is threading.main_thread())
+            return super().__enter__()
+
+    monkeypatch.setattr(warnings, "catch_warnings", Recording)
+    monkeypatch.setenv("WEYLGLUE_THREADS", "2")
+    # lam = 4 breaks gamma <= 1/(10 lam); the CSV does not report the regime
+    code, _ = run(["sweep", spectra["pair"], spectra["pair"],
+                   "--lambda-grid", "2.0", "4.0", "--gamma-grid", "0.04"], capsys)
+    assert code == cli.EXIT_PASS
+    assert entered and all(entered)
+    assert not [w for w in recwarn if issubclass(w.category, RegimeWarning)]
 
 
 def test_sweep_excluded_case_is_inconclusive(spectra, capsys):
@@ -258,7 +270,8 @@ def _command_argv(command, spectra):
     # a grid that is no list of numbers, a non-bool flag, a non-string path
     ("sweep", {"lambda-grid": 2.0}), ("sweep", {"gamma-grid": [0.08, False]}),
     ("interact", {"align": "yes"}), ("verify", {"output": 3}),
-    ("balance", {"sweep": 1})])
+    # an option that no longer exists, with a value of either type
+    ("balance", {"sweep": 1}), ("balance", {"sweep": "x.csv"})])
 def test_bad_config_key_exits_two(spectra, capsys, tmp_path, payload):
     command, content = payload
     conf = tmp_path / "conf.json"
