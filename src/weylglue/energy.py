@@ -27,13 +27,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from .tensor_core import DIM
-from .fields import CurvatureQuadraticField, _as_batch
+from .fields import CurvatureQuadraticField
 from . import curvature as _curv
 from .biharmonic import InterpSolution, assemble_interpolant
 from .duality import interaction_star, positivity_bound
@@ -60,9 +60,15 @@ def sphere_rule(level: int = 12):
     (level, level, 2 level) and the density sin^2(psi) sin(theta) folded
     into the weights.  Weights sum to Vol(S^3) = 2 pi^2 and the rule is
     exact for polynomials in the ambient coordinates of degree < 2 level.
+    Each level's rule is built once and returned as read-only arrays.
     """
     if level < 2:
         raise ValueError("quadrature level must be at least 2")
+    return _sphere_rule(level)
+
+
+@cache
+def _sphere_rule(level: int):
     # cos(psi) nodes: Gauss-Chebyshev of the second kind carries the
     # sqrt(1 - u^2) = sin^2(psi) / sin(psi) density exactly, so together
     # with Gauss-Legendre in cos(theta) and the trapezoid rule in phi the
@@ -83,6 +89,8 @@ def sphere_rule(level: int = 12):
                     np.sin(ps) * np.sin(th) * np.cos(ph),
                     np.sin(ps) * np.sin(th) * np.sin(ph)], axis=-1).reshape(-1, DIM)
     wts = (wpsi[:, None, None] * wtheta[None, :, None] * wphi[None, None, :]).ravel()
+    pts.flags.writeable = False
+    wts.flags.writeable = False
     return pts, wts
 
 
@@ -218,9 +226,10 @@ def _boundary_terms(h, r: float, level: int = 12) -> dict:
 
     The key is the ordered (coeff, S, power) of each term of a
     ``CurvatureQuadraticField`` plus r and level, so equal fields built
-    separately (the inner model shared by C and the bracket, C at two
-    values of lam, the bilap and biharm forms of one field) are integrated
-    once.  Each call returns a fresh dict.
+    separately (the inner model shared by C and the bracket, C and the
+    bracket of the selection again in the balance, the bilap and biharm
+    forms of one field) are integrated once.  Each call returns a fresh
+    dict.
     """
     key = (tuple((c, s.tobytes(), p) for c, s, p in h.terms), float(r), int(level))
     with _boundary_lock:
@@ -447,16 +456,30 @@ def leading_bracket(wm, wz, gamma: float, lam: float) -> float:
             - lam ** 4 * outer_model_energy(wz))
 
 
+def constant_C(wm, gamma: float) -> float:
+    """The constant C of the bracket at gamma: ``leading_bracket`` of the
+    pair (wm, 0), which does not depend on lam.
+
+    The interpolant of that pair has zero Dirichlet and Neumann data on
+    |x| = 1, so its ``phi_outer`` is 0 up to roundoff (about 1e-14, below
+    half an ulp of ``phi_inner``), and the outer model of W^Z = 0 is 0; C
+    is ``phi_inner`` minus the inner model energy, bit for bit the bracket.
+    """
+    interp = assemble_interpolant(wm, np.zeros((DIM,) * 4),
+                                  SimpleNamespace(gamma=gamma, lam=1.0))
+    return phi_inner(interp).value - inner_model_energy(wm, gamma)
+
+
 def energy_balance(wm, wz, params: GluingParams) -> EnergyBalance:
     """The a^4-order Weyl-energy balance of the glued metric.
 
     leading_bracket = C - (4/9) pi^2 lam^2 (W * W) + remainder, where C is
-    extracted from the interaction-free run (wz = 0) at the same gamma and
-    the remainder collects the O(lam^2 gamma^2) terms.  With the truncated
-    error model the cutoff-region contribution is exactly zero.
+    ``constant_C`` at the same gamma and the remainder collects the
+    O(lam^2 gamma^2) terms.  With the truncated error model the
+    cutoff-region contribution is exactly zero.
     """
     bracket = leading_bracket(wm, wz, params.gamma, params.lam)
-    c_const = leading_bracket(wm, np.zeros((DIM,) * 4), params.gamma, params.lam)
+    c_const = constant_C(wm, params.gamma)
     inter = interaction_star(wm, wz)
     predicted = c_const + INTERACTION_COEFFICIENT * params.lam ** 2 * inter
     return EnergyBalance(leading_bracket=float(bracket), constant_C=float(c_const),
@@ -484,7 +507,7 @@ def choose_parameters(wm, wz, margin: float = 1.0) -> GluingParams:
                          f"(flags: {flags})")
     inter = interaction_star(wm, wz)
     gamma0 = GAMMA_GRID[-1]
-    c_const = leading_bracket(wm, np.zeros((DIM,) * 4), gamma0, 1.0)
+    c_const = constant_C(wm, gamma0)
     lam2 = max((c_const + 2.0 * margin) / (-INTERACTION_COEFFICIENT * inter), 0.0)
     lam = float(np.sqrt(lam2) * 1.1 + 1.0)
     chosen = None

@@ -15,8 +15,8 @@ Two families cover everything the construction needs:
   the angular and radial factors only up to the highest order it returns
   (an order-0 call forms Q alone).  ``jet`` evaluates h, dh, d2h, and with
   ``slab=True`` also the slab d_a d_b d_b h of the third derivative; the
-  sphere integrals need nothing more, and the slab is a quarter of the full
-  order-3 array.
+  sphere integrals need nothing more, and the slab, like the order-3 radial
+  factors it is formed from, is a quarter of the full order-3 array.
 
 * ``PolynomialField`` - dense polynomial perturbations of degree 3 used as
   generic test inputs for the linearization machinery, with derivatives to
@@ -30,7 +30,7 @@ All evaluators are vectorized: points may be passed as shape (4,) or (N, 4).
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, groupby
 from math import prod
 
 import numpy as np
@@ -54,25 +54,33 @@ def _as_batch(x):
     return x, single
 
 
-def _radial_basis(xb: np.ndarray, order: int):
+def _radial_basis(xb: np.ndarray, order: int, slab: bool = False):
     """The factors of the radial derivatives that depend on x alone.
 
     Returns (r2, tensors): r2 = |x|^2 and, for each derivative order k up
     to ``order``, the pairs (j, B) of
     d^k |x|^p = sum_j [p (p - 2) ... (p - 2j + 2)] B r^(p - 2j).
-    Batch axis first: x_a, then delta_ab and x_a x_b, the symmetrized
-    delta_ab x_c and x_a x_b x_c, the symmetrized delta_ab delta_cd,
-    delta_ab x_c x_d and x_a x_b x_c x_d.  Every power of every block
-    shares them.  Each product associates left to right, (x_a x_b) x_c,
-    and delta_ab (x_c x_d) equals (delta_ab x_c) x_d exactly, as delta is 0
-    or 1; the sums run in the order of the formula above.
+    Each B has a leading batch axis, of length 1 for the constant ones:
+    x_a, then delta_ab and x_a x_b, the symmetrized delta_ab x_c and
+    x_a x_b x_c, the symmetrized delta_ab delta_cd, delta_ab x_c x_d and
+    x_a x_b x_c x_d.  Every power of every block shares them.  With
+    ``slab`` the order-3 factors are formed only on their (a, b, b) slab,
+    2 delta_ab x_b + x_a and (x_a x_b) x_b, which is all the slab
+    d_a d_b d_b reads of them.  Each product associates left to right,
+    (x_a x_b) x_c, and delta_ab (x_c x_d) equals (delta_ab x_c) x_d
+    exactly, as delta is 0 or 1; the sums run in the order of the formula
+    above, and on the slab the first two terms of the symmetrized sum are
+    equal, so their sum is the exact double of one.
     """
     r2 = np.einsum("na,na->n", xb, xb)
     tensors = {1: [(1, xb)]}
     if order >= 2:
         xx = xb[:, :, None] * xb[:, None, :]
-        tensors[2] = [(1, _EYE), (2, xx)]
-    if order >= 3:
+        tensors[2] = [(1, _EYE[None]), (2, xx)]
+    if order >= 3 and slab:
+        sym3 = 2.0 * (_EYE[None] * xb[:, None, :]) + xb[:, :, None]
+        tensors[3] = [(2, sym3), (3, xx * xb[:, None, :])]
+    elif order >= 3:
         sym3 = (_EYE[None, :, :, None] * xb[:, None, None, :]
                 + _EYE[None, :, None, :] * xb[:, None, :, None]
                 + _EYE[None, None, :, :] * xb[:, :, None, None])
@@ -86,20 +94,23 @@ def _radial_basis(xb: np.ndarray, order: int):
                    + _EYE[None, None, :, None, :] * xx[:, :, None, :, None]
                    + _EYE[None, None, None, :, :] * xx[:, :, :, None, None])
         xxxx = xxx[:, :, :, :, None] * xb[:, None, None, None, :]
-        tensors[4] = [(2, _EYE_PAIRS), (3, sym_mix), (4, xxxx)]
+        tensors[4] = [(2, _EYE_PAIRS[None]), (3, sym_mix), (4, xxxx)]
     return r2, tensors
 
 
 def _radial_derivs(basis, p: float, order: int):
     """Derivatives of |x|^p up to ``order`` from a ``_radial_basis``.
 
-    Returns a list [rho, d rho, d2 rho, ...] with the batch axis first,
-    e.g. d2 rho has shape (N, 4, 4).
+    Returns a list [rho, d rho, d2 rho, ...] with the batch axis first and
+    the axes of the basis, e.g. d2 rho has shape (N, 4, 4), and so has
+    d3 rho on a slab basis.
     """
     r2, tensors = basis
     n = r2.shape[0]
     if p == 0.0:
-        return [np.ones(n)] + [np.zeros((n,) + (DIM,) * k) for k in range(1, order + 1)]
+        # the last factor of each order has the full batch axis
+        return [np.ones(n)] + [np.zeros((n,) + tensors[k][-1][1].shape[1:])
+                               for k in range(1, order + 1)]
     out = [r2 ** (p / 2.0)]
     falling = [1.0]  # falling[j] = p (p - 2) ... (p - 2j + 2)
     for j in range(order):
@@ -108,7 +119,7 @@ def _radial_derivs(basis, p: float, order: int):
     for k in range(1, order + 1):
         total = None
         for j, b in tensors[k]:
-            part = falling[j] * b * powers[j].reshape((n,) + (1,) * k)
+            part = falling[j] * b * powers[j].reshape((n,) + (1,) * (b.ndim - 1))
             total = part if total is None else total + part
         out.append(total)
     return out
@@ -181,9 +192,12 @@ def _products(axes: str):
     labelled by ``axes``, in the order they are added: m = 2, 1, 0 and, for
     each m, the m-subsets of the axes in ``combinations`` order.
 
-    Each is (m, q view, rho view); a view is (diagonal subscripts or None,
-    index) and turns the factor into a view broadcasting onto the output
-    axes "n" + axes + "ij", a repeated label taking the diagonal.
+    Each is (m, q view, rho view, count): a product equal to the one before
+    it is listed once, with the number of times it is added.  A view is
+    (diagonal subscripts or None, index) and turns the factor into a view
+    broadcasting onto the output axes "n" + axes + "ij", a repeated label
+    taking the diagonal.  The radial factor of order k itself is formed on
+    the output's axes only (for "abb", the slab of d3 rho).
     """
     k = len(axes)
     out = "n" + "".join(dict.fromkeys(axes)) + "ij"
@@ -197,9 +211,9 @@ def _products(axes: str):
     for m in (2, 1, 0):
         for pos in combinations(range(k), m):
             ang = "".join(axes[i] for i in pos)
-            rad = "".join(axes[i] for i in range(k) if i not in pos)
+            rad = "".join(axes[i] for i in range(k) if i not in pos) if m else out[1:-2]
             plan.append((m, view(ang + "ij" if m == 2 else "n" + ang + "ij"), view("n" + rad)))
-    return tuple(plan)
+    return tuple(key + (len(list(run)),) for key, run in groupby(plan))
 
 
 #: ``_products`` of the derivative orders 0-4 and of the slab d_a d_b d_b
@@ -217,20 +231,24 @@ def _leibniz(q, rho, axes: str, term: np.ndarray, buf: np.ndarray):
 
     ``axes`` labels the derivative axes: "" to "abcd" for orders 0-4, or
     "abb" for the slab d_a d_b d_b.  The products (``_products``) are added
-    left to right: the first is formed in ``term``, each later one in
-    ``buf`` and then added.  Both have the output's shape and are
-    overwritten.
+    left to right, each distinct one formed once: a lone first product in
+    ``term``, every other in ``buf`` and then added as often as it occurs.
+    Both have the output's shape and are overwritten.
     """
     k = len(axes)
     first = True
-    for m, q_view, rho_view in _PRODUCTS[axes]:
+    for m, q_view, rho_view, count in _PRODUCTS[axes]:
         factors = (_view(q[m], q_view), _view(rho[k - m], rho_view))
-        if first:
+        if first and count == 1:
             np.multiply(*factors, out=term)
-            first = False
         else:
             np.multiply(*factors, out=buf)
-            term += buf
+            if first:
+                np.add(buf, buf, out=term)
+                count -= 2
+            for _ in range(count):
+                term += buf
+        first = False
     return term
 
 
@@ -302,7 +320,7 @@ class CurvatureQuadraticField:
             q = _angular(s, xb, order)
             coeff = _constant(profile)
             if coeff is None:
-                basis = basis or _radial_basis(xb, order)
+                basis = basis or _radial_basis(xb, order, slab="abb" in axes)
                 rho = _profile_derivs(basis, profile, order)
             for total, a in zip(out, axes):
                 if coeff is None:

@@ -42,6 +42,15 @@ def test_sphere_rule_moment_exactness():
         assert got == pytest.approx(en.sphere_moment(mu, nu, k, l), abs=1e-13)
 
 
+def test_sphere_rule_is_built_once_and_read_only():
+    pts, wts = en.sphere_rule(12)
+    again = en.sphere_rule(12)
+    assert again[0] is pts and again[1] is wts
+    for arr in (pts, wts):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_sphere_rule_rejects_low_level():
     with pytest.raises(ValueError):
         en.sphere_rule(1)
@@ -362,6 +371,40 @@ def test_constant_bracket_is_independent_of_lam():
     assert en.leading_bracket(wm, zero, 0.08, 1.0) == en.leading_bracket(wm, zero, 0.08, 3.1)
 
 
+@pytest.mark.parametrize("gamma", en.GAMMA_GRID)
+def test_constant_C_equals_interaction_free_bracket(gamma):
+    rng = np.random.default_rng(70)
+    zero = np.zeros((4,) * 4)
+    for _ in range(3):
+        wm = random_weyl(rng)
+        c_const = en.constant_C(wm, gamma)
+        for lam in (1.0, 3.1):
+            assert c_const == en.leading_bracket(wm, zero, gamma, lam)
+
+
+@pytest.mark.parametrize("gamma", en.GAMMA_GRID + (0.3,))
+def test_interaction_free_outer_functional_vanishes(gamma):
+    # the W^M-only interpolant has zero data on |x| = 1, so phi_outer is
+    # roundoff, far below phi_inner; constant_C leaves it out
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        interp = assemble_interpolant(random_weyl(rng), np.zeros((4,) * 4),
+                                      SimpleNamespace(gamma=gamma, lam=1.0))
+        inner = en.phi_inner(interp).value
+        assert abs(en.phi_outer(interp).value) <= 1e-12 * abs(inner)
+
+
+def test_constant_C_at_large_gamma_agrees_with_the_bracket():
+    # at gamma = 0.3 the inner term is small enough that the dropped
+    # roundoff of phi_outer may show in the last bits
+    rng = np.random.default_rng(72)
+    zero = np.zeros((4,) * 4)
+    for _ in range(3):
+        wm = random_weyl(rng)
+        want = en.leading_bracket(wm, zero, 0.3, 1.0)
+        assert abs(en.constant_C(wm, 0.3) - want) <= 1e-13 * abs(want)
+
+
 def test_zero_tensor_term_changes_no_derivative():
     rng = np.random.default_rng(58)
     w1, w2 = random_weyl(rng), random_weyl(rng)
@@ -414,6 +457,30 @@ def test_energy_balance_integrates_no_sphere_twice(monkeypatch):
     monkeypatch.setattr(en, "_boundary_quadrature", counting)
     en.energy_balance(wm, wz, params)
     assert calls == []
+
+
+def test_balance_makes_five_boundary_quadratures(monkeypatch):
+    # selection then balance at gamma = 0.02: C is phi_inner of the W^M-only
+    # interpolant and the inner model, the bracket adds the interpolant's
+    # two spheres and the outer model; everything else is a cache hit
+    wm, _ = pair_tensors()
+    wz = 0.3 * wm
+    monkeypatch.setattr(en, "_boundary_cache", OrderedDict())
+    calls = []
+    original = en._boundary_quadrature
+
+    def counting(h, r, level=12):
+        calls.append((len(h.terms), r, level))
+        return original(h, r, level)
+
+    monkeypatch.setattr(en, "_boundary_quadrature", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        params = en.choose_parameters(wm, wz, margin=1.0)
+    en.energy_balance(wm, wz, params)
+    assert params.gamma == 0.02
+    assert calls == [(4, 0.02, 12), (1, 0.02, 12), (8, 0.02, 12), (8, 1.0, 12),
+                     (1, 1.0, 12)]
 
 
 def test_breakdown_mutation_does_not_leak():

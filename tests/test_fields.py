@@ -240,6 +240,22 @@ def test_kernel_equals_einsum_oracle_bit_for_bit(seed):
         assert np.array_equal(slab, _oracle_slab(h, x))
 
 
+@pytest.mark.parametrize("batch", [1, 4, 384])
+def test_slab_equals_third_derivative_slab(batch):
+    # batch 4 equals DIM, where a batch axis told from a tensor axis by its
+    # length would be taken for the wrong one
+    rng = np.random.default_rng(73)
+    wm, wz = random_weyl(rng), random_weyl(rng)
+    constant = CurvatureQuadraticField([(0.8, wm, 0.0)])
+    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=0.05, lam=2.0)).wdot
+    x = rng.uniform(0.05, 1.0, (batch, 1)) * rng.standard_normal((batch, 4))
+    for h in (constant, interp):
+        slab = h.jet(x, slab=True)[3]
+        want = np.einsum("nabbij->nabij", h.derivative(x, 3))
+        assert slab.shape == want.shape == (batch, 4, 4, 4, 4)
+        assert np.array_equal(slab, want)
+
+
 def _charts(rng):
     quad = cv.FieldChart(jet_field(rng), scale=0.3)
     poly = cv.polynomial_chart(PolynomialField.random(rng, scale=0.05))
