@@ -6,12 +6,10 @@ and the glued metric chart, then evaluates the Weyl-energy balance whose
 negativity certifies the strict energy decrease.
 """
 
-from .tensor_core import (AlgWeyl, ZERO_WEYL, algweyl_from_spectrum,
-                          kulkarni_nomizu, spectrum_from_json, tensor_norm2,
-                          weyl_from_riemann)
-from .duality import (aligned_interaction_value, align_and_interact,
-                      derdzinski_frame, interaction_star, positivity_bound,
-                      reverse_orientation, spectra)
+from .tensor_core import (algweyl_from_spectrum, kulkarni_nomizu, spectrum_from_json,
+                          tensor_norm2, weyl_from_riemann)
+from .duality import (align_and_interact, derdzinski_frame, interaction_star,
+                      positivity_bound, reverse_orientation, spectra)
 from .biharmonic import (InterpSolution, assemble_interpolant, smallgamma_expansion,
                          solve_profile)
 from .gluing import GluedChart, GluingParams, RegimeWarning
@@ -23,9 +21,9 @@ from .energy import (EnergyBalance, boundary_functional, choose_parameters,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgWeyl", "ZERO_WEYL", "algweyl_from_spectrum", "kulkarni_nomizu",
+    "algweyl_from_spectrum", "kulkarni_nomizu",
     "spectrum_from_json", "tensor_norm2", "weyl_from_riemann",
-    "aligned_interaction_value", "align_and_interact", "derdzinski_frame",
+    "align_and_interact", "derdzinski_frame",
     "interaction_star", "positivity_bound", "reverse_orientation", "spectra",
     "InterpSolution", "assemble_interpolant", "smallgamma_expansion",
     "solve_profile",

@@ -42,7 +42,12 @@ def _threads() -> int:
 
 
 def _emit(payload, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n"
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, default=float,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("floating-point overflow: the report holds a "
+                         "non-finite number") from None
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -91,8 +96,7 @@ def _suite_tensor(rng):
     checks = []
     err_kn = err_op = err_blk = 0.0
     for _ in range(5):
-        w = _random_weyl(rng)
-        t = w.tensor
+        t = _random_weyl(rng)
         err_kn = max(err_kn, max(tensor_core.validate(t, "weyl").values()))
         op = tensor_core.op_from_tensor(t)
         err_op = max(err_op, np.abs(tensor_core.tensor_from_op(op) - t).max())
@@ -127,8 +131,8 @@ def _suite_biharmonic(rng):
     checks = []
     err_solve = err_bc = err_bilap = 0.0
     for _ in range(5):
-        wm = _random_weyl(rng).tensor
-        wz = _random_weyl(rng).tensor
+        wm = _random_weyl(rng)
+        wz = _random_weyl(rng)
         gamma = float(rng.choice([0.3, 0.1, 0.02]))
         lam = float(rng.uniform(0.5, 3.0))
         for case, idx in (("diag-phi", (0, 1, 2)), ("offdiag-phi", (0, 1, 2, 3))):
@@ -164,8 +168,8 @@ def _suite_tt(rng):
     checks = []
     err = 0.0
     for _ in range(5):
-        wm = _random_weyl(rng).tensor
-        wz = _random_weyl(rng).tensor
+        wm = _random_weyl(rng)
+        wz = _random_weyl(rng)
         sol = biharmonic.assemble_interpolant(wm, wz, SimpleNamespace(gamma=0.1, lam=1.5))
         x = rng.uniform(0.15, 0.95, (20, 1)) * _unit_dirs(rng, 20)
         scale = max(np.abs(sol.wdot.derivative(x, 0)).max(), 1e-30)
@@ -178,7 +182,7 @@ def _suite_tt(rng):
 
 def _suite_variation(rng):
     checks = []
-    wz = _random_weyl(rng).tensor
+    wz = _random_weyl(rng)
     h = gluing.model_H(wz)
     phi = energy.second_variation(h, ("ball", 1.0), form="bilap").value
     phi2 = energy.second_variation(h, ("ball", 1.0), form="biharm").value
@@ -266,13 +270,16 @@ def cmd_balance(args) -> int:
     flags = duality.positivity_bound(wm, wz)
     if flags["excluded_case"]:
         raise ValueError("excluded case: one factor purely self-dual, the other "
-                         "purely anti-self-dual; no sign conclusion is available")
+                         "purely anti-self-dual, each in its input's orientation; "
+                         "balance glues M-bar # Z (the inversion reverses M's "
+                         "orientation), so both summands are self-dual or both "
+                         "anti-self-dual, and no sign conclusion is available")
     regime_notes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", gluing.RegimeWarning)
         if args.auto is not None:
             try:
-                params = energy.choose_parameters(wm.tensor, wz.tensor, margin=args.auto)
+                params = energy.choose_parameters(wm, wz, margin=args.auto)
             except energy.MarginNotReached as exc:
                 # valid input whose bracket stays above -margin: a failed
                 # check, not an input error
@@ -284,13 +291,13 @@ def cmd_balance(args) -> int:
             if missing:
                 raise ValueError(f"missing {', '.join(missing)} (or use --auto)")
             params = gluing.GluingParams(a=args.a, lam=args.lam, gamma=args.gamma)
-        bal = energy.energy_balance(wm.tensor, wz.tensor, params)
+        bal = energy.energy_balance(wm, wz, params)
         regime_notes = [str(w.message) for w in caught
                         if issubclass(w.category, gluing.RegimeWarning)]
     # the model energy_balance evaluates: no error tensors, so the
     # cutoff-region term is zero
     report = {"tag": "energy-balance", **bal.to_json(),
-              "error_model": "truncated",
+              "error_model": "truncated", "cutoff_region_term": 0.0,
               "regime_warnings": sorted(set(regime_notes)),
               "negative": bool(bal.leading_bracket < 0.0)}
     if args.auto is not None:
@@ -336,7 +343,7 @@ def cmd_sweep(args) -> int:
                 for lam in lam_grid for gamma in gamma_grid]
 
     def one(params):
-        bal = energy.energy_balance(wm.tensor, wz.tensor, params)
+        bal = energy.energy_balance(wm, wz, params)
         if inconclusive:
             sign = "inconclusive"
         else:
@@ -352,6 +359,11 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(one, grid))
     else:
         rows = [one(point) for point in grid]
+    for row in rows:
+        if not np.isfinite([row[k] for k in CSV_COLUMNS if k != "sign"]).all():
+            raise ValueError("floating-point overflow: the sweep row at lambda = "
+                             f"{row['lambda']}, gamma = {row['gamma']} holds a "
+                             "non-finite number")
     _write_csv(rows, args.output)
     return EXIT_PASS
 

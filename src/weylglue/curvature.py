@@ -51,15 +51,13 @@ class MetricChart:
     ``metric_jet``; ``metric`` is the first entry of the jet.
     """
 
-    kind = "flat"
-
     def contains(self, x) -> np.ndarray:
         xb, _ = _as_batch(x)
         return np.ones(xb.shape[0], dtype=bool)
 
     def check_domain(self, x) -> None:
         if not self.contains(x).all():
-            raise ChartDomainError(f"point outside {self.kind} chart domain")
+            raise ChartDomainError(f"point outside {type(self).__name__} domain")
 
     def metric_jet(self, x):
         """(g, dg, d2g) at x, of shapes (..., 4, 4), (..., 4, 4, 4) and
@@ -81,11 +79,9 @@ class FieldChart(MetricChart):
     polynomial test metrics.
     """
 
-    def __init__(self, h, scale: float = 1.0, kind: str = "custom",
-                 r_min: float = 0.0, r_max: float = np.inf):
+    def __init__(self, h, scale: float = 1.0, r_min: float = 0.0, r_max: float = np.inf):
         self.h = h
         self.scale = float(scale)
-        self.kind = kind
         self.r_min = float(r_min)
         self.r_max = float(r_max)
 
@@ -106,7 +102,6 @@ class ScaledChart(MetricChart):
     def __init__(self, base: MetricChart, factor: float):
         self.base = base
         self.factor = float(factor)
-        self.kind = f"scaled({base.kind})"
 
     def contains(self, x):
         return self.base.contains(x)
@@ -124,15 +119,14 @@ def flat_chart() -> MetricChart:
 
 def cnc_model(w: np.ndarray) -> FieldChart:
     """Conformal normal form chart delta - 1/3 W_kijl x^k x^l."""
-    return FieldChart(CurvatureQuadraticField([(-1.0 / 3.0, w, 0.0)]), kind="cnc_model")
+    return FieldChart(CurvatureQuadraticField([(-1.0 / 3.0, w, 0.0)]))
 
 def inverted_model(w: np.ndarray, r_min: float = 1e-8) -> FieldChart:
     """Inverted-end chart delta - 1/3 W_kijl x^k x^l / |x|^4."""
-    return FieldChart(CurvatureQuadraticField([(-1.0 / 3.0, w, -4.0)]),
-                      kind="inverted_model", r_min=r_min)
+    return FieldChart(CurvatureQuadraticField([(-1.0 / 3.0, w, -4.0)]), r_min=r_min)
 
 def polynomial_chart(field: PolynomialField) -> FieldChart:
-    return FieldChart(field, kind="polynomial")
+    return FieldChart(field)
 
 
 # ---------------------------------------------------------------------------

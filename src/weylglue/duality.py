@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import (DIM, LEX_PAIRS, AlgWeyl, algweyl_from_spectrum, as_tensor,
-                          frame_two_forms, op_from_tensor, tensor_from_op)
+from .tensor_core import (DIM, LEX_PAIRS, algweyl_from_spectrum, frame_two_forms,
+                          op_from_tensor, tensor_from_op)
 
 #: Signature of the Hodge star in the lexicographic 2-form basis: the star
 #: exchanges a pair with its complement, with the sign of the permutation
@@ -60,9 +60,9 @@ def hodge_split(op: np.ndarray, tol: float = 1e-12):
     return sd, asd
 
 
-def spectra(w: AlgWeyl | np.ndarray):
+def spectra(w: np.ndarray):
     """Descending SD and ASD eigenvalue triples of an algebraic Weyl tensor."""
-    sd, asd = hodge_split(op_from_tensor(as_tensor(w)))
+    sd, asd = hodge_split(op_from_tensor(w))
     lam_sd = np.sort(np.linalg.eigvalsh(sd))[::-1]
     lam_asd = np.sort(np.linalg.eigvalsh(asd))[::-1]
     return lam_sd, lam_asd
@@ -82,7 +82,7 @@ def _eigh_descending(block: np.ndarray):
     return vals[order], vecs[:, order]
 
 
-def derdzinski_frame(w: AlgWeyl | np.ndarray):
+def derdzinski_frame(w: np.ndarray):
     """Orthonormal oriented frame diagonalizing both Weyl blocks.
 
     Returns (frame, sd_triple, asd_triple) where the rows e_1..e_4 of
@@ -92,7 +92,7 @@ def derdzinski_frame(w: AlgWeyl | np.ndarray):
     eigen-2-forms, so it works for any spectra.  The frame is canonicalized
     by making the largest-magnitude component of e_1 positive.
     """
-    op = op_from_tensor(as_tensor(w))
+    op = op_from_tensor(w)
     sd, asd = hodge_split(op, 1e-9)
     lam_sd, u_sd = _eigh_descending(sd)
     lam_asd, u_asd = _eigh_descending(asd)
@@ -131,40 +131,30 @@ def derdzinski_frame(w: AlgWeyl | np.ndarray):
     frame = np.stack([e1, -am @ e1, -bm @ e1, -cm @ e1])
 
     # sanity: rebuild must reproduce the operator
-    rebuilt = algweyl_from_spectrum(lam_sd, lam_asd, frame=frame).tensor
+    rebuilt = algweyl_from_spectrum(lam_sd, lam_asd, frame=frame)
     orig = tensor_from_op(op)
     if np.abs(rebuilt - orig).max() > 1e-7 * max(np.abs(orig).max(), 1.0):
         raise BlockStructureError("frame reconstruction failed to reproduce the tensor")
     return frame, lam_sd, lam_asd
 
 
-def reverse_orientation(w: AlgWeyl) -> AlgWeyl:
+def reverse_orientation(w: np.ndarray) -> np.ndarray:
     """Pull back the tensor by the reflection x^4 -> -x^4.
 
-    This conjugation preserves all curvature symmetries and exactly swaps
-    the self-dual and anti-self-dual spectra.
+    This conjugation flips the sign of each entry with an odd number of
+    indices equal to 4, so it preserves all curvature symmetries and exactly
+    swaps the self-dual and anti-self-dual spectra.
     """
-    refl = np.diag([1.0, 1.0, 1.0, -1.0])
-    t = np.einsum("abcd,ai,bj,ck,dl->ijkl", w.tensor, refl, refl, refl, refl)
-    lam_sd, lam_asd = spectra(t)
-    return AlgWeyl(tensor=t, spectra=(tuple(lam_sd), tuple(lam_asd)))
+    s = np.array([1.0, 1.0, 1.0, -1.0])
+    return np.einsum("ijkl,i,j,k,l->ijkl", np.asarray(w, dtype=float), s, s, s, s)
 
 
-def interaction_star(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray) -> float:
+def interaction_star(wm: np.ndarray, wz: np.ndarray) -> float:
     """The interaction pairing W * W = sum_ijkl Z_kijl (M_kijl + M_lijk)."""
-    tm, tz = as_tensor(wm), as_tensor(wz)
-    return float(np.einsum("kijl,kijl->", tz, tm) + np.einsum("kijl,lijk->", tz, tm))
+    return float(np.einsum("kijl,kijl->", wz, wm) + np.einsum("kijl,lijk->", wz, wm))
 
 
-def aligned_interaction_value(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray) -> float:
-    """Predicted pairing after optimal alignment: 6 sum_k (mu_k nu_k + mu'_k nu'_k)
-    over the descending SD and ASD spectra of the two tensors."""
-    lm_sd, lm_asd = spectra(wm)
-    lz_sd, lz_asd = spectra(wz)
-    return 6.0 * float(lm_sd @ lz_sd + lm_asd @ lz_asd)
-
-
-def positivity_bound(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray) -> dict:
+def positivity_bound(wm: np.ndarray, wz: np.ndarray) -> dict:
     """Lower bound and obstruction flags for the aligned interaction.
 
     Sorted zero-sum eigenvalue triples lie in a 60-degree cone sector of the
@@ -179,15 +169,26 @@ def positivity_bound(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray) -> dict
     The thresholds are relative, at 1e-14: a factor counts as flat, or a
     block as absent, below 1e-14 times the largest eigenvalue magnitude of
     the pair, and the value counts as positive above 1e-14 times the
-    product of the two factors' largest magnitudes.  So the flags do not
-    change when both tensors are scaled together, and roundoff in a block
-    that should vanish does not make the excluded case positive.
+    product of the two factors' largest magnitudes.  That comparison is
+    made on each factor's spectra divided by its largest magnitude, where
+    nothing can overflow or underflow.  So the flags do not change when the
+    tensors are scaled, and roundoff in a block that should vanish does not
+    make the excluded case positive.
+
+    Both tensors are read in one orientation of R^4.  With W^M given in M's
+    own orientation, the glued chart holds M through the inversion, which
+    reverses its orientation: the pair (wm, wz) describes M-bar # Z, with
+    M-bar the orientation-reversed M.  So the excluded case here, one
+    tensor SD-only and the other ASD-only, is the paper's excluded case of
+    two summands that are both self-dual or both anti-self-dual.
     """
     lm_sd, lm_asd = spectra(wm)
     lz_sd, lz_asd = spectra(wz)
-    value = 6.0 * float(lm_sd @ lz_sd + lm_asd @ lz_asd)
-    bound = 3.0 * (np.linalg.norm(lm_sd) * np.linalg.norm(lz_sd)
-                   + np.linalg.norm(lm_asd) * np.linalg.norm(lz_asd))
+    # an overflow leaves inf or nan in the value and the bound, not in the flags
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 6.0 * float(lm_sd @ lz_sd + lm_asd @ lz_asd)
+        bound = 3.0 * (np.linalg.norm(lm_sd) * np.linalg.norm(lz_sd)
+                       + np.linalg.norm(lm_asd) * np.linalg.norm(lz_asd))
     m_sd, m_asd = np.abs(lm_sd).max(), np.abs(lm_asd).max()
     z_sd, z_asd = np.abs(lz_sd).max(), np.abs(lz_asd).max()
     m_max, z_max = max(m_sd, m_asd), max(z_sd, z_asd)
@@ -199,16 +200,18 @@ def positivity_bound(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray) -> dict
     z_sd_only = z_asd <= tiny < z_sd
     z_asd_only = z_sd <= tiny < z_asd
     excluded = (m_sd_only and z_asd_only) or (m_asd_only and z_sd_only)
+    positive = min(m_max, z_max) > 0.0 and 6.0 * float(
+        (lm_sd / m_max) @ (lz_sd / z_max) + (lm_asd / m_max) @ (lz_asd / z_max)) > 1e-14
     return {
         "aligned_value": value,
         "bound": float(bound),
         "conformally_flat_factor": bool(m_flat or z_flat),
         "excluded_case": bool(excluded),
-        "positive": bool(value > 1e-14 * m_max * z_max),
+        "positive": bool(positive),
     }
 
 
-def align_and_interact(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray) -> dict:
+def align_and_interact(wm: np.ndarray, wz: np.ndarray) -> dict:
     """Realize the optimally aligned pair in a common frame and pair them.
 
     Both tensors are rewritten with their Derdzinski frames mapped to the
@@ -225,5 +228,5 @@ def align_and_interact(wm: AlgWeyl | np.ndarray, wz: AlgWeyl | np.ndarray) -> di
         "aligned_m": am,
         "aligned_z": az,
         "value": value,
-        "predicted": aligned_interaction_value(wm, wz),
+        "predicted": positivity_bound(wm, wz)["aligned_value"],
     }

@@ -432,7 +432,6 @@ class EnergyBalance:
     gamma: float
     a: float
     remainder: float
-    cutoff_region_term: float
 
     def to_json(self) -> dict:
         return {
@@ -441,7 +440,6 @@ class EnergyBalance:
             "interaction": self.interaction,
             "interaction_term": INTERACTION_COEFFICIENT * self.lam ** 2 * self.interaction,
             "remainder": self.remainder,
-            "cutoff_region_term": self.cutoff_region_term,
             "lam": self.lam,
             "gamma": self.gamma,
             "a": self.a,
@@ -484,8 +482,7 @@ def energy_balance(wm, wz, params: GluingParams) -> EnergyBalance:
     predicted = c_const + INTERACTION_COEFFICIENT * params.lam ** 2 * inter
     return EnergyBalance(leading_bracket=float(bracket), constant_C=float(c_const),
                          interaction=float(inter), lam=params.lam, gamma=params.gamma,
-                         a=params.a, remainder=float(bracket - predicted),
-                         cutoff_region_term=0.0)
+                         a=params.a, remainder=float(bracket - predicted))
 
 
 class MarginNotReached(ValueError):
@@ -508,8 +505,12 @@ def choose_parameters(wm, wz, margin: float = 1.0) -> GluingParams:
     inter = interaction_star(wm, wz)
     gamma0 = GAMMA_GRID[-1]
     c_const = constant_C(wm, gamma0)
-    lam2 = max((c_const + 2.0 * margin) / (-INTERACTION_COEFFICIENT * inter), 0.0)
-    lam = float(np.sqrt(lam2) * 1.1 + 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam2 = np.float64(c_const + 2.0 * margin) / (-INTERACTION_COEFFICIENT * inter)
+    lam = float(np.sqrt(max(lam2, 0.0)) * 1.1 + 1.0)
+    if not np.isfinite(lam):
+        raise ValueError(f"floating-point overflow: lam = {lam} from C = {c_const} "
+                         f"and W * W = {inter}")
     chosen = None
     compatible = [g for g in GAMMA_GRID if g <= 1.0 / (10.0 * lam)]
     fallback = [g for g in GAMMA_GRID if g not in compatible]

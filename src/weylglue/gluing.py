@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import DIM, as_tensor, check_class
+from .tensor_core import DIM, check_class
 from .fields import CurvatureQuadraticField, _as_batch, model_field
 from .curvature import MetricChart, _unbatch
 from .biharmonic import assemble_interpolant
@@ -59,7 +59,7 @@ class GluingParams:
 
 
 def _weyl_tensor(w) -> np.ndarray:
-    t = as_tensor(w)
+    t = np.asarray(w, dtype=float)
     check_class(t, "weyl", 1e-9)
     return t
 
@@ -120,8 +120,6 @@ class GluedChart(MetricChart):
     tensors.  The metric is C^1 across both interfaces by the interpolation
     boundary conditions.
     """
-
-    kind = "glued"
 
     def __init__(self, wm, wz, params: GluingParams):
         self.params = params

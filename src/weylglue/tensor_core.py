@@ -14,8 +14,6 @@ curvature operator of delta (x) delta is plus the identity on 2-forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DIM = 4
@@ -86,12 +84,6 @@ def tensor_norm2(t: np.ndarray) -> float:
     """Full-contraction squared norm |T|^2 = T_ijkl T_ijkl (identity metric)."""
     t = np.asarray(t, dtype=float)
     return float(np.sum(t * t))
-
-
-def as_tensor(w: "AlgWeyl | np.ndarray") -> np.ndarray:
-    """The (0,4) array of an ``AlgWeyl``, or any other input as a float
-    array; nothing is checked."""
-    return w.tensor if isinstance(w, AlgWeyl) else np.asarray(w, dtype=float)
 
 
 def op_from_tensor(w: np.ndarray) -> np.ndarray:
@@ -179,12 +171,13 @@ def frame_two_forms(frame: np.ndarray) -> np.ndarray:
                      e12 - e34, e13 - e42, e14 - e23])
 
 
-def algweyl_from_spectrum(sd, asd, frame: np.ndarray | None = None) -> "AlgWeyl":
+def algweyl_from_spectrum(sd, asd, frame: np.ndarray | None = None) -> np.ndarray:
     """Algebraic Weyl tensor with prescribed self-dual / anti-self-dual spectra.
 
     Builds the operator W_hat = 1/2 sum lambda_k (form_k (x) form_k) over the
-    six basis 2-forms of the frame, then converts to a (0,4) tensor.  Each
-    triple must sum to zero within 1e-12; the frame defaults to the identity.
+    six basis 2-forms of the frame, then converts to a (0,4) tensor, a
+    (4, 4, 4, 4) array with every Weyl symmetry to 1e-9.  Each triple must
+    sum to zero within 1e-12; the frame defaults to the identity.
     """
     sd = np.asarray(sd, dtype=float)
     asd = np.asarray(asd, dtype=float)
@@ -199,8 +192,8 @@ def algweyl_from_spectrum(sd, asd, frame: np.ndarray | None = None) -> "AlgWeyl"
     eigs = np.concatenate([sd, asd])
     op = 0.5 * np.einsum("k,ka,kb->ab", eigs, forms, forms)
     tensor = tensor_from_op(op)
-    spectra = (tuple(sorted(sd, reverse=True)), tuple(sorted(asd, reverse=True)))
-    return AlgWeyl(tensor=tensor, spectra=spectra)
+    check_class(tensor, "weyl", 1e-9)
+    return tensor
 
 
 def spectrum_from_json(payload: dict):
@@ -224,26 +217,3 @@ def spectrum_from_json(payload: dict):
             raise ValueError(f"{key!r} triple sums to {s}, not trace-free")
         out.append(triple - s / 3.0)
     return out[0], out[1]
-
-
-@dataclass(frozen=True)
-class AlgWeyl:
-    """A pointwise algebraic Weyl tensor (all curvature symmetries, trace-free)."""
-
-    tensor: np.ndarray
-    spectra: tuple[tuple[float, ...], tuple[float, ...]] | None = None
-
-    def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=float)
-        object.__setattr__(self, "tensor", t)
-        check_class(t, "weyl", 1e-9)
-
-    @property
-    def norm2(self) -> float:
-        return tensor_norm2(self.tensor)
-
-    def operator(self) -> np.ndarray:
-        return op_from_tensor(self.tensor)
-
-
-ZERO_WEYL = AlgWeyl(tensor=np.zeros((DIM,) * 4))

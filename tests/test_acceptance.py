@@ -26,7 +26,7 @@ from weylglue.fields import PolynomialField
 def random_weyl(rng):
     sd = rng.standard_normal(3)
     asd = rng.standard_normal(3)
-    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean()).tensor
+    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean())
 
 
 def random_pair(rng):
@@ -150,7 +150,7 @@ def test_second_variation_boundary_forms():
     ts = np.geomspace(1e-3, 1e-2, 4)
     res = []
     for t in ts:
-        chart = cv.FieldChart(h, scale=t, kind="custom", r_max=2.0)
+        chart = cv.FieldChart(h, scale=t, r_max=2.0)
         numeric = en.weyl_energy_numeric(chart, 0.0, 1.0, level=8, n_radial=12)
         res.append(abs(numeric - t * t * a))
     slope = np.polyfit(np.log(ts), np.log(res), 1)[0]
@@ -166,8 +166,7 @@ def test_interaction_identity_and_positivity():
         # realized pairing equals 6 sum of sorted eigenvalue products
         assert abs(out["value"] - flags["aligned_value"]) < 1e-10
         # and equals (3/2) times the full tensor inner product of the pair
-        inner = np.einsum("ijkl,ijkl->", out["aligned_m"].tensor,
-                          out["aligned_z"].tensor)
+        inner = np.einsum("ijkl,ijkl->", out["aligned_m"], out["aligned_z"])
         assert abs(out["value"] - 1.5 * inner) < 1e-10
         assert out["value"] >= flags["bound"] - 1e-10
 
@@ -179,7 +178,7 @@ def test_interaction_identity_and_positivity():
 
 
 def test_interaction_coefficient_fit():
-    w = tc.algweyl_from_spectrum((1.0, 0.0, -1.0), (1.0, 0.0, -1.0)).tensor
+    w = tc.algweyl_from_spectrum((1.0, 0.0, -1.0), (1.0, 0.0, -1.0))
     predicted = -(2.0 / 9.0) * np.pi ** 2 * 24.0
     fits = {}
     for gamma in (0.04, 0.02):
@@ -197,15 +196,15 @@ def test_interaction_coefficient_fit():
 
 
 def test_gluing_mechanism_negative_bracket():
-    w = tc.algweyl_from_spectrum((1.0, 0.0, -1.0), (1.0, 0.0, -1.0)).tensor
+    w = tc.algweyl_from_spectrum((1.0, 0.0, -1.0), (1.0, 0.0, -1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", gl.RegimeWarning)
         params = en.choose_parameters(w, w.copy(), margin=1.0)
         bal = en.energy_balance(w, w.copy(), params)
     assert bal.leading_bracket < -1.0
 
-    sd_only = tc.algweyl_from_spectrum((2.0, -1.0, -1.0), (0.0, 0.0, 0.0)).tensor
-    asd_only = tc.algweyl_from_spectrum((0.0, 0.0, 0.0), (1.0, 1.0, -2.0)).tensor
+    sd_only = tc.algweyl_from_spectrum((2.0, -1.0, -1.0), (0.0, 0.0, 0.0))
+    asd_only = tc.algweyl_from_spectrum((0.0, 0.0, 0.0), (1.0, 1.0, -2.0))
     assert duality.interaction_star(sd_only, asd_only) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         en.choose_parameters(sd_only, asd_only)

@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,9 @@ def test_balance_negative_bracket(spectra, capsys):
     assert report["negative"]
     assert report["leading_bracket"] < 0.0
     assert report["interaction"] == pytest.approx(24.0, rel=1e-10)
+    # the truncated model has no error tensors, so no cutoff-region term
+    assert report["error_model"] == "truncated"
+    assert report["cutoff_region_term"] == 0.0
 
 
 def test_balance_reports_regime_warnings(spectra, capsys):
@@ -334,3 +341,22 @@ def test_non_finite_spectrum_exits_two(capsys, tmp_path):
     code = cli.main(["interact", str(path), str(path)])
     assert code == cli.EXIT_INPUT
     assert "'sd'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["interact", "BIG", "BIG"],
+    ["sweep", "BIG", "BIG", "--lambda-grid", "2", "--gamma-grid", "0.08"],
+    ["balance", "BIG", "BIG", "--auto", "1"],
+])
+def test_overflow_exits_two_without_non_finite_output(tmp_path, argv):
+    # the spectra are finite, but products of them overflow; the CLI runs in
+    # its own process, where numpy's overflow warnings are not errors
+    path = tmp_path / "big.json"
+    path.write_text('{"sd": [1e200, 0, -1e200], "asd": [1e200, 0, -1e200]}')
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "weylglue.cli"]
+                          + [str(path) if arg == "BIG" else arg for arg in argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert "overflow" in proc.stderr
+    assert not any(word in proc.stdout.lower() for word in ("nan", "inf"))

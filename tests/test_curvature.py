@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weylglue import curvature as cv
+from weylglue import duality as du
 from weylglue import tensor_core as tc
 from weylglue.fields import CurvatureQuadraticField, PolynomialField
 
@@ -9,7 +10,7 @@ from weylglue.fields import CurvatureQuadraticField, PolynomialField
 def random_weyl(rng):
     sd = rng.standard_normal(3)
     asd = rng.standard_normal(3)
-    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean()).tensor
+    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean())
 
 
 def test_flat_chart_is_flat():
@@ -128,6 +129,27 @@ def test_chart_domain_errors():
     assert scaled.contains(x).tolist() == [False, False, True, True]
     with pytest.raises(cv.ChartDomainError):
         cv.riemann(scaled, x[0])
+
+
+def _duality_block_norms(chart, y):
+    """Norms of the SD and ASD blocks of the chart's Weyl tensor at y, read
+    in the positively oriented g-orthonormal frame g^-1/2."""
+    vals, vecs = np.linalg.eigh(chart.metric(y))
+    e = vecs @ np.diag(vals ** -0.5) @ vecs.T
+    w = np.einsum("abcd,ai,bj,ck,dl->ijkl", cv.weyl(chart, y), e, e, e, e)
+    return [np.linalg.norm(b) for b in du.hodge_split(tc.op_from_tensor(w), 1e-9)]
+
+
+def test_inversion_reverses_orientation():
+    # an SD-only W^M stays SD-only in its normal-form chart near 0, but the
+    # inverted model, the form in which the glued chart holds M, is ASD-only
+    # far out: `balance m z` glues M-bar # Z, M with its orientation reversed
+    w = tc.algweyl_from_spectrum((2.0, -0.5, -1.5), (0.0, 0.0, 0.0))
+    y = np.array([3.0, 1.0, -2.0, 5.0])
+    sd, asd = _duality_block_norms(cv.cnc_model(w), 0.01 * y)
+    assert asd < 1e-3 * sd
+    sd, asd = _duality_block_norms(cv.inverted_model(w), y)
+    assert sd < 1e-3 * asd
 
 
 def test_scaled_chart_metric():

@@ -47,8 +47,8 @@ def test_derdzinski_frame_reconstruction():
         frame, lam_sd, lam_asd = du.derdzinski_frame(w)
         assert np.abs(frame @ frame.T - np.eye(4)).max() < 1e-10
         assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-10)
-        rebuilt = tc.algweyl_from_spectrum(lam_sd, lam_asd, frame=frame).tensor
-        assert np.abs(rebuilt - w.tensor).max() < 1e-9
+        rebuilt = tc.algweyl_from_spectrum(lam_sd, lam_asd, frame=frame)
+        assert np.abs(rebuilt - w).max() < 1e-9
 
 
 def test_reverse_orientation_swaps_spectra():
@@ -59,6 +59,8 @@ def test_reverse_orientation_swaps_spectra():
     sd2, asd2 = du.spectra(flipped)
     assert np.abs(sd2 - asd).max() < 1e-12
     assert np.abs(asd2 - sd).max() < 1e-12
+    # the reflection only flips signs, so twice is the identity, bit for bit
+    assert (du.reverse_orientation(flipped) == w).all()
 
 
 def test_aligned_interaction_matches_realization():
@@ -74,7 +76,7 @@ def test_interaction_star_scale():
     spec = (1.0, 0.0, -1.0)
     w = tc.algweyl_from_spectrum(spec, spec)
     value = du.interaction_star(w, w)
-    inner = float(np.einsum("ijkl,ijkl->", w.tensor, w.tensor))
+    inner = float(np.einsum("ijkl,ijkl->", w, w))
     assert value == pytest.approx(1.5 * inner, rel=1e-12)
     assert value == pytest.approx(24.0, rel=1e-12)
 
@@ -116,13 +118,17 @@ def test_conformally_flat_flag():
     ((1.0, 0.0, -1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (2.0, -1.0, -1.0)),
     ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, -1.0), (1.0, 0.0, -1.0)),
     ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((1.0, 0.0, -1.0), (1.0, 0.0, -1.0), (1.0, 0.0, -1.0), (1.0, 0.0, -1.0)),
 ])
 def test_positivity_flags_are_scale_free(spectra_pair):
-    # a valid pair, the excluded case, a flat factor and two flat factors
+    # a valid pair, the excluded case, a flat factor, two flat factors and
+    # sd = asd = (1, 0, -1) for both factors; at scales of 1e-170 and below
+    # or 1e160 and above, the aligned value or 1e-14 times the product of
+    # the largest magnitudes under- or overflows
     sd_m, asd_m, sd_z, asd_z = spectra_pair
-    wm = tc.algweyl_from_spectrum(sd_m, asd_m).tensor
-    wz = tc.algweyl_from_spectrum(sd_z, asd_z).tensor
+    wm = tc.algweyl_from_spectrum(sd_m, asd_m)
+    wz = tc.algweyl_from_spectrum(sd_z, asd_z)
     keys = ("conformally_flat_factor", "excluded_case", "positive")
-    flags = [{k: du.positivity_bound(s * wm, s * wz)[k] for k in keys}
-             for s in (1e-15, 1.0, 1e15)]
-    assert flags[0] == flags[1] == flags[2]
+    want = {k: du.positivity_bound(wm, wz)[k] for k in keys}
+    for s in (1e-200, 1e-170, 1e-15, 1e15, 1e160, 1e200):
+        assert {k: du.positivity_bound(s * wm, s * wz)[k] for k in keys} == want, s

@@ -20,14 +20,14 @@ SPEC = (1.0, 0.0, -1.0)
 
 
 def pair_tensors():
-    w = tc.algweyl_from_spectrum(SPEC, SPEC).tensor
+    w = tc.algweyl_from_spectrum(SPEC, SPEC)
     return w, w.copy()
 
 
 def random_weyl(rng):
     sd = rng.standard_normal(3)
     asd = rng.standard_normal(3)
-    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean()).tensor
+    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean())
 
 
 def test_sphere_rule_volume():
@@ -178,7 +178,6 @@ def test_energy_balance_decomposition():
     assert bal.leading_bracket < 0.0
     predicted = bal.constant_C - (4.0 / 9.0) * np.pi ** 2 * 4.0 * 24.0
     assert bal.leading_bracket == pytest.approx(predicted, rel=1e-4)
-    assert bal.cutoff_region_term == 0.0
 
 
 def test_energy_balance_zero_wz_is_constant():
@@ -213,7 +212,7 @@ def test_rough_bound_flat_chart_is_zero():
 def test_rough_bound_dominates_numeric_energy():
     rng = np.random.default_rng(55)
     from weylglue.curvature import FieldChart
-    chart = FieldChart(model_H(random_weyl(rng)), scale=0.05, kind="custom",
+    chart = FieldChart(model_H(random_weyl(rng)), scale=0.05,
                        r_max=3.0)
     bound = en.rough_energy_bound(chart, 0.3, 1.0)["value"]
     numeric = en.weyl_energy_numeric(chart, 0.3, 1.0, level=6, n_radial=8)
@@ -228,7 +227,7 @@ def test_truncation_slope_of_numeric_energy():
     ts = np.geomspace(1e-3, 1e-2, 4)
     res = []
     for t in ts:
-        chart = FieldChart(h, scale=t, kind="custom", r_max=2.0)
+        chart = FieldChart(h, scale=t, r_max=2.0)
         res.append(abs(en.weyl_energy_numeric(chart, 0.0, 1.0, level=8,
                                               n_radial=12) - t * t * phi))
     slope = np.polyfit(np.log(ts), np.log(res), 1)[0]
@@ -583,7 +582,7 @@ def test_energy_balance_does_not_drift():
     quadrature's, not exact: ROADMAP item 2 replaces them with exact mpmath
     values of the closed form.
     """
-    wm, wz = (tc.algweyl_from_spectrum(*tc.spectrum_from_json({"sd": sd, "asd": asd})).tensor
+    wm, wz = (tc.algweyl_from_spectrum(*tc.spectrum_from_json({"sd": sd, "asd": asd}))
               for sd, asd in (P07_M, P07_Z))
     got = en.energy_balance(wm, wz, GluingParams(**P07_PARAMS)).to_json()
     want = {"leading_bracket": -575.1815459245245,

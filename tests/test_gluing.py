@@ -9,7 +9,7 @@ from weylglue import tensor_core as tc
 def random_weyl(rng):
     sd = rng.standard_normal(3)
     asd = rng.standard_normal(3)
-    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean()).tensor
+    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean())
 
 
 def test_params_validation():

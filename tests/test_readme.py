@@ -1,0 +1,13 @@
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_python_examples_run(monkeypatch):
+    # every python block of the README, each in a fresh namespace
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
