@@ -353,12 +353,8 @@ def cmd_sweep(args) -> int:
                 "constant_C": bal.constant_C, "fit_residual": bal.remainder,
                 "sign": sign}
 
-    n_workers = _threads()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(point) for point in grid]
+    with ThreadPoolExecutor(max_workers=_threads()) as pool:
+        rows = list(pool.map(one, grid))
     for row in rows:
         if not np.isfinite([row[k] for k in CSV_COLUMNS if k != "sign"]).all():
             raise ValueError("floating-point overflow: the sweep row at lambda = "

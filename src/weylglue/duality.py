@@ -171,9 +171,11 @@ def positivity_bound(wm: np.ndarray, wz: np.ndarray) -> dict:
     the pair, and the value counts as positive above 1e-14 times the
     product of the two factors' largest magnitudes.  That comparison is
     made on each factor's spectra divided by its largest magnitude, where
-    nothing can overflow or underflow.  So the flags do not change when the
-    tensors are scaled, and roundoff in a block that should vanish does not
-    make the excluded case positive.
+    nothing can overflow or underflow; the value and the bound are that
+    pairing and those norms times the two largest magnitudes.  So the flags
+    do not change when the tensors are scaled, a zero factor gives value
+    and bound 0, and roundoff in a block that should vanish does not make
+    the excluded case positive.
 
     Both tensors are read in one orientation of R^4.  With W^M given in M's
     own orientation, the glued chart holds M through the inversion, which
@@ -184,14 +186,18 @@ def positivity_bound(wm: np.ndarray, wz: np.ndarray) -> dict:
     """
     lm_sd, lm_asd = spectra(wm)
     lz_sd, lz_asd = spectra(wz)
-    # an overflow leaves inf or nan in the value and the bound, not in the flags
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = 6.0 * float(lm_sd @ lz_sd + lm_asd @ lz_asd)
-        bound = 3.0 * (np.linalg.norm(lm_sd) * np.linalg.norm(lz_sd)
-                       + np.linalg.norm(lm_asd) * np.linalg.norm(lz_asd))
     m_sd, m_asd = np.abs(lm_sd).max(), np.abs(lm_asd).max()
     z_sd, z_asd = np.abs(lz_sd).max(), np.abs(lz_asd).max()
     m_max, z_max = max(m_sd, m_asd), max(z_sd, z_asd)
+    # the unit spectra: each factor's over its largest magnitude (a zero one stays 0)
+    um_sd, um_asd = lm_sd / (m_max or 1.0), lm_asd / (m_max or 1.0)
+    uz_sd, uz_asd = lz_sd / (z_max or 1.0), lz_asd / (z_max or 1.0)
+    pairing = float(um_sd @ uz_sd + um_asd @ uz_asd)
+    # an overflow leaves inf or nan in the value and the bound, not in the flags
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 6.0 * m_max * z_max * pairing
+        bound = 3.0 * m_max * z_max * float(np.linalg.norm(um_sd) * np.linalg.norm(uz_sd)
+                                            + np.linalg.norm(um_asd) * np.linalg.norm(uz_asd))
     tiny = 1e-14 * max(m_max, z_max)
     m_flat = m_max <= tiny
     z_flat = z_max <= tiny
@@ -200,10 +206,9 @@ def positivity_bound(wm: np.ndarray, wz: np.ndarray) -> dict:
     z_sd_only = z_asd <= tiny < z_sd
     z_asd_only = z_sd <= tiny < z_asd
     excluded = (m_sd_only and z_asd_only) or (m_asd_only and z_sd_only)
-    positive = min(m_max, z_max) > 0.0 and 6.0 * float(
-        (lm_sd / m_max) @ (lz_sd / z_max) + (lm_asd / m_max) @ (lz_asd / z_max)) > 1e-14
+    positive = 6.0 * pairing > 1e-14
     return {
-        "aligned_value": value,
+        "aligned_value": float(value),
         "bound": float(bound),
         "conformally_flat_factor": bool(m_flat or z_flat),
         "excluded_case": bool(excluded),

@@ -24,11 +24,9 @@ supplied by the caller (+1 when that is the outward normal of the domain,
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache, partial
-from types import SimpleNamespace
+from functools import cache, lru_cache, partial
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -205,44 +203,24 @@ def dilation_energy(h, ts, level: int = 10) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryFunctional:
-    """Value and per-term breakdown of the quadratic boundary expression."""
+    """Value and read-only per-term breakdown of the quadratic boundary expression."""
 
     value: float
     form: str
     radius: float
     sign: float
-    breakdown: dict
+    breakdown: MappingProxyType
 
 
-#: Most boundary-term sets kept by ``_boundary_terms``; a default sweep
-#: needs about 40.
-_BOUNDARY_CACHE_SIZE = 128
-_boundary_cache: OrderedDict = OrderedDict()
-_boundary_lock = threading.Lock()
+@lru_cache(maxsize=128)
+def _boundary_terms(h, r: float, level: int) -> MappingProxyType:
+    """``_boundary_quadrature`` memoised on (h, r, level), read-only.
 
-
-def _boundary_terms(h, r: float, level: int = 12) -> dict:
-    """``_boundary_quadrature`` memoised on the content of the field.
-
-    The key is the ordered (coeff, S, power) of each term of a
-    ``CurvatureQuadraticField`` plus r and level, so equal fields built
-    separately (the inner model shared by C and the bracket, C and the
-    bracket of the selection again in the balance, the bilap and biharm
-    forms of one field) are integrated once.  Each call returns a fresh
-    dict.
+    Fields compare by their terms, so equal fields built separately (the
+    inner model shared by C and the bracket, say) are integrated once.
+    Threads that miss on one key at once each integrate it, to the same bits.
     """
-    key = (tuple((c, s.tobytes(), p) for c, s, p in h.terms), float(r), int(level))
-    with _boundary_lock:
-        hit = _boundary_cache.get(key)
-        if hit is not None:
-            _boundary_cache.move_to_end(key)
-            return dict(hit)
-    out = _boundary_quadrature(h, r, level)
-    with _boundary_lock:
-        _boundary_cache[key] = out
-        while len(_boundary_cache) > _BOUNDARY_CACHE_SIZE:
-            _boundary_cache.popitem(last=False)
-    return dict(out)
+    return MappingProxyType(_boundary_quadrature(h, r, level))
 
 
 _BOUNDARY_KEYS = ("h_d3", "hess_ij", "cross", "hess_ab", "lap_rad")
@@ -358,7 +336,7 @@ def second_variation(h, domain, form: str = "bilap") -> BoundaryFunctional:
         breakdown.update({f"{label}_{k}": v for k, v in bnd.breakdown.items()})
     return BoundaryFunctional(value=float(value), form=form,
                               radius=float(domain[1]), sign=1.0,
-                              breakdown=breakdown)
+                              breakdown=MappingProxyType(breakdown))
 
 
 # ---------------------------------------------------------------------------

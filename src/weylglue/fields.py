@@ -275,6 +275,9 @@ class CurvatureQuadraticField:
     per distinct S in order of first appearance, with the profile the
     (c, p) pairs of that S in term order.  Rescaled fields merge equal
     tensors through the same grouping.
+
+    Fields compare and hash by their kept terms, (c, bytes of S, p) in
+    order, so separately built copies of one field are equal.
     """
 
     def __init__(self, terms):
@@ -288,18 +291,24 @@ class CurvatureQuadraticField:
 
     def _set_terms(self, terms):
         self.terms = terms
-        groups = {}
+        groups, key = {}, []
         for c, s, p in terms:
-            groups.setdefault(s.tobytes(), (s, []))[1].append((c, p))
+            raw = s.tobytes()
+            groups.setdefault(raw, (s, []))[1].append((c, p))
+            key.append((c, raw, p))
         self.blocks = [(s, tuple(profile)) for s, profile in groups.values()]
+        self._key = tuple(key)
 
-    def _with_terms(self, terms) -> "CurvatureQuadraticField":
-        out = CurvatureQuadraticField([])
-        out._set_terms(terms)
-        return out
+    def __eq__(self, other):
+        return isinstance(other, CurvatureQuadraticField) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def scaled(self, factor: float) -> "CurvatureQuadraticField":
-        return self._with_terms([(factor * c, s, p) for (c, s, p) in self.terms])
+        out = CurvatureQuadraticField([])
+        out._set_terms([(factor * c, s, p) for (c, s, p) in self.terms])
+        return out
 
     def _evaluate(self, x, axes):
         """d_a h for each ``_leibniz`` axis label a in ``axes``, in one pass

@@ -72,10 +72,18 @@ def validate(t: np.ndarray, symmetry_class: str = "riemann") -> dict[str, float]
     return report
 
 
+def _scale(a) -> float:
+    """max(1, largest |entry|), the unit of every input tolerance here."""
+    return max(1.0, float(np.abs(a).max()))
+
+
 def check_class(t: np.ndarray, symmetry_class: str, tol: float = DEFAULT_TOL) -> None:
-    """Raise TensorSymmetryError if any residual of ``validate`` exceeds tol."""
-    report = validate(t, symmetry_class)
-    bad = {k: v for k, v in report.items() if v > tol}
+    """Raise TensorSymmetryError if t is not finite or a residual of
+    ``validate`` exceeds tol * _scale(t)."""
+    if not np.isfinite(t).all():
+        raise TensorSymmetryError(f"{symmetry_class} check needs finite entries")
+    limit = tol * _scale(t)
+    bad = {k: v for k, v in validate(t, symmetry_class).items() if v > limit}
     if bad:
         raise TensorSymmetryError(f"{symmetry_class} symmetry violated: {bad}")
 
@@ -177,14 +185,15 @@ def algweyl_from_spectrum(sd, asd, frame: np.ndarray | None = None) -> np.ndarra
     Builds the operator W_hat = 1/2 sum lambda_k (form_k (x) form_k) over the
     six basis 2-forms of the frame, then converts to a (0,4) tensor, a
     (4, 4, 4, 4) array with every Weyl symmetry to 1e-9.  Each triple must
-    sum to zero within 1e-12; the frame defaults to the identity.
+    sum to zero within 1e-12 (both relative, ``_scale``); the frame
+    defaults to the identity.
     """
     sd = np.asarray(sd, dtype=float)
     asd = np.asarray(asd, dtype=float)
     if sd.shape != (3,) or asd.shape != (3,):
         raise ValueError("spectra must be triples")
     for name, triple in (("sd", sd), ("asd", asd)):
-        if abs(triple.sum()) > 1e-12:
+        if abs(triple.sum()) > 1e-12 * _scale(triple):
             raise ValueError(f"trace-free violation: {name} triple sums to {triple.sum()}")
     if frame is None:
         frame = np.eye(DIM)
@@ -200,8 +209,8 @@ def spectrum_from_json(payload: dict):
     """Parse the {"sd": [...], "asd": [...]} spectrum payload.
 
     Each triple must be finite.  One whose sum is nonzero but at most 1e-9
-    in magnitude is projected back onto the trace-free plane; a larger sum
-    is rejected.
+    times ``_scale`` of the triple is projected back onto the trace-free
+    plane; a larger sum is rejected.
     """
     out = []
     for key in ("sd", "asd"):
@@ -213,7 +222,7 @@ def spectrum_from_json(payload: dict):
         if not np.isfinite(triple).all():
             raise ValueError(f"{key!r} has non-finite entries: {triple.tolist()}")
         s = triple.sum()
-        if abs(s) > 1e-9:
+        if abs(s) > 1e-9 * _scale(triple):
             raise ValueError(f"{key!r} triple sums to {s}, not trace-free")
         out.append(triple - s / 3.0)
     return out[0], out[1]

@@ -88,6 +88,47 @@ def test_interact_flags_excluded_case(spectra, capsys):
     assert report["aligned_value"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_interact_flat_factor_against_huge_one(tmp_path, capsys):
+    # the bound is 0 times the other factor's size, not 0 times an
+    # overflowed norm
+    flat, huge = tmp_path / "flat.json", tmp_path / "huge.json"
+    flat.write_text('{"sd": [0, 0, 0], "asd": [0, 0, 0]}')
+    huge.write_text('{"sd": [1e200, 0, -1e200], "asd": [1e200, 0, -1e200]}')
+    code, out = run(["interact", str(flat), str(huge)], capsys)
+    report = json.loads(out)
+    assert code == cli.EXIT_PASS
+    assert report["bound"] == 0.0 and report["aligned_value"] == 0.0
+    assert report["conformally_flat_factor"] and not report["positive"]
+
+
+#: pool-1/p07 of the benchmark inputs
+P07 = ({"sd": [1.3968784634435116, -0.2034982863551386, -1.193380177088373],
+        "asd": [-0.370545939521914, -1.030264479235384, 1.4008104187572978]},
+       {"sd": [-0.24691610606420947, -0.03735294596532606, 0.2842690520295355],
+        "asd": [-0.8198068314937882, -1.6065296561342064, 2.4263364876279945]})
+
+
+def test_balance_auto_selection_is_scale_free(tmp_path, capsys):
+    # the bracket is quadratic in the pair, so scaling both tensors by c and
+    # the margin by c^2 selects the same gamma and a, and lam up to the
+    # quadrature's roundoff in C (a difference of terms 5e6 times its size);
+    # at c = 1e8 the triples' roundoff sums exceed an absolute 1e-9
+    selected = []
+    for c in (1.0, 1e3, 1e8):
+        paths = []
+        for name, payload in zip("mz", P07):
+            path = tmp_path / f"{name}{c:g}.json"
+            path.write_text(json.dumps({k: [c * v for v in vals]
+                                        for k, vals in payload.items()}))
+            paths.append(str(path))
+        code, out = run(["balance", *paths, "--auto", repr(c * c)], capsys)
+        assert code == cli.EXIT_PASS
+        selected.append(json.loads(out)["selected"])
+    for other in selected[1:]:
+        assert (other["gamma"], other["a"]) == (selected[0]["gamma"], selected[0]["a"])
+        assert other["lambda"] == pytest.approx(selected[0]["lambda"], rel=1e-8)
+
+
 def test_balance_negative_bracket(spectra, capsys):
     code, out = run(["balance", spectra["pair"], spectra["pair"],
                      "--lambda", "2.0", "--gamma", "0.02", "--a", "2e-5"],

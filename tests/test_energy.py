@@ -1,6 +1,4 @@
 import sys
-import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -464,7 +462,7 @@ def test_balance_makes_five_boundary_quadratures(monkeypatch):
     # two spheres and the outer model; everything else is a cache hit
     wm, _ = pair_tensors()
     wz = 0.3 * wm
-    monkeypatch.setattr(en, "_boundary_cache", OrderedDict())
+    en._boundary_terms.cache_clear()
     calls = []
     original = en._boundary_quadrature
 
@@ -485,42 +483,34 @@ def test_balance_makes_five_boundary_quadratures(monkeypatch):
 def test_breakdown_mutation_does_not_leak():
     rng = np.random.default_rng(59)
     h = model_H(random_weyl(rng))
+    en._boundary_terms.cache_clear()
     first = en.boundary_functional(h, 1.0)
     expected = dict(first.breakdown)
     for _ in range(2):
         # the first call fills the cache, the second reads it
-        en.boundary_functional(h, 1.0).breakdown["h_d3"] = 1e300
+        with pytest.raises(TypeError):
+            en.boundary_functional(h, 1.0).breakdown["h_d3"] = 1e300
     again = en.boundary_functional(h, 1.0)
     assert again.breakdown == expected
     assert again.value == first.value
+    with pytest.raises(TypeError):
+        en.second_variation(h, ("ball", 1.0)).breakdown["bulk"] = 0.0
 
 
-class _YieldingCache(OrderedDict):
-    """A cache that hands the interpreter to another thread after every
-    lookup and insertion, so unguarded check-then-act sequences collide."""
-
-    def get(self, key, default=None):
-        out = super().get(key, default)
-        time.sleep(0)
-        return out
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        time.sleep(0)
-
-
-def test_boundary_cache_is_thread_safe(monkeypatch):
-    # more threads than cores, a one-entry cache and a short switch
-    # interval, so lookups, insertions and evictions interleave
+def test_boundary_cache_is_thread_safe():
+    # more threads than cores, a short switch interval and a cleared cache
+    # every few lookups, so hits, misses and clears interleave
     rng = np.random.default_rng(60)
     fields = [model_H(random_weyl(rng)) for _ in range(3)]
     expected = [en._boundary_quadrature(h, 1.0, 2) for h in fields]
-    monkeypatch.setattr(en, "_BOUNDARY_CACHE_SIZE", 1)
-    monkeypatch.setattr(en, "_boundary_cache", _YieldingCache())
 
     def work(k):
-        return all(en._boundary_terms(fields[(i + k) % 3], 1.0, 2) == expected[(i + k) % 3]
-                   for i in range(200))
+        ok = True
+        for i in range(200):
+            if (i + k) % 5 == 0:
+                en._boundary_terms.cache_clear()
+            ok &= en._boundary_terms(fields[(i + k) % 3], 1.0, 2) == expected[(i + k) % 3]
+        return ok
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -530,7 +520,7 @@ def test_boundary_cache_is_thread_safe(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(results)
-    assert len(en._boundary_cache) <= 1
+    assert en._boundary_terms.cache_info().currsize <= 3
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 2 * 12 ** 3])

@@ -27,6 +27,24 @@ def jet_field(rng):
     return CurvatureQuadraticField(terms)
 
 
+def test_fields_compare_and_hash_by_content():
+    rng = np.random.default_rng(71)
+    wm, wz, w3 = random_weyl(rng), random_weyl(rng), random_weyl(rng)
+    terms = [(0.5, wm, -4.0), (-1.25, wz, 2.0)]
+    h = CurvatureQuadraticField(terms)
+    same = [CurvatureQuadraticField([(c, w.copy(), p) for c, w, p in terms]),
+            CurvatureQuadraticField(terms[:1] + [(1.7, np.zeros((4,) * 4), 0.0)] + terms[1:]),
+            h.scaled(1.0)]
+    for other in same:
+        assert other == h and hash(other) == hash(h)
+    assert len({h, *same}) == 1
+    different = [[(0.75, wm, -4.0), terms[1]], [(0.5, wm, -6.0), terms[1]],
+                 [(0.5, w3, -4.0), terms[1]], terms[::-1], terms[:1]]
+    for other in different:
+        assert CurvatureQuadraticField(other) != h
+    assert h != terms
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        coeffs=st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylglue import gluing as gl
 from weylglue import tensor_core as tc
 
 
@@ -71,6 +72,32 @@ def test_spectrum_from_json_projects_small_violations():
     sd, asd = tc.spectrum_from_json({"sd": [1.0, 0.0, -1.0 + 1e-12],
                                      "asd": [0.5, 0.0, -0.5]})
     assert abs(sd.sum()) < 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+def test_valid_spectra_are_accepted_at_any_scale(scale):
+    # centred in double precision, a triple sums to roundoff of its size,
+    # which an absolute tolerance refuses at these scales
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        sd, asd = (scale * rng.standard_normal(3) for _ in range(2))
+        payload = {"sd": (sd - sd.mean()).tolist(), "asd": (asd - asd.mean()).tolist()}
+        w = tc.algweyl_from_spectrum(*tc.spectrum_from_json(payload))
+        gl.model_F(w)
+    with pytest.raises(ValueError):
+        tc.spectrum_from_json({"sd": [scale, 0.0, 1e-8 * scale - scale], "asd": [0.0] * 3})
+    with pytest.raises(tc.TensorSymmetryError):
+        tc.check_class(w + 1e-8 * np.abs(w).max() * np.eye(16).reshape((4,) * 4), "weyl", 1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_class_refuses_non_finite(bad):
+    # a relative tolerance of an infinite tensor is infinite, and a NaN
+    # residual compares false, so finiteness is checked first
+    w = random_weyl(np.random.default_rng(9))
+    w[0, 1, 0, 1] = w[1, 0, 1, 0] = bad
+    with pytest.raises(tc.TensorSymmetryError, match="finite"):
+        tc.check_class(w, "weyl")
 
 
 def test_spectrum_from_json_rejects_trace_violation():
