@@ -10,8 +10,7 @@ from .tensor_core import (algweyl_from_spectrum, kulkarni_nomizu, spectrum_from_
                           tensor_norm2, weyl_from_riemann)
 from .duality import (align_and_interact, derdzinski_frame, interaction_star,
                       positivity_bound, reverse_orientation, spectra)
-from .biharmonic import (InterpSolution, assemble_interpolant, smallgamma_expansion,
-                         solve_profile)
+from .biharmonic import assemble_interpolant, smallgamma_expansion, solve_profile
 from .gluing import GluedChart, GluingParams, RegimeWarning
 from .energy import (EnergyBalance, boundary_functional, choose_parameters,
                      dilation_energy, energy_balance, extract_interaction_coefficient,
@@ -25,8 +24,7 @@ __all__ = [
     "spectrum_from_json", "tensor_norm2", "weyl_from_riemann",
     "align_and_interact", "derdzinski_frame",
     "interaction_star", "positivity_bound", "reverse_orientation", "spectra",
-    "InterpSolution", "assemble_interpolant", "smallgamma_expansion",
-    "solve_profile",
+    "assemble_interpolant", "smallgamma_expansion", "solve_profile",
     "GluedChart", "GluingParams", "RegimeWarning",
     "EnergyBalance", "boundary_functional", "choose_parameters", "dilation_energy",
     "energy_balance",

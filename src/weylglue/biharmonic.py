@@ -7,15 +7,16 @@ Delta^2 w_ij = 0 componentwise in between.  The boundary data are spanned by
 second spherical harmonics, so each component reduces to the radial ODE
 T(f) = 0 whose solutions are r^-4, r^-2, r^2, r^4.
 
-Two equivalent representations are kept: the per-harmonic profile sum (the
-audit path, one linear solve per boundary case) and the collapsed form
-(the production path, one solve per source tensor), in which
+The interpolant is one field, the CurvatureQuadraticField that
+``assemble_interpolant`` returns, with one radial solve per source tensor:
 
     wdot_ij(x) = sum_m Chat_m^M W^M_kijl x^k x^l |x|^(m-2)
                + sum_m Chat_m^Z W^Z_kijl x^k x^l |x|^(m-2)
 
-with m running over the profile powers (-4, -2, 2, 4).  All coefficients are
-stored with the overall a^2 factored out.
+with m running over the profile powers (-4, -2, 2, 4) and the overall a^2
+factored out.  ``harmonic_component`` is the per-harmonic reference the
+tests compare it against: one component of wdot as a sum of profiles times
+second spherical harmonics, one linear solve per boundary case.
 """
 
 from __future__ import annotations
@@ -88,41 +89,27 @@ def radial_profile(c, r, deriv: int = 0):
     return out
 
 
-def radial_bilaplacian(f, r: float) -> float:
+def radial_bilaplacian(c, r: float) -> float:
     """The radial operator T(f) = f'''' + 6 f'''/r - 13 f''/r^2 - 19 f'/r^3 + 64 f/r^4.
 
     This is Delta^2 acting on f(r) phi(theta) for a second spherical harmonic
-    phi (angular eigenvalue -8).  ``f`` is either a profile coefficient
-    4-vector or a callable, in which case derivatives are taken by central
-    differences with one Richardson level.
+    phi (angular eigenvalue -8), with f the radial profile of the
+    coefficient 4-vector ``c``.
     """
     if r <= 0:
         raise AnnulusDomainError("radius must be positive")
-    if callable(f):
-        step = 3e-2 * r
-
-        def derivs(hh):
-            pts = np.array([f(r + k * hh) for k in range(-3, 4)], dtype=float)
-            d1 = (pts[4] - pts[2]) / (2 * hh)
-            d2 = (pts[4] - 2 * pts[3] + pts[2]) / hh ** 2
-            d3 = (pts[5] - 2 * pts[4] + 2 * pts[2] - pts[1]) / (2 * hh ** 3)
-            d4 = (pts[5] - 4 * pts[4] + 6 * pts[3] - 4 * pts[2] + pts[1]) / hh ** 4
-            return np.array([pts[3], d1, d2, d3, d4])
-
-        v = (4 * derivs(step / 2) - derivs(step)) / 3.0
-        f0, f1, f2, f3, f4 = v
-    else:
-        c = np.asarray(f, dtype=float)
-        f0, f1, f2, f3, f4 = (radial_profile(c, r, d) for d in range(5))
+    f0, f1, f2, f3, f4 = (radial_profile(c, r, d) for d in range(5))
     return float(f4 + 6 * f3 / r - 13 * f2 / r ** 2 - 19 * f1 / r ** 3 + 64 * f0 / r ** 4)
 
 
-def a_gamma(gamma: float):
-    """Boundary-condition matrix of the radial system and its determinant.
+def a_gamma(gamma: float) -> np.ndarray:
+    """Boundary-condition matrix of the radial system.
 
     Rows impose gamma^4 f(gamma), gamma^5 f'(gamma), f(1), f'(1) on the
     profile coefficients.  Singular exactly at the degenerate limits
-    gamma = 0 and gamma = 1, which are rejected.
+    gamma = 0 and gamma = 1, which are rejected.  ``solve_profile`` inverts
+    it in closed form; ``np.linalg.solve(a_gamma(gamma), v)`` is the direct
+    reference.
     """
     if not 0.0 < gamma < 1.0:
         raise AnnulusDomainError(f"gamma must lie in (0, 1), got {gamma}")
@@ -133,7 +120,7 @@ def a_gamma(gamma: float):
         [1.0, 1.0, 1.0, 1.0],
         [-4.0, -2.0, 2.0, 4.0],
     ])
-    return mat, float(np.linalg.det(mat))
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +180,15 @@ def boundary_vector(case: str, indices, wm, wz, gamma: float, lam: float) -> np.
 # ---------------------------------------------------------------------------
 # solving the radial system
 
-def solve_profile(gamma: float, v, method: str = "closed") -> np.ndarray:
-    """Profile coefficients chat solving A_gamma chat = v.
-
-    ``method`` is "closed" for the explicit rational formulas or "direct"
-    for a plain linear solve; they agree to roundoff.  The coefficients are
-    in the a^2-factored normalization (chat = c / a^2).
+def solve_profile(gamma: float, v) -> np.ndarray:
+    """Profile coefficients chat solving A_gamma chat = v, by the explicit
+    rational formulas; they agree with a direct solve of ``a_gamma`` to
+    roundoff.  The coefficients are in the a^2-factored normalization
+    (chat = c / a^2).
     """
     if not 0.0 < gamma < 1.0:
         raise AnnulusDomainError(f"gamma must lie in (0, 1), got {gamma}")
-    v = np.asarray(v, dtype=float)
-    if method == "direct":
-        mat, _ = a_gamma(gamma)
-        return np.linalg.solve(mat, v)
-    if method != "closed":
-        raise ValueError(f"unknown method {method!r}")
-    v1, v2, v3, v4 = v
+    v1, v2, v3, v4 = np.asarray(v, dtype=float)
     g2 = gamma ** 2
     den = 2.0 * (g2 - 1.0) ** 3 * (1.0 + 4.0 * g2 + g2 ** 2)
     c1 = (2 * v1 * (1 + g2 + 4 * g2 ** 2) + v2 * (1 + g2 - 2 * g2 ** 2)
@@ -224,18 +204,13 @@ def solve_profile(gamma: float, v, method: str = "closed") -> np.ndarray:
     return np.array([c1, c2, c3, c4])
 
 
-#: Leading order in gamma of the truncation error of each expanded
-#: coefficient, for a boundary vector held fixed as gamma varies.  With the
-#: construction's own scaling v1 ~ gamma^2 each order increases by 2.
-EXPANSION_RESIDUAL_ORDERS = (8, 4, 4, 4)
-
-
-def smallgamma_expansion(v, gamma: float):
+def smallgamma_expansion(v, gamma: float) -> np.ndarray:
     """Truncated small-gamma expansion of the solved coefficients.
 
-    Requires the structural relations v2 = -2 v1 and v4 = 2 v3.  Returns the
-    truncated chat 4-vector together with EXPANSION_RESIDUAL_ORDERS, the
-    leading truncation orders against which the exact solve converges.
+    Requires the structural relations v2 = -2 v1 and v4 = 2 v3.  For a
+    boundary vector held fixed as gamma varies, the truncation errors of the
+    four coefficients are of order gamma^8, gamma^4, gamma^4, gamma^4; with
+    the construction's own scaling v1 ~ gamma^2 each order increases by 2.
     """
     v = np.asarray(v, dtype=float)
     v1, v2, v3, v4 = v
@@ -243,13 +218,12 @@ def smallgamma_expansion(v, gamma: float):
     if abs(v2 + 2.0 * v1) > 1e-12 * scale or abs(v4 - 2.0 * v3) > 1e-12 * scale:
         raise ValueError("expansion requires v2 = -2 v1 and v4 = 2 v3")
     g2 = gamma ** 2
-    chat = np.array([
+    return np.array([
         -6.0 * v1 * g2 ** 2 + (2.0 * v3 + 6.0 * v1) * g2 ** 3,
         v1 / g2 + 9.0 * v1 * g2 - 3.0 * v3 * g2 ** 2,
         -3.0 * v1 / g2 + v3 - 27.0 * v1 * g2 + 9.0 * v3 * g2 ** 2,
         2.0 * v1 / g2 + 18.0 * v1 * g2 - 6.0 * v3 * g2 ** 2,
     ])
-    return chat, EXPANSION_RESIDUAL_ORDERS
 
 
 # ---------------------------------------------------------------------------
@@ -268,62 +242,33 @@ def unit_sources(gamma: float, lam: float):
     return u_m, u_z
 
 
-@dataclass(frozen=True)
-class InterpSolution:
-    """The solved biharmonic interpolant on the annulus.
+def assemble_interpolant(wm, wz, gamma: float, lam: float) -> CurvatureQuadraticField:
+    """The interpolant wdot of the pair of boundary Weyl tensors.
 
-    ``chat_m`` and ``chat_z`` are the collapsed profile coefficients (powers
-    -4, -2, 2, 4) of the W^M and W^Z parts of wdot; ``wdot`` is the full
-    tensor field with exact derivatives; the metric is delta + a^2 wdot.
+    Both tensors are assumed already expressed in the shared aligned frame.
+    One radial solve per source tensor gives the profile coefficients (powers
+    -4, -2, 2, 4) of the W^M and W^Z parts; the metric is delta + a^2 wdot.
     """
-
-    wm: np.ndarray
-    wz: np.ndarray
-    gamma: float
-    lam: float
-    chat_m: np.ndarray
-    chat_z: np.ndarray
-    wdot: CurvatureQuadraticField
-
-
-def assemble_interpolant(wm, wz, params) -> InterpSolution:
-    """Solve the interpolation system for the pair of boundary Weyl tensors.
-
-    ``params`` needs attributes gamma and lam (a GluingParams works).  Both
-    tensors are assumed already expressed in the shared aligned frame.  The
-    collapsed representation uses one radial solve per source tensor; the
-    per-harmonic audit path is available via ``harmonic_component``.
-    """
-    gamma = float(params.gamma)
-    lam = float(params.lam)
+    gamma, lam = float(gamma), float(lam)
     if not 0.0 < gamma < 1.0:
         raise AnnulusDomainError(f"gamma must lie in (0, 1), got {gamma}")
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    tm, tz = np.asarray(wm, dtype=float), np.asarray(wz, dtype=float)
-    u_m, u_z = unit_sources(gamma, lam)
-    chat_m = solve_profile(gamma, u_m)
-    chat_z = solve_profile(gamma, u_z)
     terms = []
-    for c, p in zip(chat_m, PROFILE_POWERS):
-        terms.append((float(c), tm, float(p - 2.0)))
-    for c, p in zip(chat_z, PROFILE_POWERS):
-        terms.append((float(c), tz, float(p - 2.0)))
-    wdot = CurvatureQuadraticField(terms)
-    return InterpSolution(wm=tm, wz=tz, gamma=gamma, lam=lam,
-                          chat_m=chat_m, chat_z=chat_z, wdot=wdot)
+    for w, u in zip((wm, wz), unit_sources(gamma, lam)):
+        t = np.asarray(w, dtype=float)
+        terms += [(float(c), t, float(p - 2.0))
+                  for c, p in zip(solve_profile(gamma, u), PROFILE_POWERS)]
+    return CurvatureQuadraticField(terms)
 
 
-def harmonic_component(sol: InterpSolution, i: int, j: int):
-    """Audit path: the (i, j) component of wdot as a per-harmonic profile sum.
+def harmonic_component(wm, wz, gamma: float, lam: float, i: int, j: int):
+    """The (i, j) component of the interpolant as a per-harmonic profile sum.
 
-    Returns (pairs, evaluate) where pairs is the list of
-    (SphHarm2, profile chat) covering the boundary cases of the component,
-    and evaluate(x) sums profile(r) * harmonic(theta) at ambient points.
-    It must agree with sol.wdot's (i, j) component pointwise.
+    Each boundary case of the component gets its own radial solve; the
+    returned evaluate(x) sums profile(r) * harmonic(theta) at ambient points.
+    It agrees with ``assemble_interpolant``'s (i, j) component pointwise.
     """
-    gamma, lam = sol.gamma, sol.lam
-    wm, wz = sol.wm, sol.wz
     pairs = []
     if i == j:
         s, t, u = [k for k in range(DIM) if k != i]
@@ -351,22 +296,4 @@ def harmonic_component(sol: InterpSolution, i: int, j: int):
             out = out + radial_profile(chat, r) * harm(xb)
         return out[0] if single else out
 
-    return pairs, evaluate
-
-
-def tt_residual(sol: InterpSolution, x):
-    """Trace and Euclidean divergence of wdot at annulus points.
-
-    Both vanish identically for a valid interpolant: the building blocks
-    W_kijl x^k x^l |x|^p are transverse and traceless for every power p by
-    the curvature symmetries of W.
-    """
-    xb, single = _as_batch(x)
-    r = np.sqrt(np.einsum("na,na->n", xb, xb))
-    if not np.all((r > sol.gamma) & (r < 1.0)):
-        raise AnnulusDomainError("points must lie inside the open annulus")
-    trace = sol.wdot.trace(xb)
-    div = sol.wdot.divergence(xb)
-    if single:
-        return float(trace[0]), div[0]
-    return trace, div
+    return evaluate

@@ -384,7 +384,7 @@ def fd_linearize(chart: MetricChart, h, x, quantity: str):
         if quantity == "scal":
             return scal
         if quantity == "weyl":
-            return weyl_from_riemann(riem, g[0], ric, float(scal))
+            return weyl_from_riemann(riem, g[0])
         raise ValueError(f"unknown quantity {quantity!r}")
 
     def central(tt):

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
 import numpy as np
 
 from .tensor_core import DIM
 from .fields import CurvatureQuadraticField
 from . import curvature as _curv
-from .biharmonic import InterpSolution, assemble_interpolant
+from .biharmonic import assemble_interpolant
 from .duality import interaction_star, positivity_bound
 from .gluing import GluingParams, model_F, model_H
 
@@ -342,14 +342,14 @@ def second_variation(h, domain, form: str = "bilap") -> BoundaryFunctional:
 # ---------------------------------------------------------------------------
 # the inner and outer expansions
 
-def phi_inner(interp: InterpSolution) -> BoundaryFunctional:
-    """Boundary functional of the interpolant at |x| = gamma, annulus side."""
-    return boundary_functional(interp.wdot, interp.gamma, -1.0, "bilap")
+def phi_inner(wdot: CurvatureQuadraticField, gamma: float) -> BoundaryFunctional:
+    """Boundary functional of the interpolant wdot at |x| = gamma, annulus side."""
+    return boundary_functional(wdot, float(gamma), -1.0, "bilap")
 
 
-def phi_outer(interp: InterpSolution) -> BoundaryFunctional:
-    """Boundary functional of the interpolant at |x| = 1, annulus side."""
-    return boundary_functional(interp.wdot, 1.0, 1.0, "bilap")
+def phi_outer(wdot: CurvatureQuadraticField) -> BoundaryFunctional:
+    """Boundary functional of the interpolant wdot at |x| = 1, annulus side."""
+    return boundary_functional(wdot, 1.0, 1.0, "bilap")
 
 
 def inner_model_energy(wm, gamma: float) -> float:
@@ -372,9 +372,9 @@ def extract_interaction_coefficient(wm, wz, gamma: float, lam_grid=LAMBDA_GRID) 
     lam_grid = np.asarray(lam_grid, dtype=float)
     rows, inner_vals, outer_vals = [], [], []
     for lam in lam_grid:
-        interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=gamma, lam=lam))
-        inner_vals.append(phi_inner(interp).value)
-        outer_vals.append(phi_outer(interp).value)
+        wdot = assemble_interpolant(wm, wz, gamma, lam)
+        inner_vals.append(phi_inner(wdot, gamma).value)
+        outer_vals.append(phi_outer(wdot).value)
         rows.append([1.0, lam ** 2, lam ** 4])
     basis = np.asarray(rows)
     cond = np.linalg.cond(basis)
@@ -426,8 +426,8 @@ class EnergyBalance:
 
 def leading_bracket(wm, wz, gamma: float, lam: float) -> float:
     """Phi_gamma + Phi_1 minus the two model energies at the same scales."""
-    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=gamma, lam=lam))
-    return (phi_inner(interp).value + phi_outer(interp).value
+    wdot = assemble_interpolant(wm, wz, gamma, lam)
+    return (phi_inner(wdot, gamma).value + phi_outer(wdot).value
             - inner_model_energy(wm, gamma)
             - lam ** 4 * outer_model_energy(wz))
 
@@ -441,9 +441,8 @@ def constant_C(wm, gamma: float) -> float:
     half an ulp of ``phi_inner``), and the outer model of W^Z = 0 is 0; C
     is ``phi_inner`` minus the inner model energy, bit for bit the bracket.
     """
-    interp = assemble_interpolant(wm, np.zeros((DIM,) * 4),
-                                  SimpleNamespace(gamma=gamma, lam=1.0))
-    return phi_inner(interp).value - inner_model_energy(wm, gamma)
+    wdot = assemble_interpolant(wm, np.zeros((DIM,) * 4), gamma, 1.0)
+    return phi_inner(wdot, gamma).value - inner_model_energy(wm, gamma)
 
 
 def energy_balance(wm, wz, params: GluingParams) -> EnergyBalance:

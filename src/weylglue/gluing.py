@@ -123,11 +123,11 @@ class GluedChart(MetricChart):
 
     def __init__(self, wm, wz, params: GluingParams):
         self.params = params
-        self.interp = assemble_interpolant(_weyl_tensor(wm), _weyl_tensor(wz), params)
+        wm, wz = _weyl_tensor(wm), _weyl_tensor(wz)
         a = params.a
-        self.inner = model_F(self.interp.wm).scaled(a * a)
-        self.outer = model_H(self.interp.wz).scaled(params.b ** 2)
-        self.mid = self.interp.wdot.scaled(a * a)
+        self.inner = model_F(wm).scaled(a * a)
+        self.outer = model_H(wz).scaled(params.b ** 2)
+        self.mid = assemble_interpolant(wm, wz, params.gamma, params.lam).scaled(a * a)
 
     def contains(self, x):
         xb, _ = _as_batch(x)

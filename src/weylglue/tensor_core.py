@@ -121,15 +121,13 @@ def tensor_from_op(op: np.ndarray) -> np.ndarray:
     return -np.einsum("ab,bpq,ars->pqrs", op, _BASIS_FORMS, _BASIS_FORMS)
 
 
-def weyl_from_riemann(riem: np.ndarray, g: np.ndarray,
-                      ric: np.ndarray | None = None,
-                      scal: float | None = None) -> np.ndarray:
+def weyl_from_riemann(riem: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Totally trace-free (Weyl) part of a curvature tensor, n = 4.
 
     W_ijkl = R_ijkl - 1/2 (R_jk g_il + R_il g_jk - R_ik g_jl - R_jl g_ik)
              + (R/6) (g_jk g_il - g_ik g_jl).
-    Ricci and scalar curvature are computed from ``riem`` when not supplied.
-    The result is trace-free in every index pair.
+    Ricci and scalar curvature are computed from ``riem`` and ``g``.  The
+    result is trace-free in every index pair.
     """
     riem = np.asarray(riem, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -137,10 +135,8 @@ def weyl_from_riemann(riem: np.ndarray, g: np.ndarray,
     if abs(np.linalg.det(g)) < 1e-14:
         raise np.linalg.LinAlgError("degenerate metric")
     ginv = np.linalg.inv(g)
-    if ric is None:
-        ric = np.einsum("kijl,kl->ij", riem, ginv)
-    if scal is None:
-        scal = float(np.einsum("ij,ij->", ginv, ric))
+    ric = np.einsum("kijl,kl->ij", riem, ginv)
+    scal = float(np.einsum("ij,ij->", ginv, ric))
     n = DIM
     ric_part = (np.einsum("jk,il->ijkl", ric, g) + np.einsum("il,jk->ijkl", ric, g)
                 - np.einsum("ik,jl->ijkl", ric, g) - np.einsum("jl,ik->ijkl", ric, g))
@@ -208,17 +204,27 @@ def algweyl_from_spectrum(sd, asd, frame: np.ndarray | None = None) -> np.ndarra
 def spectrum_from_json(payload: dict):
     """Parse the {"sd": [...], "asd": [...]} spectrum payload.
 
-    Each triple must be finite.  One whose sum is nonzero but at most 1e-9
-    times ``_scale`` of the triple is projected back onto the trace-free
-    plane; a larger sum is rejected.
+    Each triple must be a list of three finite numbers; a bool or a string
+    that reads as a number is refused, as it is for a config value.  One
+    whose sum is nonzero but at most 1e-9 times ``_scale`` of the triple is
+    projected back onto the trace-free plane; a larger sum is rejected.
     """
+    if not isinstance(payload, dict):
+        raise ValueError("spectrum payload must be a JSON object with keys 'sd' "
+                         f"and 'asd', got {payload!r}")
     out = []
     for key in ("sd", "asd"):
         if key not in payload:
             raise ValueError(f"spectrum payload missing {key!r}")
-        triple = np.asarray(payload[key], dtype=float)
-        if triple.shape != (3,):
-            raise ValueError(f"{key!r} must be a triple")
+        entries = payload[key]
+        if (not isinstance(entries, list) or len(entries) != 3
+                or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                       for v in entries)):
+            raise ValueError(f"{key!r} must be a triple of numbers, got {entries!r}")
+        try:
+            triple = np.array(entries, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{key!r} has non-finite entries: {entries!r}") from None
         if not np.isfinite(triple).all():
             raise ValueError(f"{key!r} has non-finite entries: {triple.tolist()}")
         s = triple.sum()

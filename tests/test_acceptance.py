@@ -12,7 +12,6 @@ the cutoff-region scaling.
 import numpy as np
 import pytest
 import warnings
-from types import SimpleNamespace
 
 from weylglue import biharmonic as bh
 from weylglue import curvature as cv
@@ -74,8 +73,8 @@ def test_biharmonic_interpolation_system():
         for gamma in (0.3, 0.1, 0.02):
             v_g = bh.boundary_vector("offdiag-phi", (0, 1, 2, 3), wm, wz,
                                      gamma, lam)
-            c_closed = bh.solve_profile(gamma, v_g, method="closed")
-            c_direct = bh.solve_profile(gamma, v_g, method="direct")
+            c_closed = bh.solve_profile(gamma, v_g)
+            c_direct = np.linalg.solve(bh.a_gamma(gamma), v_g)
             scale = max(np.abs(c_direct).max(), 1e-30)
             assert np.abs(c_closed - c_direct).max() < 1e-11 * scale
 
@@ -89,22 +88,20 @@ def test_biharmonic_interpolation_system():
             assert bh.radial_profile(c_closed, 1.0, deriv=1) \
                 == pytest.approx(v_g[3], abs=1e-10 * vscale)
 
-            sol = bh.assemble_interpolant(wm, wz,
-                                          SimpleNamespace(gamma=gamma, lam=lam))
+            wdot = bh.assemble_interpolant(wm, wz, gamma, lam)
             dirs = rng.standard_normal((100, 4))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             x = (gamma + rng.uniform(0.02, 0.98, (100, 1)) * (1.0 - gamma)) * dirs
-            d4 = sol.wdot.derivative(x, 4)
+            d4 = wdot.derivative(x, 4)
             d4scale = max(np.abs(d4).max(), 1e-30)
             assert np.abs(np.einsum("naabbij->nij", d4)).max() < 1e-9 * d4scale
 
         # truncation orders of the small-gamma coefficient expansion
         residuals = np.zeros((len(exp_gammas), 4))
         for k, gamma in enumerate(exp_gammas):
-            exact = bh.solve_profile(gamma, v, method="direct")
-            approx, orders = bh.smallgamma_expansion(v, gamma)
-            residuals[k] = np.abs(exact - approx)
-        for j, order in enumerate(bh.EXPANSION_RESIDUAL_ORDERS):
+            exact = np.linalg.solve(bh.a_gamma(gamma), v)
+            residuals[k] = np.abs(exact - bh.smallgamma_expansion(v, gamma))
+        for j, order in enumerate((8, 4, 4, 4)):
             slope = np.polyfit(np.log(exp_gammas), np.log(residuals[:, j]), 1)[0]
             assert abs(slope - order) < 0.3
 
@@ -114,24 +111,22 @@ def test_interpolant_is_transverse_traceless():
     for _ in range(50):
         wm, wz = random_pair(rng)
         gamma = float(rng.uniform(0.05, 0.35))
-        sol = bh.assemble_interpolant(wm, wz,
-                                      SimpleNamespace(gamma=gamma,
-                                                      lam=float(rng.uniform(0.5, 3.0))))
+        lam = float(rng.uniform(0.5, 3.0))
+        wdot = bh.assemble_interpolant(wm, wz, gamma, lam)
         dirs = rng.standard_normal((100, 4))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         x = (gamma + rng.uniform(0.02, 0.98, (100, 1)) * (1.0 - gamma)) * dirs
-        trace, div = bh.tt_residual(sol, x)
-        scale = max(np.abs(sol.wdot.derivative(x, 0)).max(), 1e-30)
-        assert np.abs(trace).max() < 1e-10 * scale
-        assert np.abs(div).max() < 1e-10 * scale
+        scale = max(np.abs(wdot.derivative(x, 0)).max(), 1e-30)
+        assert np.abs(wdot.trace(x)).max() < 1e-10 * scale
+        assert np.abs(wdot.divergence(x)).max() < 1e-10 * scale
 
         # harmonic-sum representation against the collapsed evaluation
         point = x[0]
-        direct = sol.wdot.derivative(point[None], 0)[0]
+        direct = wdot.derivative(point[None], 0)[0]
         dscale = max(np.abs(direct).max(), 1e-30)
         for i in range(4):
             for j in range(i, 4):
-                _, evaluate = bh.harmonic_component(sol, i, j)
+                evaluate = bh.harmonic_component(wm, wz, gamma, lam, i, j)
                 assert abs(evaluate(point) - direct[i, j]) < 1e-12 * dscale
 
 

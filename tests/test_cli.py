@@ -167,6 +167,32 @@ def test_balance_auto_margin_must_be_nonnegative(spectra, capsys, margin, want):
     assert code == want
 
 
+@pytest.mark.parametrize("manual", [
+    ["--lambda", "5"], ["--gamma", "0.5", "--a", "0.3"],
+    # invalid values are refused for the conflict, not read
+    ["--lambda", "5", "--gamma", "0.5", "--a", "0.3"], ["--a", "-1"]])
+def test_balance_auto_refuses_manual_parameters(spectra, capsys, manual):
+    code = cli.main(["balance", spectra["pair"], spectra["pair"], "--auto", "1.0", *manual])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert "--auto conflicts with" in captured.err
+    assert all(flag in captured.err for flag in manual if flag.startswith("--"))
+
+
+def test_balance_auto_refuses_manual_parameters_from_config(spectra, capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"auto": 1.0, "gamma": 0.02}))
+    code = cli.main(["balance", spectra["pair"], spectra["pair"], "--config", str(conf)])
+    assert code == cli.EXIT_INPUT
+    assert "--auto conflicts with --gamma" in capsys.readouterr().err
+    conf.write_text(json.dumps({"lambda": 2.0}))
+    code = cli.main(["balance", spectra["pair"], spectra["pair"], "--config", str(conf),
+                     "--auto", "1.0"])
+    assert code == cli.EXIT_INPUT
+    assert "--auto conflicts with --lambda" in capsys.readouterr().err
+
+
 def test_balance_missing_params_exits_two(spectra, capsys):
     code, _ = run(["balance", spectra["pair"], spectra["pair"],
                    "--lambda", "2.0"], capsys)
@@ -382,6 +408,37 @@ def test_non_finite_spectrum_exits_two(capsys, tmp_path):
     code = cli.main(["interact", str(path), str(path)])
     assert code == cli.EXIT_INPUT
     assert "'sd'" in capsys.readouterr().err
+
+
+GOOD = {"sd": [1.0, 0.0, -1.0], "asd": [1.0, 0.0, -1.0]}
+
+
+@pytest.mark.parametrize("command", ["interact", "balance"])
+@pytest.mark.parametrize("text, key", [
+    # not a JSON object
+    pytest.param("5", "'sd' and 'asd'", id="number"),
+    pytest.param('["sd", "asd"]', "'sd' and 'asd'", id="list"),
+    pytest.param('"sd asd"', "'sd' and 'asd'", id="string"),
+    # an entry that is no triple of numbers; the bools sum to zero
+    pytest.param(json.dumps({**GOOD, "sd": {"a": 1}}), "'sd'", id="object-entry"),
+    pytest.param(json.dumps({**GOOD, "asd": [True, False, -1]}), "'asd'", id="bools"),
+    pytest.param(json.dumps({**GOOD, "sd": ["1", "0", "-1"]}), "'sd'", id="numeric-strings"),
+    pytest.param(json.dumps({**GOOD, "asd": "1 0 -1"}), "'asd'", id="string-entry"),
+    pytest.param(json.dumps({**GOOD, "sd": None}), "'sd'", id="null-entry"),
+    pytest.param(json.dumps({**GOOD, "sd": [1.0, 0.0]}), "'sd'", id="pair"),
+    # an integer that no float holds
+    pytest.param('{"sd": [1%s, 0, -1%s], "asd": [1, 0, -1]}' % ("0" * 400, "0" * 400),
+                 "'sd'", id="huge-int")])
+def test_malformed_spectrum_file_exits_two(tmp_path, capsys, command, text, key):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(text)
+    good.write_text(json.dumps(GOOD))
+    extra = ["--auto", "1.0"] if command == "balance" else []
+    code = cli.main([command, str(good), str(bad), *extra])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert key in captured.err
 
 
 @pytest.mark.parametrize("argv", [

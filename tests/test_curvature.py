@@ -230,8 +230,7 @@ def test_weyl_density_matches_finite_differences(seed):
         # the default 1e-5 step leaves about 1e-5 of roundoff in d2g
         data = cv.fd_curvature(chart, p, step=1e-3)
         g = chart.metric(p)
-        fd.append(_density(tc.weyl_from_riemann(data["riemann"], g, data["ricci"],
-                                                data["scalar"]), g))
+        fd.append(_density(tc.weyl_from_riemann(data["riemann"], g), g))
     fd = np.array(fd)
     assert np.abs(dens - fd).max() <= 1e-6 * np.abs(fd).max()
 

@@ -4,11 +4,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import warnings
-from types import SimpleNamespace
 
 from weylglue import energy as en
 from weylglue import tensor_core as tc
-from weylglue.biharmonic import PROFILE_POWERS, assemble_interpolant
+from weylglue.biharmonic import (PROFILE_POWERS, assemble_interpolant, solve_profile,
+                                 unit_sources)
 from weylglue.curvature import FieldChart, flat_chart, weyl_density
 from weylglue.fields import CurvatureQuadraticField, PolynomialField
 from weylglue.gluing import GluingParams, RegimeWarning, model_F, model_H
@@ -306,8 +306,7 @@ def test_bulk_integral_half_rule_equals_full_rule(form, monkeypatch):
 
 def test_phi_boundary_terms_reported():
     wm, wz = pair_tensors()
-    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=0.1, lam=2.0))
-    out = en.phi_inner(interp)
+    out = en.phi_inner(assemble_interpolant(wm, wz, 0.1, 2.0), 0.1)
     assert set(out.breakdown) == {"h_d3", "hess_ij", "cross", "hess_ab", "lap_rad"}
     assert out.sign == -1.0
 
@@ -331,9 +330,8 @@ def _exact_bilap(terms, r, sign):
 
 
 def _exact_bracket(wm, wz, gamma, lam):
-    it = assemble_interpolant(wm, wz, SimpleNamespace(gamma=gamma, lam=lam))
-    interp = ([(c, wm, p - 2.0) for c, p in zip(it.chat_m, PROFILE_POWERS)]
-              + [(c, wz, p - 2.0) for c, p in zip(it.chat_z, PROFILE_POWERS)])
+    interp = [(c, w, p - 2.0) for w, u in zip((wm, wz), unit_sources(gamma, lam))
+              for c, p in zip(solve_profile(gamma, u), PROFILE_POWERS)]
     return (_exact_bilap(interp, gamma, -1.0) + _exact_bilap(interp, 1.0, 1.0)
             - _exact_bilap([(-1.0 / 3.0, wm, -4.0)], gamma, -1.0)
             - lam ** 4 * _exact_bilap([(-1.0 / 3.0, wz, 0.0)], 1.0, 1.0))
@@ -385,10 +383,9 @@ def test_interaction_free_outer_functional_vanishes(gamma):
     # roundoff, far below phi_inner; constant_C leaves it out
     rng = np.random.default_rng(71)
     for _ in range(3):
-        interp = assemble_interpolant(random_weyl(rng), np.zeros((4,) * 4),
-                                      SimpleNamespace(gamma=gamma, lam=1.0))
-        inner = en.phi_inner(interp).value
-        assert abs(en.phi_outer(interp).value) <= 1e-12 * abs(inner)
+        wdot = assemble_interpolant(random_weyl(rng), np.zeros((4,) * 4), gamma, 1.0)
+        inner = en.phi_inner(wdot, gamma).value
+        assert abs(en.phi_outer(wdot).value) <= 1e-12 * abs(inner)
 
 
 def test_constant_C_at_large_gamma_agrees_with_the_bracket():
@@ -529,9 +526,9 @@ def test_boundary_quadrature_is_chunk_invariant(monkeypatch, chunk):
     # size of the sphere loop changes no bit of any boundary integral
     rng = np.random.default_rng(62)
     wm, wz = random_weyl(rng), random_weyl(rng)
-    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=0.02, lam=3.0))
+    wdot = assemble_interpolant(wm, wz, 0.02, 3.0)
     # the bracket's own sphere at level 12, the others at level 8 for time
-    cases = [(interp.wdot, 0.02, 12), (interp.wdot, 1.0, 8), (model_F(wm), 0.02, 8),
+    cases = [(wdot, 0.02, 12), (wdot, 1.0, 8), (model_F(wm), 0.02, 8),
              (model_H(wz), 1.0, 8), (CurvatureQuadraticField([]), 1.0, 8)]
     expected = [en._boundary_quadrature(*case) for case in cases]
     monkeypatch.setattr(en, "SPHERE_CHUNK", chunk)

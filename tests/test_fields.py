@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,7 +263,7 @@ def test_slab_equals_third_derivative_slab(batch):
     rng = np.random.default_rng(73)
     wm, wz = random_weyl(rng), random_weyl(rng)
     constant = CurvatureQuadraticField([(0.8, wm, 0.0)])
-    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=0.05, lam=2.0)).wdot
+    interp = assemble_interpolant(wm, wz, 0.05, 2.0)
     x = rng.uniform(0.05, 1.0, (batch, 1)) * rng.standard_normal((batch, 4))
     for h in (constant, interp):
         slab = h.jet(x, slab=True)[3]
@@ -349,9 +347,9 @@ def test_laplacians_equal_traced_derivatives(seed):
     # ``bilaplacian`` against the traces of the Leibniz derivatives
     rng = np.random.default_rng(seed)
     wm, wz = random_weyl(rng), random_weyl(rng)
-    interp = assemble_interpolant(wm, wz, SimpleNamespace(gamma=0.05, lam=1.5))
+    interp = assemble_interpolant(wm, wz, 0.05, 1.5)
     batch = rng.uniform(0.05, 1.5, (9, 1)) * rng.standard_normal((9, 4))
-    for h in (jet_field(rng), interp.wdot):
+    for h in (jet_field(rng), interp):
         for x in (batch, batch[2]):
             d2, d4 = h.derivative(x, 2), h.derivative(x, 4)
             for got, d, spec in ((h.laplacian(x), d2, "...aaij->...ij"),
