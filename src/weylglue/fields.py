@@ -17,6 +17,8 @@ Two families cover everything the construction needs:
   ``slab=True`` also the slab d_a d_b d_b h of the third derivative; the
   sphere integrals need nothing more, and the slab, like the order-3 radial
   factors it is formed from, is a quarter of the full order-3 array.
+  ``bilaplacian_terms`` is the order-4 slab d_a d_a d_b d_b h, whose double
+  trace is the bilaplacian, at a sixteenth of the full order-4 array.
 
 * ``PolynomialField`` - dense polynomial perturbations of degree 3 used as
   generic test inputs for the linearization machinery, with derivatives to
@@ -42,6 +44,8 @@ _EYE = np.eye(DIM)
 _EYE_PAIRS = (np.einsum("ab,cd->abcd", _EYE, _EYE)
               + np.einsum("ac,bd->abcd", _EYE, _EYE)
               + np.einsum("ad,bc->abcd", _EYE, _EYE))
+#: its (a, a, b, b) slab
+_EYE_PAIRS_SLAB = np.einsum("aabb->ab", _EYE_PAIRS)
 
 
 def _as_batch(x):
@@ -64,20 +68,22 @@ def _radial_basis(xb: np.ndarray, order: int, slab: bool = False):
     x_a, then delta_ab and x_a x_b, the symmetrized delta_ab x_c and
     x_a x_b x_c, the symmetrized delta_ab delta_cd, delta_ab x_c x_d and
     x_a x_b x_c x_d.  Every power of every block shares them.  With
-    ``slab`` the order-3 factors are formed only on their (a, b, b) slab,
-    2 delta_ab x_b + x_a and (x_a x_b) x_b, which is all the slab
-    d_a d_b d_b reads of them.  Each product associates left to right,
-    (x_a x_b) x_c, and delta_ab (x_c x_d) equals (delta_ab x_c) x_d
-    exactly, as delta is 0 or 1; the sums run in the order of the formula
-    above, and on the slab the first two terms of the symmetrized sum are
-    equal, so their sum is the exact double of one.
+    ``slab`` the factors of the highest order are formed only on their
+    slab, which is all the slab derivative reads of them: at order 3 the
+    (a, b, b) slab, 2 delta_ab x_b + x_a and (x_a x_b) x_b; at order 4 the
+    (a, a, b, b) slab, 1 + 2 delta_ab, x_b x_b + 4 delta_ab x_a x_b + x_a x_a
+    (its six terms added one by one) and ((x_a x_a) x_b) x_b.  Each product
+    associates left to right, (x_a x_b) x_c, and delta_ab (x_c x_d) equals
+    (delta_ab x_c) x_d exactly, as delta is 0 or 1; the sums run in the order
+    of the formula above, and on the order-3 slab the first two terms of the
+    symmetrized sum are equal, so their sum is the exact double of one.
     """
     r2 = np.einsum("na,na->n", xb, xb)
     tensors = {1: [(1, xb)]}
     if order >= 2:
         xx = xb[:, :, None] * xb[:, None, :]
         tensors[2] = [(1, _EYE[None]), (2, xx)]
-    if order >= 3 and slab:
+    if order == 3 and slab:
         sym3 = 2.0 * (_EYE[None] * xb[:, None, :]) + xb[:, :, None]
         tensors[3] = [(2, sym3), (3, xx * xb[:, None, :])]
     elif order >= 3:
@@ -86,7 +92,13 @@ def _radial_basis(xb: np.ndarray, order: int, slab: bool = False):
                 + _EYE[None, None, :, :] * xb[:, :, None, None])
         xxx = xx[:, :, :, None] * xb[:, None, None, :]
         tensors[3] = [(2, sym3), (3, xxx)]
-    if order >= 4:
+    if order >= 4 and slab:
+        x2 = xb * xb
+        mix = _EYE[None] * xx
+        sym_mix = x2[:, None, :] + mix + mix + mix + mix + x2[:, :, None]
+        xxxx = (x2[:, :, None] * xb[:, None, :]) * xb[:, None, :]
+        tensors[4] = [(2, _EYE_PAIRS_SLAB[None]), (3, sym_mix), (4, xxxx)]
+    elif order >= 4:
         sym_mix = (_EYE[None, :, :, None, None] * xx[:, None, None, :, :]
                    + _EYE[None, :, None, :, None] * xx[:, None, :, None, :]
                    + _EYE[None, :, None, None, :] * xx[:, None, :, :, None]
@@ -216,8 +228,10 @@ def _products(axes: str):
     return tuple(key + (len(list(run)),) for key, run in groupby(plan))
 
 
-#: ``_products`` of the derivative orders 0-4 and of the slab d_a d_b d_b
-_PRODUCTS = {axes: _products(axes) for axes in ("", "a", "ab", "abc", "abcd", "abb")}
+#: ``_products`` of the derivative orders 0-4 and of the slabs d_a d_b d_b
+#: and d_a d_a d_b d_b
+_PRODUCTS = {axes: _products(axes)
+             for axes in ("", "a", "ab", "abc", "abcd", "abb", "aabb")}
 
 
 def _view(arr: np.ndarray, view):
@@ -230,10 +244,11 @@ def _leibniz(q, rho, axes: str, term: np.ndarray, buf: np.ndarray):
     d2Q) and the radial derivatives rho of f (Q is quadratic, so d3Q = 0).
 
     ``axes`` labels the derivative axes: "" to "abcd" for orders 0-4, or
-    "abb" for the slab d_a d_b d_b.  The products (``_products``) are added
-    left to right, each distinct one formed once: a lone first product in
-    ``term``, every other in ``buf`` and then added as often as it occurs.
-    Both have the output's shape and are overwritten.
+    "abb" and "aabb" for the slabs d_a d_b d_b and d_a d_a d_b d_b.  The
+    products (``_products``) are added left to right, each distinct one
+    formed once: a lone first product in ``term``, every other in ``buf``
+    and then added as often as it occurs.  Both have the output's shape and
+    are overwritten.
     """
     k = len(axes)
     first = True
@@ -329,7 +344,8 @@ class CurvatureQuadraticField:
             q = _angular(s, xb, order)
             coeff = _constant(profile)
             if coeff is None:
-                basis = basis or _radial_basis(xb, order, slab="abb" in axes)
+                basis = basis or _radial_basis(
+                    xb, order, slab=any(len(set(a)) < len(a) for a in axes))
                 rho = _profile_derivs(basis, profile, order)
             for total, a in zip(out, axes):
                 if coeff is None:
@@ -363,6 +379,15 @@ class CurvatureQuadraticField:
         integrands need of the third derivative, at a quarter of its size.
         """
         return self._evaluate(x, ("", "a", "ab", "abb") if slab else ("", "a", "ab"))
+
+    def bilaplacian_terms(self, x):
+        """T[..., a, b, i, j] = d_a d_a d_b d_b h_ij, whose double trace over
+        a and b is the bilaplacian.
+
+        T equals the (a, a, b, b) slab of ``derivative(x, 4)`` bit for bit:
+        the same products are added in the same order.
+        """
+        return self._evaluate(x, ("aabb",))[0]
 
     def _radial_factor(self, x, double: bool):
         # For a term c Q_ij r^p the angular part is harmonic (Delta Q = 0

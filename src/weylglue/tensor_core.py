@@ -204,14 +204,19 @@ def algweyl_from_spectrum(sd, asd, frame: np.ndarray | None = None) -> np.ndarra
 def spectrum_from_json(payload: dict):
     """Parse the {"sd": [...], "asd": [...]} spectrum payload.
 
-    Each triple must be a list of three finite numbers; a bool or a string
-    that reads as a number is refused, as it is for a config value.  One
-    whose sum is nonzero but at most 1e-9 times ``_scale`` of the triple is
-    projected back onto the trace-free plane; a larger sum is rejected.
+    Any other key is refused, as it is for a config file.  Each triple must
+    be a list of three finite numbers; a bool or a string that reads as a
+    number is refused, as it is for a config value.  One whose sum is
+    nonzero but at most 1e-9 times ``_scale`` of the triple is projected
+    back onto the trace-free plane; a larger sum is rejected.
     """
     if not isinstance(payload, dict):
         raise ValueError("spectrum payload must be a JSON object with keys 'sd' "
                          f"and 'asd', got {payload!r}")
+    unknown = [key for key in payload if key not in ("sd", "asd")]
+    if unknown:
+        raise ValueError(f"spectrum payload has unknown key {unknown[0]!r}; "
+                         "the keys are 'sd' and 'asd'")
     out = []
     for key in ("sd", "asd"):
         if key not in payload:

@@ -55,6 +55,23 @@ def test_verify_all_runs_every_suite(capsys):
     assert [c["name"] for c in report["checks"]] == names
 
 
+POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+POOL_ENTRIES = [(pool.name, entry["id"], entry["verify_seed"])
+                for pool in sorted(POOLS.glob("pool-*"))
+                for entry in json.loads((pool / "manifest.json").read_text())["entries"]]
+
+
+@pytest.mark.parametrize("pool, entry, seed", POOL_ENTRIES,
+                         ids=[f"{pool}-{entry}" for pool, entry, _ in POOL_ENTRIES])
+def test_verify_all_emits_golden_check_names(capsys, pool, entry, seed):
+    # the benchmark's gate compares these names, in order, with the golden
+    golden = json.loads((POOLS / pool / entry / "verify.out").read_text())
+    code, out = run(["verify", "all", "--seed", str(seed)], capsys)
+    report = json.loads(out)
+    assert code == cli.EXIT_PASS and report["pass"]
+    assert [c["name"] for c in report["checks"]] == [c["name"] for c in golden["checks"]]
+
+
 def test_verify_tol_override_fails(capsys):
     code, out = run(["verify", "sphere", "--tol", "1e-20"], capsys)
     assert code == cli.EXIT_FAIL
@@ -428,7 +445,11 @@ GOOD = {"sd": [1.0, 0.0, -1.0], "asd": [1.0, 0.0, -1.0]}
     pytest.param(json.dumps({**GOOD, "sd": [1.0, 0.0]}), "'sd'", id="pair"),
     # an integer that no float holds
     pytest.param('{"sd": [1%s, 0, -1%s], "asd": [1, 0, -1]}' % ("0" * 400, "0" * 400),
-                 "'sd'", id="huge-int")])
+                 "'sd'", id="huge-int"),
+    # a key beside the two triples, or a misspelt one
+    pytest.param(json.dumps({**GOOD, "sdd": [5, 5, 5]}), "'sdd'", id="unknown-key"),
+    pytest.param(json.dumps({"sd": GOOD["sd"], "ads": GOOD["asd"]}), "'ads'",
+                 id="misspelt-key")])
 def test_malformed_spectrum_file_exits_two(tmp_path, capsys, command, text, key):
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"
     bad.write_text(text)

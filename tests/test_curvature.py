@@ -203,11 +203,12 @@ def test_batched_contractions_match_einsum_oracle(seed):
 
 
 def test_kulkarni_nomizu_conventions():
-    # the curvature module's product carries no 1/2, tensor_core's does
+    # the curvature module's product carries no 1/2, tensor_core's does; it
+    # is formed on the two-form pairs, and expanded it is the full tensor
     rng = np.random.default_rng(87)
     a, b = rng.standard_normal((2, 5, 4, 4))
     a, b = a + a.swapaxes(1, 2), b + b.swapaxes(1, 2)
-    got = cv._subtract_kulkarni_nomizu(np.zeros((5,) + (4,) * 4), a, b)
+    got = cv._expand(cv._subtract_kulkarni_nomizu(np.zeros((5, 36)), a, b))
     want = np.array([-2.0 * tc.kulkarni_nomizu(p, q) for p, q in zip(a, b)])
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -265,6 +266,18 @@ def test_weyl_density_is_even(seed):
         assert np.abs(cv.weyl_density(chart, -x) - dens).max() <= 1e-14 * np.abs(dens).max()
 
 
+@pytest.mark.parametrize("seed", [90, 91])
+def test_weyl_density_of_a_point_is_its_row_of_the_batch(seed):
+    # the sphere loops rest on this: a chunk's values, bit for bit, do not
+    # depend on the other points of the chunk
+    for chart, x in _model_charts(seed) + [_random_chart_points(seed)]:
+        dens = cv.weyl_density(chart, x)
+        for start, stop in ((0, 1), (1, 3), (3, 6)):
+            assert np.array_equal(cv.weyl_density(chart, x[start:stop].copy()),
+                                  dens[start:stop])
+        assert cv.weyl_density(chart, x[5]) == dens[5]
+
+
 @pytest.mark.parametrize("seed", [81, 82])
 def test_batched_weyl_matches_pointwise_decomposition(seed):
     # tensor_core.weyl_from_riemann spells out the trace decomposition on its
@@ -275,3 +288,50 @@ def test_batched_weyl_matches_pointwise_decomposition(seed):
         want = np.array([tc.weyl_from_riemann(cv.riemann(chart, p), chart.metric(p))
                          for p in x])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class _ConformallyFlatChart(cv.MetricChart):
+    """g = exp(2u) delta for the cubic u = c.x + x.B.x / 2 + T(x, x, x) / 6
+    (B and T symmetric), with its jet in closed form:
+    d_a g = 2 u_a g and d_a d_b g = (4 u_a u_b + 2 u_ab) g."""
+
+    def __init__(self, rng):
+        self.c = 0.5 * rng.standard_normal(4)
+        b = rng.standard_normal((4, 4))
+        self.b = 0.5 * (b + b.T)
+        t = rng.standard_normal((4, 4, 4))
+        self.t = sum(t.transpose(p) for p in
+                     ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))) / 6.0
+
+    def metric_jet(self, x):
+        xb = np.atleast_2d(x)
+        tx = np.einsum("abc,nc->nab", self.t, xb)
+        u = (xb @ self.c + 0.5 * np.einsum("na,ab,nb->n", xb, self.b, xb)
+             + np.einsum("nab,na,nb->n", tx, xb, xb) / 6.0)
+        du = self.c + xb @ self.b + 0.5 * np.einsum("nab,nb->na", tx, xb)
+        d2u = self.b + tx
+        g = np.exp(2.0 * u)[:, None, None] * np.eye(4)
+        dg = 2.0 * du[:, :, None, None] * g[:, None]
+        d2g = (4.0 * du[:, :, None] * du[:, None, :] + 2.0 * d2u)[..., None, None] * g[:, None, None]
+        jet = (g, dg, d2g)
+        return tuple(a[0] for a in jet) if np.ndim(x) == 1 else jet
+
+
+@pytest.mark.parametrize("seed", [88, 89])
+def test_weyl_density_vanishes_on_conformally_flat_chart(seed):
+    # W = 0 exactly, while Rm is of order one: the density must cancel to
+    # roundoff squared, as Rm - P (.) g does entry by entry (about 4e-32 of
+    # |Rm|^2 here).  The shortcut |Rm|^2 - 2 |Ric|^2 + R^2 / 3 leaves about
+    # 2e-15 of it, far above the bound.
+    rng = np.random.default_rng(seed)
+    chart = _ConformallyFlatChart(rng)
+    x = 0.4 * rng.standard_normal((8, 4))
+    jet = chart.metric_jet(x)
+    fd = cv.fd_metric_data(chart, x[0], step=1e-4)
+    for k in (1, 2):
+        assert np.abs(fd[k] - jet[k][0]).max() <= 1e-6 * np.abs(jet[k][0]).max()
+    riem = cv.riemann(chart, x)
+    rm2 = np.array([_density(r, chart.metric(p)) for r, p in zip(riem, x)])
+    assert rm2.min() > 1e-2
+    dens = cv.weyl_density(chart, x)
+    assert np.all(np.abs(dens) <= 1e-20 * rm2)

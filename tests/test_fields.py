@@ -272,6 +272,24 @@ def test_slab_equals_third_derivative_slab(batch):
         assert np.array_equal(slab, want)
 
 
+@pytest.mark.parametrize("batch", [1, 4, 20])
+def test_bilaplacian_terms_equal_fourth_derivative_slab(batch):
+    # the 2-block interpolant and the one-term model_F (power -4); the double
+    # trace is the bilaplacian, within roundoff of the slab's largest entry
+    rng = np.random.default_rng(74)
+    wm, wz = random_weyl(rng), random_weyl(rng)
+    x = rng.uniform(0.1, 1.0, (batch, 1)) * rng.standard_normal((batch, 4))
+    interp = assemble_interpolant(wm, wz, 0.05, 2.0)
+    assert len(interp.blocks) == 2
+    for h in (interp, gl.model_F(wm)):
+        terms = h.bilaplacian_terms(x)
+        want = np.einsum("naabbij->nabij", h.derivative(x, 4))
+        assert terms.shape == want.shape == (batch, 4, 4, 4, 4)
+        assert np.array_equal(terms, want)
+        assert (np.abs(np.einsum("nabij->nij", terms) - h.bilaplacian(x)).max()
+                <= 1e-12 * np.abs(terms).max())
+
+
 def _charts(rng):
     quad = cv.FieldChart(jet_field(rng), scale=0.3)
     poly = cv.polynomial_chart(PolynomialField.random(rng, scale=0.05))
