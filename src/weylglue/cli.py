@@ -114,7 +114,7 @@ def _suite_curvature(rng):
     err = 0.0
     for _ in range(3):
         field = PolynomialField.random(rng, scale=0.05)
-        chart = curvature.polynomial_chart(field)
+        chart = curvature.FieldChart(field)
         x = 0.3 * rng.standard_normal(4)
         h = PolynomialField.random(rng, scale=1.0)
         lin = curvature.linearize_curvature(chart, h, x)
@@ -332,8 +332,9 @@ def _write_csv(rows, path: str | None) -> None:
 def cmd_sweep(args) -> int:
     wm = _load_spectrum(args.wm)
     wz = _load_spectrum(args.wz)
-    lam_grid = args.lambda_grid or list(energy.LAMBDA_GRID)
-    gamma_grid = args.gamma_grid or list(energy.GAMMA_GRID)
+    # the default only for a grid not given: an empty one is refused below
+    lam_grid = list(energy.LAMBDA_GRID) if args.lambda_grid is None else args.lambda_grid
+    gamma_grid = list(energy.GAMMA_GRID) if args.gamma_grid is None else args.gamma_grid
     if not lam_grid or not gamma_grid:
         raise ValueError("empty sweep grid")
     flags = duality.positivity_bound(wm, wz)
@@ -381,8 +382,10 @@ def _apply_config(args, parser, argv):
     if not isinstance(conf, dict):
         raise ValueError("config file must hold a JSON object")
     sub = parser.commands[args.command]
+    # a config file names no other config file: the key is unknown
     options = {a.dest: a for a in sub._actions
-               if a.option_strings and a.default is not argparse.SUPPRESS}
+               if a.option_strings and a.default is not argparse.SUPPRESS
+               and a.dest != "config"}
     alias = {"lambda": "lam"}
     defaults = {}
     for key, value in conf.items():

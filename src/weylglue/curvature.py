@@ -41,7 +41,7 @@ from itertools import product
 import numpy as np
 
 from .tensor_core import DIM, LEX_PAIRS, weyl_from_riemann
-from .fields import CurvatureQuadraticField, PolynomialField, _as_batch
+from .fields import CurvatureQuadraticField, _as_batch
 
 _EYE = np.eye(DIM)
 
@@ -120,19 +120,14 @@ def _unbatch(arrays, single):
     return tuple(a[0] for a in arrays) if single else tuple(arrays)
 
 
-def flat_chart() -> MetricChart:
-    return MetricChart()
-
 def cnc_model(w: np.ndarray) -> FieldChart:
     """Conformal normal form chart delta - 1/3 W_kijl x^k x^l."""
     return FieldChart(CurvatureQuadraticField([(-1.0 / 3.0, w, 0.0)]))
 
+
 def inverted_model(w: np.ndarray, r_min: float = 1e-8) -> FieldChart:
     """Inverted-end chart delta - 1/3 W_kijl x^k x^l / |x|^4."""
     return FieldChart(CurvatureQuadraticField([(-1.0 / 3.0, w, -4.0)]), r_min=r_min)
-
-def polynomial_chart(field: PolynomialField) -> FieldChart:
-    return FieldChart(field)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,17 @@ Two families cover everything the construction needs:
   field is evaluated as one block per distinct tensor: Q_S(x) f(r), with
   the quadratic form Q_S(x)_ij = S_klij x^k x^l and the radial profile
   f(r) = sum_k c_k r^(p_k), so the interpolant is two blocks, not eight
-  terms.  Exact derivatives up to fourth order come from one Leibniz
-  expansion per block against the summed radial derivatives of f.
-  ``derivative`` and ``jet`` share one pass over the blocks, which forms
-  the angular and radial factors only up to the highest order it returns
-  (an order-0 call forms Q alone).  ``jet`` evaluates h, dh, d2h, and with
-  ``slab=True`` also the slab d_a d_b d_b h of the third derivative; the
-  sphere integrals need nothing more, and the slab, like the order-3 radial
-  factors it is formed from, is a quarter of the full order-3 array.
+  terms.  Exact derivatives come from one Leibniz expansion per block
+  against the summed radial derivatives of f.  ``derivative`` (orders 0-2)
+  and ``jet`` share one pass over the blocks, which forms the angular and
+  radial factors only up to the highest order it returns (an order-0 call
+  forms Q alone).  ``jet`` evaluates h, dh, d2h, and with ``slab=True``
+  also the slab d_a d_b d_b h of the third derivative; the sphere integrals
+  need nothing more, and the slab, like the order-3 radial factors it is
+  formed from, is a quarter of the full order-3 array.
   ``bilaplacian_terms`` is the order-4 slab d_a d_a d_b d_b h, whose double
-  trace is the bilaplacian, at a sixteenth of the full order-4 array.
+  trace is the bilaplacian, at a sixteenth of the full order-4 array.  The
+  full third and fourth derivatives are never formed.
 
 * ``PolynomialField`` - dense polynomial perturbations of degree 3 used as
   generic test inputs for the linearization machinery, with derivatives to
@@ -40,12 +41,8 @@ import numpy as np
 from .tensor_core import DIM
 
 _EYE = np.eye(DIM)
-#: delta_ab delta_cd + delta_ac delta_bd + delta_ad delta_bc
-_EYE_PAIRS = (np.einsum("ab,cd->abcd", _EYE, _EYE)
-              + np.einsum("ac,bd->abcd", _EYE, _EYE)
-              + np.einsum("ad,bc->abcd", _EYE, _EYE))
-#: its (a, a, b, b) slab
-_EYE_PAIRS_SLAB = np.einsum("aabb->ab", _EYE_PAIRS)
+#: the (a, a, b, b) slab of delta_ab delta_cd + delta_ac delta_bd + delta_ad delta_bc
+_EYE_PAIRS_SLAB = 1.0 + 2.0 * _EYE
 
 
 def _as_batch(x):
@@ -58,55 +55,45 @@ def _as_batch(x):
     return x, single
 
 
-def _radial_basis(xb: np.ndarray, order: int, slab: bool = False):
+def _radial_basis(xb: np.ndarray, order: int):
     """The factors of the radial derivatives that depend on x alone.
 
     Returns (r2, tensors): r2 = |x|^2 and, for each derivative order k up
     to ``order``, the pairs (j, B) of
     d^k |x|^p = sum_j [p (p - 2) ... (p - 2j + 2)] B r^(p - 2j).
     Each B has a leading batch axis, of length 1 for the constant ones:
-    x_a, then delta_ab and x_a x_b, the symmetrized delta_ab x_c and
-    x_a x_b x_c, the symmetrized delta_ab delta_cd, delta_ab x_c x_d and
-    x_a x_b x_c x_d.  Every power of every block shares them.  With
-    ``slab`` the factors of the highest order are formed only on their
-    slab, which is all the slab derivative reads of them: at order 3 the
-    (a, b, b) slab, 2 delta_ab x_b + x_a and (x_a x_b) x_b; at order 4 the
-    (a, a, b, b) slab, 1 + 2 delta_ab, x_b x_b + 4 delta_ab x_a x_b + x_a x_a
+    x_a, then delta_ab and x_a x_b.  Every power of every block shares them.
+    The factors of the highest order are formed only on the slab that the
+    slab derivatives read of them: at order 3 the (a, b, b) slab of the
+    symmetrized delta_ab x_c and of x_a x_b x_c, that is 2 delta_ab x_b + x_a
+    and (x_a x_b) x_b.  At order 4 the slab d_a d_a d_b d_b reads the full
+    order-3 factors, both at (a, a, b) and at (a, b, b), and the (a, a, b, b)
+    slab of the symmetrized delta_ab delta_cd, delta_ab x_c x_d and
+    x_a x_b x_c x_d: 1 + 2 delta_ab, x_b x_b + 4 delta_ab x_a x_b + x_a x_a
     (its six terms added one by one) and ((x_a x_a) x_b) x_b.  Each product
     associates left to right, (x_a x_b) x_c, and delta_ab (x_c x_d) equals
     (delta_ab x_c) x_d exactly, as delta is 0 or 1; the sums run in the order
-    of the formula above, and on the order-3 slab the first two terms of the
-    symmetrized sum are equal, so their sum is the exact double of one.
+    of the symmetrized sums, and on the order-3 slab the first two terms are
+    equal, so their sum is the exact double of one.
     """
     r2 = np.einsum("na,na->n", xb, xb)
     tensors = {1: [(1, xb)]}
     if order >= 2:
         xx = xb[:, :, None] * xb[:, None, :]
         tensors[2] = [(1, _EYE[None]), (2, xx)]
-    if order == 3 and slab:
+    if order == 3:
         sym3 = 2.0 * (_EYE[None] * xb[:, None, :]) + xb[:, :, None]
         tensors[3] = [(2, sym3), (3, xx * xb[:, None, :])]
-    elif order >= 3:
+    elif order == 4:
         sym3 = (_EYE[None, :, :, None] * xb[:, None, None, :]
                 + _EYE[None, :, None, :] * xb[:, None, :, None]
                 + _EYE[None, None, :, :] * xb[:, :, None, None])
-        xxx = xx[:, :, :, None] * xb[:, None, None, :]
-        tensors[3] = [(2, sym3), (3, xxx)]
-    if order >= 4 and slab:
+        tensors[3] = [(2, sym3), (3, xx[:, :, :, None] * xb[:, None, None, :])]
         x2 = xb * xb
         mix = _EYE[None] * xx
         sym_mix = x2[:, None, :] + mix + mix + mix + mix + x2[:, :, None]
         xxxx = (x2[:, :, None] * xb[:, None, :]) * xb[:, None, :]
         tensors[4] = [(2, _EYE_PAIRS_SLAB[None]), (3, sym_mix), (4, xxxx)]
-    elif order >= 4:
-        sym_mix = (_EYE[None, :, :, None, None] * xx[:, None, None, :, :]
-                   + _EYE[None, :, None, :, None] * xx[:, None, :, None, :]
-                   + _EYE[None, :, None, None, :] * xx[:, None, :, :, None]
-                   + _EYE[None, None, :, :, None] * xx[:, :, None, None, :]
-                   + _EYE[None, None, :, None, :] * xx[:, :, None, :, None]
-                   + _EYE[None, None, None, :, :] * xx[:, :, :, None, None])
-        xxxx = xxx[:, :, :, :, None] * xb[:, None, None, None, :]
-        tensors[4] = [(2, _EYE_PAIRS[None]), (3, sym_mix), (4, xxxx)]
     return r2, tensors
 
 
@@ -114,8 +101,8 @@ def _radial_derivs(basis, p: float, order: int):
     """Derivatives of |x|^p up to ``order`` from a ``_radial_basis``.
 
     Returns a list [rho, d rho, d2 rho, ...] with the batch axis first and
-    the axes of the basis, e.g. d2 rho has shape (N, 4, 4), and so has
-    d3 rho on a slab basis.
+    the axes of the basis, e.g. d2 rho has shape (N, 4, 4), and so has the
+    slab that stands for the highest order.
     """
     r2, tensors = basis
     n = r2.shape[0]
@@ -228,10 +215,9 @@ def _products(axes: str):
     return tuple(key + (len(list(run)),) for key, run in groupby(plan))
 
 
-#: ``_products`` of the derivative orders 0-4 and of the slabs d_a d_b d_b
+#: ``_products`` of the derivative orders 0-2 and of the slabs d_a d_b d_b
 #: and d_a d_a d_b d_b
-_PRODUCTS = {axes: _products(axes)
-             for axes in ("", "a", "ab", "abc", "abcd", "abb", "aabb")}
+_PRODUCTS = {axes: _products(axes) for axes in ("", "a", "ab", "abb", "aabb")}
 
 
 def _view(arr: np.ndarray, view):
@@ -243,8 +229,8 @@ def _leibniz(q, rho, axes: str, term: np.ndarray, buf: np.ndarray):
     """d_axes (Q_ij f) into ``term``, from the angular factors q = (Q, dQ,
     d2Q) and the radial derivatives rho of f (Q is quadratic, so d3Q = 0).
 
-    ``axes`` labels the derivative axes: "" to "abcd" for orders 0-4, or
-    "abb" and "aabb" for the slabs d_a d_b d_b and d_a d_a d_b d_b.  The
+    ``axes`` labels the derivative axes: "", "a" and "ab" for orders 0-2,
+    or "abb" and "aabb" for the slabs d_a d_b d_b and d_a d_a d_b d_b.  The
     products (``_products``) are added left to right, each distinct one
     formed once: a lone first product in ``term``, every other in ``buf``
     and then added as often as it occurs.  Both have the output's shape and
@@ -275,7 +261,11 @@ def _constant(profile):
 
 
 class CurvatureQuadraticField:
-    """Sum of terms c * W_kijl x^k x^l |x|^p with exact derivatives to order 4.
+    """Sum of terms c * W_kijl x^k x^l |x|^p with exact derivatives.
+
+    ``derivative`` gives orders 0-2, ``jet`` the jet and the third-order
+    slab d_a d_b d_b h, and ``bilaplacian_terms`` the fourth-order slab
+    d_a d_a d_b d_b h; nothing reads more of the third and fourth orders.
 
     Each term stores the symmetrized coefficient array S[k, l, i, j] so the
     angular factor is the quadratic form Q_ij(x) = S_klij x^k x^l.  The
@@ -344,8 +334,7 @@ class CurvatureQuadraticField:
             q = _angular(s, xb, order)
             coeff = _constant(profile)
             if coeff is None:
-                basis = basis or _radial_basis(
-                    xb, order, slab=any(len(set(a)) < len(a) for a in axes))
+                basis = basis or _radial_basis(xb, order)
                 rho = _profile_derivs(basis, profile, order)
             for total, a in zip(out, axes):
                 if coeff is None:
@@ -363,20 +352,24 @@ class CurvatureQuadraticField:
 
         Returns an array of shape (..., 4^order, 4, 4): derivative axes first
         (after the batch axis), then the two tensor component axes, e.g.
-        order 2 gives D[n, a, b, i, j] = d_a d_b h_ij(x_n).
+        order 2 gives D[n, a, b, i, j] = d_a d_b h_ij(x_n).  Higher orders
+        are read only through their slabs, ``jet(x, slab=True)`` and
+        ``bilaplacian_terms``.
         """
-        if not 0 <= order <= 4:
-            raise ValueError("derivative order must be 0..4")
-        return self._evaluate(x, ("abcd"[:order],))[0]
+        if not 0 <= order <= 2:
+            raise ValueError("derivative order must be 0..2; the third and fourth "
+                             "are read through jet(x, slab=True) and bilaplacian_terms")
+        return self._evaluate(x, ("ab"[:order],))[0]
 
     def jet(self, x, slab: bool = False):
         """The jet (h, dh, d2h), and with ``slab=True`` also the slab
         T[..., a, b, i, j] = d_a d_b d_b h_ij.
 
-        The first three arrays equal ``derivative(x, k)`` for k = 0, 1, 2 and
-        T equals the b = c slab of ``derivative(x, 3)`` bit for bit: the same
-        products are added in the same order.  T is all the sphere
-        integrands need of the third derivative, at a quarter of its size.
+        The first three arrays equal ``derivative(x, k)`` for k = 0, 1, 2,
+        and T equals the b = c slab of the third derivative's Leibniz sum
+        bit for bit: the same products are added in the same order.  T is
+        all the sphere integrands need of the third derivative, at a quarter
+        of its size.
         """
         return self._evaluate(x, ("", "a", "ab", "abb") if slab else ("", "a", "ab"))
 
@@ -384,8 +377,9 @@ class CurvatureQuadraticField:
         """T[..., a, b, i, j] = d_a d_a d_b d_b h_ij, whose double trace over
         a and b is the bilaplacian.
 
-        T equals the (a, a, b, b) slab of ``derivative(x, 4)`` bit for bit:
-        the same products are added in the same order.
+        T equals the (a, a, b, b) slab of the fourth derivative's Leibniz
+        sum bit for bit, at a sixteenth of its size: the same products are
+        added in the same order.
         """
         return self._evaluate(x, ("aabb",))[0]
 
@@ -481,8 +475,3 @@ class PolynomialField:
     def jet(self, x):
         """(h, dh, d2h), equal to ``derivative(x, k)`` for k = 0, 1, 2."""
         return tuple(self.derivative(x, k) for k in range(3))
-
-
-def model_field(w: np.ndarray, coeff: float, power: float) -> CurvatureQuadraticField:
-    """Single-term field coeff * W_kijl x^k x^l |x|^power."""
-    return CurvatureQuadraticField([(coeff, w, power)])

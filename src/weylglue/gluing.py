@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_core import DIM, check_class
-from .fields import CurvatureQuadraticField, _as_batch, model_field
+from .fields import CurvatureQuadraticField, _as_batch
 from .curvature import MetricChart, _unbatch
 from .biharmonic import assemble_interpolant
 
@@ -66,12 +66,12 @@ def _weyl_tensor(w) -> np.ndarray:
 
 def model_H(wz) -> CurvatureQuadraticField:
     """Growing end model H_ij = -1/3 W^Z_kijl x^k x^l; TT with Delta H = 0."""
-    return model_field(_weyl_tensor(wz), -1.0 / 3.0, 0.0)
+    return CurvatureQuadraticField([(-1.0 / 3.0, _weyl_tensor(wz), 0.0)])
 
 
 def model_F(wm) -> CurvatureQuadraticField:
     """Decaying end model F_ij = -1/3 W^M_kijl x^k x^l / |x|^4; TT with Delta^2 F = 0."""
-    return model_field(_weyl_tensor(wm), -1.0 / 3.0, -4.0)
+    return CurvatureQuadraticField([(-1.0 / 3.0, _weyl_tensor(wm), -4.0)])
 
 
 def invert_pullback(wm, y, cubic_scale: float = 0.0,

@@ -362,7 +362,11 @@ def _command_argv(command, spectra):
     ("sweep", {"lambda-grid": 2.0}), ("sweep", {"gamma-grid": [0.08, False]}),
     ("interact", {"align": "yes"}), ("verify", {"output": 3}),
     # an option that no longer exists, with a value of either type
-    ("balance", {"sweep": 1}), ("balance", {"sweep": "x.csv"})])
+    ("balance", {"sweep": 1}), ("balance", {"sweep": "x.csv"}),
+    # an empty grid, refused as on the command line, not run as the default
+    ("sweep", {"lambda-grid": []}), ("sweep", {"gamma-grid": []}),
+    # a config file that names another one, which would never be read
+    ("balance", {"config": "/nonexistent.json"})])
 def test_bad_config_key_exits_two(spectra, capsys, tmp_path, payload):
     command, content = payload
     conf = tmp_path / "conf.json"

@@ -6,15 +6,11 @@ from weylglue import duality as du
 from weylglue import tensor_core as tc
 from weylglue.fields import CurvatureQuadraticField, PolynomialField
 
-
-def random_weyl(rng):
-    sd = rng.standard_normal(3)
-    asd = rng.standard_normal(3)
-    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean())
+from random_tensors import random_weyl
 
 
 def test_flat_chart_is_flat():
-    chart = cv.flat_chart()
+    chart = cv.MetricChart()
     x = np.array([0.3, -0.1, 0.2, 0.5])
     assert np.abs(cv.riemann(chart, x)).max() == 0.0
     assert cv.scalar(chart, x) == 0.0
@@ -39,7 +35,7 @@ def test_weyl_density_scale_invariant():
     # |W|^2_g sqrt(det g) is unchanged under a constant conformal rescaling
     rng = np.random.default_rng(6)
     field = PolynomialField.random(rng, scale=0.05)
-    chart = cv.polynomial_chart(field)
+    chart = cv.FieldChart(field)
     scaled = cv.ScaledChart(chart, 1.7)
     x = 0.2 * rng.standard_normal((5, 4))
     d1 = cv.weyl_density(chart, x)
@@ -50,7 +46,7 @@ def test_weyl_density_scale_invariant():
 def test_fd_curvature_matches_exact():
     rng = np.random.default_rng(8)
     field = PolynomialField.random(rng, scale=0.05)
-    chart = cv.polynomial_chart(field)
+    chart = cv.FieldChart(field)
     x = 0.25 * rng.standard_normal(4)
     exact = cv.riemann(chart, x)
     fd = cv.fd_curvature(chart, x)["riemann"]
@@ -61,7 +57,7 @@ def test_christoffel_matches_finite_differences():
     # three polynomial charts; a batch equals its points taken one at a time
     rng = np.random.default_rng(9)
     for _ in range(3):
-        chart = cv.polynomial_chart(PolynomialField.random(rng, scale=0.05))
+        chart = cv.FieldChart(PolynomialField.random(rng, scale=0.05))
         x = 0.25 * rng.standard_normal((5, 4))
         got = cv.christoffel(chart, x)
         assert got.shape == (5, 4, 4, 4)
@@ -75,7 +71,7 @@ def test_christoffel_matches_finite_differences():
 def test_linearization_matches_fd(quantity):
     rng = np.random.default_rng(11)
     field = PolynomialField.random(rng, scale=0.05)
-    chart = cv.polynomial_chart(field)
+    chart = cv.FieldChart(field)
     h = PolynomialField.random(rng, scale=1.0)
     x = 0.2 * rng.standard_normal(4)
     lin = cv.linearize_curvature(chart, h, x)
@@ -105,7 +101,7 @@ def test_linearized_weyl_flat_tt_agrees_with_general():
     from weylglue.gluing import model_H
     h = model_H(random_weyl(rng))
     x = np.array([0.4, -0.2, 0.1, 0.3])
-    general = cv.linearize_curvature(cv.flat_chart(), h, x)["weyl_dot"]
+    general = cv.linearize_curvature(cv.MetricChart(), h, x)["weyl_dot"]
     special = cv.linearized_weyl_flat_tt(h, x)
     assert np.abs(general - special).max() < 1e-11 * max(np.abs(general).max(), 1.0)
 
@@ -153,7 +149,7 @@ def test_inversion_reverses_orientation():
 
 
 def test_scaled_chart_metric():
-    chart = cv.flat_chart()
+    chart = cv.MetricChart()
     scaled = cv.ScaledChart(chart, 9.0)
     g = scaled.metric(np.zeros(4))
     assert np.abs(g - 9.0 * np.eye(4)).max() < 1e-14
@@ -190,7 +186,7 @@ def _density(w, g):
 
 def _random_chart_points(seed, n=6):
     rng = np.random.default_rng(seed)
-    chart = cv.polynomial_chart(PolynomialField.random(rng, scale=0.05))
+    chart = cv.FieldChart(PolynomialField.random(rng, scale=0.05))
     return chart, 0.3 * rng.standard_normal((n, 4))
 
 

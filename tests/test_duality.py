@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 from weylglue import duality as du
 from weylglue import tensor_core as tc
 
-
-def random_weyl(rng):
-    sd = rng.standard_normal(3)
-    asd = rng.standard_normal(3)
-    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean())
+from random_tensors import random_weyl
 
 
 def test_hodge_star_squares_to_identity():

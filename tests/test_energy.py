@@ -9,9 +9,11 @@ from weylglue import energy as en
 from weylglue import tensor_core as tc
 from weylglue.biharmonic import (PROFILE_POWERS, assemble_interpolant, solve_profile,
                                  unit_sources)
-from weylglue.curvature import FieldChart, flat_chart, weyl_density
+from weylglue.curvature import FieldChart, MetricChart, weyl_density
 from weylglue.fields import CurvatureQuadraticField, PolynomialField
 from weylglue.gluing import GluingParams, RegimeWarning, model_F, model_H
+
+from random_tensors import random_weyl
 
 
 SPEC = (1.0, 0.0, -1.0)
@@ -20,12 +22,6 @@ SPEC = (1.0, 0.0, -1.0)
 def pair_tensors():
     w = tc.algweyl_from_spectrum(SPEC, SPEC)
     return w, w.copy()
-
-
-def random_weyl(rng):
-    sd = rng.standard_normal(3)
-    asd = rng.standard_normal(3)
-    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean())
 
 
 def test_sphere_rule_volume():
@@ -135,9 +131,8 @@ def test_boundary_forms_agree_on_annulus():
 
 
 def test_second_variation_rejects_non_tt():
-    from weylglue.fields import model_field
     kn = tc.kulkarni_nomizu(np.eye(4), np.eye(4))
-    h = model_field(kn, 1.0, 0.0)
+    h = CurvatureQuadraticField([(1.0, kn, 0.0)])
     with pytest.raises(ValueError):
         en.second_variation(h, ("ball", 1.0))
 
@@ -203,7 +198,7 @@ def test_choose_parameters_rejects_degenerate():
 
 
 def test_rough_bound_flat_chart_is_zero():
-    out = en.rough_energy_bound(flat_chart(), 0.5, 1.0)
+    out = en.rough_energy_bound(MetricChart(), 0.5, 1.0)
     assert out["value"] == 0.0
 
 
@@ -399,6 +394,17 @@ def test_constant_C_at_large_gamma_agrees_with_the_bracket():
         assert abs(en.constant_C(wm, 0.3) - want) <= 1e-13 * abs(want)
 
 
+def test_shared_jet_refuses_other_points():
+    # the jet a dilation chunk hands its charts is valid at its own points only
+    h = model_H(random_weyl(np.random.default_rng(59)))
+    x = en.sphere_rule(4)[0][:8]
+    jet = en._JetAt(h, x)
+    assert jet.jet(x.copy()) is jet.value
+    for other in (x[:7], x + 1e-12, x[::-1]):
+        with pytest.raises(ValueError, match="other points"):
+            jet.jet(other)
+
+
 def test_zero_tensor_term_changes_no_derivative():
     rng = np.random.default_rng(58)
     w1, w2 = random_weyl(rng), random_weyl(rng)
@@ -406,8 +412,9 @@ def test_zero_tensor_term_changes_no_derivative():
     plain = CurvatureQuadraticField(terms)
     padded = CurvatureQuadraticField(terms[:1] + [(2.5, np.zeros((4,) * 4), -6.0)] + terms[1:])
     x = rng.uniform(0.2, 1.0, (7, 1)) * rng.standard_normal((7, 4))
-    for order in range(5):
-        assert np.array_equal(padded.derivative(x, order), plain.derivative(x, order))
+    for got, want in zip(padded.jet(x, slab=True), plain.jet(x, slab=True)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(padded.bilaplacian_terms(x), plain.bilaplacian_terms(x))
 
 
 def test_energy_balance_reuses_selection_quadratures(monkeypatch):

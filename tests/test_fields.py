@@ -6,15 +6,10 @@ from hypothesis import strategies as st
 from weylglue import curvature as cv
 from weylglue import fields
 from weylglue import gluing as gl
-from weylglue import tensor_core as tc
 from weylglue.biharmonic import assemble_interpolant
 from weylglue.fields import CurvatureQuadraticField, PolynomialField
 
-
-def random_weyl(rng):
-    sd = rng.standard_normal(3)
-    asd = rng.standard_normal(3)
-    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean())
+from random_tensors import random_weyl
 
 
 def jet_field(rng):
@@ -43,6 +38,23 @@ def test_fields_compare_and_hash_by_content():
     assert h != terms
 
 
+def test_points_need_four_components():
+    h = CurvatureQuadraticField([(1.0, random_weyl(np.random.default_rng(75)), -4.0)])
+    for x in (np.ones(3), np.ones((5, 3)), np.ones((2, 5))):
+        with pytest.raises(ValueError, match="4 components"):
+            h.jet(x)
+
+
+@pytest.mark.parametrize("order", [-1, 3, 4])
+def test_derivative_refuses_orders_read_through_slabs(order):
+    # the third and fourth orders exist only as the slabs the integrals read
+    h = CurvatureQuadraticField([(1.0, random_weyl(np.random.default_rng(76)), -4.0)])
+    with pytest.raises(ValueError) as info:
+        h.derivative(np.ones(4), order)
+    assert "jet(x, slab=True)" in str(info.value)
+    assert "bilaplacian_terms" in str(info.value)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        coeffs=st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10))
@@ -66,8 +78,9 @@ def test_blocks_equal_sum_of_single_terms(seed, coeffs):
         scale = max(np.abs(part).max() for part in parts)
         assert np.abs(got - sum(parts)).max() <= 1e-12 * scale
 
-    for order in range(5):
+    for order in range(3):
         close(h.derivative(x, order), [f.derivative(x, order) for f in singles])
+    close(h.bilaplacian_terms(x), [f.bilaplacian_terms(x) for f in singles])
     for slab in (True, False):
         single_jets = [f.jet(x, slab) for f in singles]
         for k, got in enumerate(h.jet(x, slab)):
@@ -85,7 +98,7 @@ def test_jet_equals_derivatives_bit_for_bit(seed):
         h0, h1, h2, slab = h.jet(x, slab=True)
         for k, got in enumerate((h0, h1, h2)):
             assert np.array_equal(got, h.derivative(x, k))
-        d3 = h.derivative(x, 3)
+        d3 = _oracle_derivative(h, x, 3)
         assert slab.shape == d3.shape[:-5] + (4, 4, 4, 4)
         assert np.array_equal(slab, np.einsum("...abbij->...abij", d3))
 
@@ -248,12 +261,14 @@ def test_kernel_equals_einsum_oracle_bit_for_bit(seed):
     assert len(h.blocks) == 3
     batch = rng.uniform(0.02, 1.5, (11, 1)) * rng.standard_normal((11, 4))
     for x in (batch, batch[5]):
-        for order in range(5):
+        for order in range(3):
             assert np.array_equal(h.derivative(x, order), _oracle_derivative(h, x, order))
         *jet, slab = h.jet(x, slab=True)
         for k, got in enumerate(jet):
             assert np.array_equal(got, _oracle_derivative(h, x, k))
         assert np.array_equal(slab, _oracle_slab(h, x))
+        assert np.array_equal(h.bilaplacian_terms(x),
+                              np.einsum("...aabbij->...abij", _oracle_derivative(h, x, 4)))
 
 
 @pytest.mark.parametrize("batch", [1, 4, 384])
@@ -267,7 +282,7 @@ def test_slab_equals_third_derivative_slab(batch):
     x = rng.uniform(0.05, 1.0, (batch, 1)) * rng.standard_normal((batch, 4))
     for h in (constant, interp):
         slab = h.jet(x, slab=True)[3]
-        want = np.einsum("nabbij->nabij", h.derivative(x, 3))
+        want = np.einsum("nabbij->nabij", _oracle_derivative(h, x, 3))
         assert slab.shape == want.shape == (batch, 4, 4, 4, 4)
         assert np.array_equal(slab, want)
 
@@ -283,7 +298,7 @@ def test_bilaplacian_terms_equal_fourth_derivative_slab(batch):
     assert len(interp.blocks) == 2
     for h in (interp, gl.model_F(wm)):
         terms = h.bilaplacian_terms(x)
-        want = np.einsum("naabbij->nabij", h.derivative(x, 4))
+        want = np.einsum("naabbij->nabij", _oracle_derivative(h, x, 4))
         assert terms.shape == want.shape == (batch, 4, 4, 4, 4)
         assert np.array_equal(terms, want)
         assert (np.abs(np.einsum("nabij->nij", terms) - h.bilaplacian(x)).max()
@@ -292,7 +307,7 @@ def test_bilaplacian_terms_equal_fourth_derivative_slab(batch):
 
 def _charts(rng):
     quad = cv.FieldChart(jet_field(rng), scale=0.3)
-    poly = cv.polynomial_chart(PolynomialField.random(rng, scale=0.05))
+    poly = cv.FieldChart(PolynomialField.random(rng, scale=0.05))
     wm, wz = random_weyl(rng), random_weyl(rng)
     glued = gl.GluedChart(wm, wz, gl.GluingParams(a=1e-5, lam=1.5, gamma=0.05))
     return [quad, poly, cv.ScaledChart(quad, 1.7), cv.ScaledChart(poly, 0.4), glued]
@@ -362,15 +377,16 @@ def test_metric_jet_matches_finite_differences(seed):
 @pytest.mark.parametrize("seed", [68, 69])
 def test_laplacians_equal_traced_derivatives(seed):
     # the closed forms p (p + 6) Q r^(p-2) of ``laplacian`` and
-    # ``bilaplacian`` against the traces of the Leibniz derivatives
+    # ``bilaplacian`` against the traces of the Leibniz second derivative
+    # and fourth-order slab d_a d_a d_b d_b
     rng = np.random.default_rng(seed)
     wm, wz = random_weyl(rng), random_weyl(rng)
     interp = assemble_interpolant(wm, wz, 0.05, 1.5)
     batch = rng.uniform(0.05, 1.5, (9, 1)) * rng.standard_normal((9, 4))
     for h in (jet_field(rng), interp):
         for x in (batch, batch[2]):
-            d2, d4 = h.derivative(x, 2), h.derivative(x, 4)
+            d2, d4 = h.derivative(x, 2), h.bilaplacian_terms(x)
             for got, d, spec in ((h.laplacian(x), d2, "...aaij->...ij"),
-                                 (h.bilaplacian(x), d4, "...aabbij->...ij")):
+                                 (h.bilaplacian(x), d4, "...abij->...ij")):
                 assert got.shape == x.shape[:-1] + (4, 4)
                 assert np.abs(got - np.einsum(spec, d)).max() <= 1e-12 * np.abs(d).max()

@@ -3,13 +3,8 @@ import pytest
 import warnings
 
 from weylglue import gluing as gl
-from weylglue import tensor_core as tc
 
-
-def random_weyl(rng):
-    sd = rng.standard_normal(3)
-    asd = rng.standard_normal(3)
-    return tc.algweyl_from_spectrum(sd - sd.mean(), asd - asd.mean())
+from random_tensors import random_weyl
 
 
 def test_params_validation():
