@@ -21,8 +21,6 @@ second spherical harmonics, one linear solve per boundary case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor_core import DIM
@@ -30,47 +28,6 @@ from .fields import CurvatureQuadraticField, _as_batch
 
 #: Powers of the radial profile basis r^p.
 PROFILE_POWERS = np.array([-4.0, -2.0, 2.0, 4.0])
-
-
-class AnnulusDomainError(ValueError):
-    """Raised for gamma or evaluation points outside the valid annulus setup."""
-
-
-# ---------------------------------------------------------------------------
-# second spherical harmonics
-
-@dataclass(frozen=True)
-class SphHarm2:
-    """A second spherical harmonic: phi(k,l) = x^k x^l or psi(k,l) = (x^k)^2 - (x^l)^2.
-
-    Evaluation takes ambient points and restricts the harmonic polynomial to
-    the unit sphere, i.e. divides by |x|^2.
-    """
-
-    kind: str  # "phi" or "psi"
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if self.kind not in ("phi", "psi"):
-            raise ValueError(f"unknown harmonic kind {self.kind!r}")
-        if self.k == self.l or not (0 <= self.k < DIM and 0 <= self.l < DIM):
-            raise ValueError("harmonic indices must be distinct and in range")
-
-    def polynomial(self, x):
-        """The degree-2 harmonic polynomial extension, before restriction."""
-        xb, single = _as_batch(x)
-        if self.kind == "phi":
-            out = xb[:, self.k] * xb[:, self.l]
-        else:
-            out = xb[:, self.k] ** 2 - xb[:, self.l] ** 2
-        return out[0] if single else out
-
-    def __call__(self, x):
-        xb, single = _as_batch(x)
-        r2 = np.einsum("na,na->n", xb, xb)
-        out = self.polynomial(xb) / r2
-        return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +54,7 @@ def radial_bilaplacian(c, r: float) -> float:
     coefficient 4-vector ``c``.
     """
     if r <= 0:
-        raise AnnulusDomainError("radius must be positive")
+        raise ValueError("radius must be positive")
     f0, f1, f2, f3, f4 = (radial_profile(c, r, d) for d in range(5))
     return float(f4 + 6 * f3 / r - 13 * f2 / r ** 2 - 19 * f1 / r ** 3 + 64 * f0 / r ** 4)
 
@@ -112,7 +69,7 @@ def a_gamma(gamma: float) -> np.ndarray:
     reference.
     """
     if not 0.0 < gamma < 1.0:
-        raise AnnulusDomainError(f"gamma must lie in (0, 1), got {gamma}")
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     g2 = gamma ** 2
     mat = np.array([
         [1.0, g2, g2 ** 3, g2 ** 4],
@@ -187,7 +144,7 @@ def solve_profile(gamma: float, v) -> np.ndarray:
     (chat = c / a^2).
     """
     if not 0.0 < gamma < 1.0:
-        raise AnnulusDomainError(f"gamma must lie in (0, 1), got {gamma}")
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     v1, v2, v3, v4 = np.asarray(v, dtype=float)
     g2 = gamma ** 2
     den = 2.0 * (g2 - 1.0) ** 3 * (1.0 + 4.0 * g2 + g2 ** 2)
@@ -251,7 +208,7 @@ def assemble_interpolant(wm, wz, gamma: float, lam: float) -> CurvatureQuadratic
     """
     gamma, lam = float(gamma), float(lam)
     if not 0.0 < gamma < 1.0:
-        raise AnnulusDomainError(f"gamma must lie in (0, 1), got {gamma}")
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     terms = []
@@ -266,34 +223,38 @@ def harmonic_component(wm, wz, gamma: float, lam: float, i: int, j: int):
     """The (i, j) component of the interpolant as a per-harmonic profile sum.
 
     Each boundary case of the component gets its own radial solve; the
-    returned evaluate(x) sums profile(r) * harmonic(theta) at ambient points.
-    It agrees with ``assemble_interpolant``'s (i, j) component pointwise.
+    returned evaluate(x) sums profile(r) * harmonic(theta) at ambient points,
+    with the second spherical harmonics phi(k, l) = x^k x^l and
+    psi(k, l) = (x^k)^2 - (x^l)^2 divided by |x|^2.  It agrees with
+    ``assemble_interpolant``'s (i, j) component pointwise.
     """
     pairs = []
     if i == j:
         s, t, u = [k for k in range(DIM) if k != i]
         for al, be in ((s, t), (s, u), (t, u)):
             v = boundary_vector("diag-phi", (i, al, be), wm, wz, gamma, lam)
-            pairs.append((SphHarm2("phi", al, be), solve_profile(gamma, v)))
+            pairs.append((("phi", al, be), solve_profile(gamma, v)))
         for al, be in ((s, u), (t, u)):
             v = boundary_vector("diag-psi", (i, al), wm, wz, gamma, lam)
-            pairs.append((SphHarm2("psi", al, be), solve_profile(gamma, v)))
+            pairs.append((("psi", al, be), solve_profile(gamma, v)))
     else:
         s, t = [k for k in range(DIM) if k not in (i, j)]
         for al, be in ((j, i), (j, s), (j, t), (s, i), (t, i)):
             v = boundary_vector("offdiag-phi", (i, j, al, be), wm, wz, gamma, lam)
-            pairs.append((SphHarm2("phi", al, be), solve_profile(gamma, v)))
+            pairs.append((("phi", al, be), solve_profile(gamma, v)))
         v = boundary_vector("offdiag-phi-st", (i, j), wm, wz, gamma, lam)
-        pairs.append((SphHarm2("phi", s, t), solve_profile(gamma, v)))
+        pairs.append((("phi", s, t), solve_profile(gamma, v)))
         v = boundary_vector("offdiag-psi-st", (i, j), wm, wz, gamma, lam)
-        pairs.append((SphHarm2("psi", s, t), solve_profile(gamma, v)))
+        pairs.append((("psi", s, t), solve_profile(gamma, v)))
 
     def evaluate(x):
         xb, single = _as_batch(x)
-        r = np.sqrt(np.einsum("na,na->n", xb, xb))
+        r2 = np.einsum("na,na->n", xb, xb)
+        r = np.sqrt(r2)
         out = np.zeros(xb.shape[0])
-        for harm, chat in pairs:
-            out = out + radial_profile(chat, r) * harm(xb)
+        for (kind, k, l), chat in pairs:
+            poly = xb[:, k] * xb[:, l] if kind == "phi" else xb[:, k] ** 2 - xb[:, l] ** 2
+            out = out + radial_profile(chat, r) * (poly / r2)
         return out[0] if single else out
 
     return evaluate

@@ -183,8 +183,8 @@ def _suite_variation(rng):
     checks = []
     wz = _random_weyl(rng)
     h = gluing.model_H(wz)
-    phi = energy.second_variation(h, ("ball", 1.0), form="bilap").value
-    phi2 = energy.second_variation(h, ("ball", 1.0), form="biharm").value
+    phi = energy.second_variation(h, ("ball", 1.0), form="bilap")
+    phi2 = energy.second_variation(h, ("ball", 1.0), form="biharm")
     checks.append(_check("boundary-forms-agree", "quadratic-expansion",
                          abs(phi - phi2) / max(abs(phi), 1e-30), 1e-10))
     ts = np.geomspace(1e-3, 1e-2, 5)
@@ -218,8 +218,8 @@ def cmd_verify(args) -> int:
         names = [args.suite]
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
-    if args.tol is not None and not np.isfinite(args.tol):
-        raise ValueError(f"--tol must be finite, got {args.tol}")
+    if args.tol is not None and not 0.0 <= args.tol < np.inf:
+        raise ValueError(f"--tol must be finite and at least 0, got {args.tol}")
     checks = []
     for name in names:
         rng = np.random.default_rng(args.seed)
@@ -481,6 +481,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OverflowError:
+        # Python float arithmetic on an input too large for it (lam ** 4)
+        print("error: floating-point overflow: an input is too large", file=sys.stderr)
         return EXIT_INPUT
 
 

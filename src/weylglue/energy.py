@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from types import MappingProxyType
 
 import numpy as np
 
@@ -228,35 +227,21 @@ def dilation_energy(h, ts, level: int = 10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the quadratic boundary functional
 
-@dataclass(frozen=True)
-class BoundaryFunctional:
-    """Value and read-only per-term breakdown of the quadratic boundary expression."""
-
-    value: float
-    form: str
-    radius: float
-    sign: float
-    breakdown: MappingProxyType
-
-
 @lru_cache(maxsize=128)
-def _boundary_terms(h, r: float, level: int) -> MappingProxyType:
-    """``_boundary_quadrature`` memoised on (h, r, level), read-only.
+def _boundary_terms(h, r: float, level: int) -> tuple:
+    """``_boundary_quadrature`` memoised on (h, r, level).
 
     Fields compare by their terms, so equal fields built separately (the
     inner model shared by C and the bracket, say) are integrated once.
     Threads that miss on one key at once each integrate it, to the same bits.
     """
-    return MappingProxyType(_boundary_quadrature(h, r, level))
+    return _boundary_quadrature(h, r, level)
 
 
-_BOUNDARY_KEYS = ("h_d3", "hess_ij", "cross", "hess_ab", "lap_rad")
-
-
-def _boundary_quadrature(h, r: float, level: int = 12) -> dict:
+def _boundary_quadrature(h, r: float, level: int = 12) -> tuple:
     """The five boundary integral families on the sphere of radius r.
 
-    All integrals use the normal nu = +x/|x|.  Keys:
+    All integrals use the normal nu = +x/|x|.  In order:
       h_d3   : int h_ij d3_{a b b} h_ij nu^a
       hess_ij: int (d2_{ij} h_{a b}) (d_b h_ij) nu^a
       cross  : int (d2_{b j} h_{i a}) (d_b h_ij) nu^a
@@ -274,12 +259,11 @@ def _boundary_quadrature(h, r: float, level: int = 12) -> dict:
                          np.einsum("nbbij,naij,na->n", h2, h1, nu)])
 
     area = r ** 3
-    return {key: area * float(np.sum(wts * val))
-            for key, val in zip(_BOUNDARY_KEYS, _pointwise(integrands, pts))}
+    return tuple(area * float(np.sum(wts * val)) for val in _pointwise(integrands, pts))
 
 
 def boundary_functional(h, r: float, sign: float = 1.0, form: str = "bilap",
-                        level: int = 12) -> BoundaryFunctional:
+                        level: int = 12) -> float:
     """The boundary part of the quadratic Weyl expansion at radius r.
 
     ``sign`` is +1 when the outward normal of the underlying domain is
@@ -287,16 +271,15 @@ def boundary_functional(h, r: float, sign: float = 1.0, form: str = "bilap",
     the -(1/2) h d3h term and the half-weighted Laplacian term; form
     "biharm" omits h d3h and weights the Laplacian term fully.
     """
-    t = _boundary_terms(h, r, level)
-    bracket = t["hess_ij"] - 2.0 * t["cross"] + t["hess_ab"]
+    h_d3, hess_ij, cross, hess_ab, lap_rad = _boundary_terms(h, r, level)
+    bracket = hess_ij - 2.0 * cross + hess_ab
     if form == "bilap":
-        value = sign * (-0.5 * t["h_d3"] + bracket - 0.5 * t["lap_rad"])
+        value = sign * (-0.5 * h_d3 + bracket - 0.5 * lap_rad)
     elif form == "biharm":
-        value = sign * (bracket - t["lap_rad"])
+        value = sign * (bracket - lap_rad)
     else:
         raise ValueError(f"unknown form {form!r}")
-    return BoundaryFunctional(value=float(value), form=form, radius=r,
-                              sign=float(sign), breakdown=t)
+    return float(value)
 
 
 def _bulk_integral(h, r0: float, r1: float, form: str,
@@ -332,20 +315,19 @@ def _bulk_integral(h, r0: float, r1: float, form: str,
     return 0.5 * total
 
 
-def second_variation(h, domain, form: str = "bilap") -> BoundaryFunctional:
+def second_variation(h, domain, form: str = "bilap") -> float:
     """Quadratic Weyl-energy coefficient Phi(h, Omega) for a TT field h.
 
     ``domain`` is ("ball", r) or ("annulus", r0, r1).  Phi sums, in this
     order, the bulk integral and ``boundary_functional`` on the inner (sign
-    -1) and outer (sign +1) sphere; the breakdown prefixes each sphere's
-    terms "inner_" or "outer_".  For a field with Lap^2 h = 0 the bilap
+    -1) and outer (sign +1) sphere.  For a field with Lap^2 h = 0 the bilap
     form is purely a boundary expression.
     """
     if domain[0] == "ball":
-        bulk_range, spheres = (1e-8 * domain[1], domain[1]), [("outer", domain[1], 1.0)]
+        bulk_range, spheres = (1e-8 * domain[1], domain[1]), [(domain[1], 1.0)]
     elif domain[0] == "annulus":
         bulk_range = (domain[1], domain[2])
-        spheres = [("inner", domain[1], -1.0), ("outer", domain[2], 1.0)]
+        spheres = [(domain[1], -1.0), (domain[2], 1.0)]
     else:
         raise ValueError(f"unknown domain {domain[0]!r}")
     probe = np.array([[0.3, -0.2, 0.4, 0.1]]) * domain[1]
@@ -355,38 +337,33 @@ def second_variation(h, domain, form: str = "bilap") -> BoundaryFunctional:
     if max(tr, dv) > 1e-9 * scale:
         raise ValueError("second variation requires a transverse-traceless field")
 
-    value = bulk = _bulk_integral(h, *bulk_range, form)
-    breakdown = {"bulk": bulk}
-    for label, r, sign in spheres:
-        bnd = boundary_functional(h, r, sign, form)
-        value += bnd.value
-        breakdown.update({f"{label}_{k}": v for k, v in bnd.breakdown.items()})
-    return BoundaryFunctional(value=float(value), form=form,
-                              radius=float(domain[1]), sign=1.0,
-                              breakdown=MappingProxyType(breakdown))
+    value = _bulk_integral(h, *bulk_range, form)
+    for r, sign in spheres:
+        value += boundary_functional(h, r, sign, form)
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
 # the inner and outer expansions
 
-def phi_inner(wdot: CurvatureQuadraticField, gamma: float) -> BoundaryFunctional:
+def phi_inner(wdot: CurvatureQuadraticField, gamma: float) -> float:
     """Boundary functional of the interpolant wdot at |x| = gamma, annulus side."""
     return boundary_functional(wdot, float(gamma), -1.0, "bilap")
 
 
-def phi_outer(wdot: CurvatureQuadraticField) -> BoundaryFunctional:
+def phi_outer(wdot: CurvatureQuadraticField) -> float:
     """Boundary functional of the interpolant wdot at |x| = 1, annulus side."""
     return boundary_functional(wdot, 1.0, 1.0, "bilap")
 
 
 def inner_model_energy(wm, gamma: float) -> float:
     """a^-4-normalized Weyl energy of the decaying model on |x| > gamma."""
-    return boundary_functional(model_F(wm), gamma, -1.0, "bilap").value
+    return boundary_functional(model_F(wm), gamma, -1.0, "bilap")
 
 
 def outer_model_energy(wz) -> float:
     """b^-4-normalized Weyl energy of the growing model on the unit ball."""
-    return boundary_functional(model_H(wz), 1.0, 1.0, "bilap").value
+    return boundary_functional(model_H(wz), 1.0, 1.0, "bilap")
 
 
 def extract_interaction_coefficient(wm, wz, gamma: float, lam_grid=LAMBDA_GRID) -> dict:
@@ -396,12 +373,11 @@ def extract_interaction_coefficient(wm, wz, gamma: float, lam_grid=LAMBDA_GRID) 
     lam^2 coefficients to roundoff; each should equal -(2/9) pi^2 (W * W)
     up to the O(lam^2 gamma^2) remainder.
     """
-    lam_grid = np.asarray(lam_grid, dtype=float)
     rows, inner_vals, outer_vals = [], [], []
-    for lam in lam_grid:
+    for lam in np.asarray(lam_grid, dtype=float):
         wdot = assemble_interpolant(wm, wz, gamma, lam)
-        inner_vals.append(phi_inner(wdot, gamma).value)
-        outer_vals.append(phi_outer(wdot).value)
+        inner_vals.append(phi_inner(wdot, gamma))
+        outer_vals.append(phi_outer(wdot))
         rows.append([1.0, lam ** 2, lam ** 4])
     basis = np.asarray(rows)
     cond = np.linalg.cond(basis)
@@ -412,12 +388,8 @@ def extract_interaction_coefficient(wm, wz, gamma: float, lam_grid=LAMBDA_GRID) 
     return {
         "coeff_inner": float(fit_in[1]),
         "coeff_outer": float(fit_out[1]),
-        "fit_inner": fit_in,
-        "fit_outer": fit_out,
-        "lam_grid": lam_grid,
         "fit_residual": float((np.sum(res_in) + np.sum(res_out)) ** 0.5
                               if res_in.size and res_out.size else 0.0),
-        "predicted": 0.5 * INTERACTION_COEFFICIENT * interaction_star(wm, wz),
     }
 
 
@@ -454,7 +426,7 @@ class EnergyBalance:
 def leading_bracket(wm, wz, gamma: float, lam: float) -> float:
     """Phi_gamma + Phi_1 minus the two model energies at the same scales."""
     wdot = assemble_interpolant(wm, wz, gamma, lam)
-    return (phi_inner(wdot, gamma).value + phi_outer(wdot).value
+    return (phi_inner(wdot, gamma) + phi_outer(wdot)
             - inner_model_energy(wm, gamma)
             - lam ** 4 * outer_model_energy(wz))
 
@@ -469,7 +441,7 @@ def constant_C(wm, gamma: float) -> float:
     is ``phi_inner`` minus the inner model energy, bit for bit the bracket.
     """
     wdot = assemble_interpolant(wm, np.zeros((DIM,) * 4), gamma, 1.0)
-    return phi_inner(wdot, gamma).value - inner_model_energy(wm, gamma)
+    return phi_inner(wdot, gamma) - inner_model_energy(wm, gamma)
 
 
 def energy_balance(wm, wz, params: GluingParams) -> EnergyBalance:
@@ -533,7 +505,7 @@ def choose_parameters(wm, wz, margin: float = 1.0) -> GluingParams:
 # rough bound for the cutoff region
 
 def rough_energy_bound(chart, r0: float, r1: float, level: int = 8,
-                       n_radial: int = 12) -> dict:
+                       n_radial: int = 12) -> float:
     """Crude upper bound C(|g|, |g^-1|) int (|dg^-1|^2 |dg|^2 + |dg|^4 + |d2g|^2).
 
     The constant is generous by design; the bound is a scaling diagnostic
@@ -556,6 +528,4 @@ def rough_energy_bound(chart, r0: float, r1: float, level: int = 8,
         integral += w * r ** 3 * float(np.sum(wts * vals))
         sup_g = max(sup_g, float(np.abs(g).max()))
         sup_ginv = max(sup_ginv, float(np.abs(ginv).max()))
-    const = 1.0e6 * (1.0 + sup_g) ** 6 * (1.0 + sup_ginv) ** 10
-    return {"value": const * integral, "integral": integral, "constant": const,
-            "sup_g": sup_g, "sup_ginv": sup_ginv}
+    return 1.0e6 * (1.0 + sup_g) ** 6 * (1.0 + sup_ginv) ** 10 * integral

@@ -153,12 +153,3 @@ class GluedChart(MetricChart):
                     out[mask] = part
         jet[0] += _EYE[None]
         return _unbatch(jet, single)
-
-    def to_json(self) -> dict:
-        return {
-            "zones": {"inner": [self.params.a, self.params.gamma],
-                      "interpolant": [self.params.gamma, 1.0],
-                      "outer": [1.0, 2.0]},
-            "params": {"a": self.params.a, "lam": self.params.lam,
-                       "gamma": self.params.gamma, "b": self.params.b},
-        }

@@ -423,6 +423,14 @@ def test_non_finite_number_exits_two(spectra, capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("tol, want", [("-1", cli.EXIT_INPUT), ("0", cli.EXIT_FAIL)])
+def test_verify_tol_must_be_nonnegative(capsys, tol, want):
+    # --tol 0 is valid input: the sphere suite's nonzero residuals fail it
+    code, out = run(["verify", "sphere", "--tol", tol], capsys)
+    assert code == want
+    assert (out == "") == (want == cli.EXIT_INPUT)
+
+
 def test_non_finite_spectrum_exits_two(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"sd": [NaN, 0.0, 0.0], "asd": [1.0, 0.0, -1.0]}')
@@ -470,16 +478,20 @@ def test_malformed_spectrum_file_exits_two(tmp_path, capsys, command, text, key)
     ["interact", "BIG", "BIG"],
     ["sweep", "BIG", "BIG", "--lambda-grid", "2", "--gamma-grid", "0.08"],
     ["balance", "BIG", "BIG", "--auto", "1"],
+    # finite spectra and a lambda whose fourth power no float holds
+    ["balance", "PAIR", "PAIR", "--lambda", "1e100", "--gamma", "0.02", "--a", "1e-6"],
+    ["sweep", "PAIR", "PAIR", "--lambda-grid", "1e100", "--gamma-grid", "0.02"],
 ])
 def test_overflow_exits_two_without_non_finite_output(tmp_path, argv):
-    # the spectra are finite, but products of them overflow; the CLI runs in
+    # the inputs are finite, but products of them overflow; the CLI runs in
     # its own process, where numpy's overflow warnings are not errors
-    path = tmp_path / "big.json"
-    path.write_text('{"sd": [1e200, 0, -1e200], "asd": [1e200, 0, -1e200]}')
+    paths = {"BIG": tmp_path / "big.json", "PAIR": tmp_path / "pair.json"}
+    paths["BIG"].write_text('{"sd": [1e200, 0, -1e200], "asd": [1e200, 0, -1e200]}')
+    paths["PAIR"].write_text(json.dumps(GOOD))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "weylglue.cli"]
-                          + [str(path) if arg == "BIG" else arg for arg in argv],
+                          + [str(paths.get(arg, arg)) for arg in argv],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == cli.EXIT_INPUT
     assert "overflow" in proc.stderr
-    assert not any(word in proc.stdout.lower() for word in ("nan", "inf"))
+    assert proc.stdout == ""

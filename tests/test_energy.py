@@ -106,17 +106,11 @@ def test_half_sphere_rule_degree_four_moments():
         assert np.abs(got - exact).max() <= 1e-13
 
 
-def _breakdown_keys(*sides):
-    return {"bulk"} | {f"{side}_{key}" for side in sides for key in en._BOUNDARY_KEYS}
-
-
 def test_boundary_forms_agree_on_ball():
     rng = np.random.default_rng(51)
     h = model_H(random_weyl(rng))
     a, b = (en.second_variation(h, ("ball", 1.0), form=form) for form in ("bilap", "biharm"))
-    assert abs(a.value - b.value) < 1e-10 * max(abs(a.value), 1.0)
-    for phi in (a, b):
-        assert phi.breakdown.keys() == _breakdown_keys("outer")
+    assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
 
 
 def test_boundary_forms_agree_on_annulus():
@@ -125,9 +119,7 @@ def test_boundary_forms_agree_on_annulus():
     F = model_F(random_weyl(rng))
     a, b = (en.second_variation(F, ("annulus", 0.5, 2.0), form=form)
             for form in ("bilap", "biharm"))
-    assert abs(a.value - b.value) < 1e-10 * max(abs(a.value), 1.0)
-    for phi in (a, b):
-        assert phi.breakdown.keys() == _breakdown_keys("inner", "outer")
+    assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
 
 
 def test_second_variation_rejects_non_tt():
@@ -145,7 +137,7 @@ def test_second_variation_rejects_unknown_domain():
 
 def test_second_variation_positive_for_models():
     rng = np.random.default_rng(54)
-    assert en.second_variation(model_H(random_weyl(rng)), ("ball", 1.0)).value > 0.0
+    assert en.second_variation(model_H(random_weyl(rng)), ("ball", 1.0)) > 0.0
 
 
 def test_interaction_fit_is_exact_quadratic():
@@ -198,8 +190,7 @@ def test_choose_parameters_rejects_degenerate():
 
 
 def test_rough_bound_flat_chart_is_zero():
-    out = en.rough_energy_bound(MetricChart(), 0.5, 1.0)
-    assert out["value"] == 0.0
+    assert en.rough_energy_bound(MetricChart(), 0.5, 1.0) == 0.0
 
 
 def test_rough_bound_dominates_numeric_energy():
@@ -207,7 +198,7 @@ def test_rough_bound_dominates_numeric_energy():
     from weylglue.curvature import FieldChart
     chart = FieldChart(model_H(random_weyl(rng)), scale=0.05,
                        r_max=3.0)
-    bound = en.rough_energy_bound(chart, 0.3, 1.0)["value"]
+    bound = en.rough_energy_bound(chart, 0.3, 1.0)
     numeric = en.weyl_energy_numeric(chart, 0.3, 1.0, level=6, n_radial=8)
     assert bound >= numeric
 
@@ -216,7 +207,7 @@ def test_truncation_slope_of_numeric_energy():
     rng = np.random.default_rng(56)
     from weylglue.curvature import FieldChart
     h = model_H(random_weyl(rng))
-    phi = en.second_variation(h, ("ball", 1.0), form="bilap").value
+    phi = en.second_variation(h, ("ball", 1.0), form="bilap")
     ts = np.geomspace(1e-3, 1e-2, 4)
     res = []
     for t in ts:
@@ -273,7 +264,7 @@ def test_dilation_slope_at_zero_is_second_variation():
     s = 0.5e-2 * (x + 1.0)
     g = [np.sum(wts * weyl_density(FieldChart(h, scale=si), pts)) / si for si in s]
     fit = np.polynomial.Legendre.fit(s, g, en.DILATION_NODES - 1, domain=[0.0, 1e-2])
-    phi = en.second_variation(h, ("ball", 1.0), form="bilap").value
+    phi = en.second_variation(h, ("ball", 1.0), form="bilap")
     assert fit.deriv()(0.0) / 4.0 == pytest.approx(phi, rel=1e-11)
 
 
@@ -297,13 +288,6 @@ def test_bulk_integral_half_rule_equals_full_rule(form, monkeypatch):
     full = en._bulk_integral(h, 0.5, 2.0, form)
     assert abs(full) > 1.0
     assert half == pytest.approx(full, rel=1e-13)
-
-
-def test_phi_boundary_terms_reported():
-    wm, wz = pair_tensors()
-    out = en.phi_inner(assemble_interpolant(wm, wz, 0.1, 2.0), 0.1)
-    assert set(out.breakdown) == {"h_d3", "hess_ij", "cross", "hess_ab", "lap_rad"}
-    assert out.sign == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +363,8 @@ def test_interaction_free_outer_functional_vanishes(gamma):
     rng = np.random.default_rng(71)
     for _ in range(3):
         wdot = assemble_interpolant(random_weyl(rng), np.zeros((4,) * 4), gamma, 1.0)
-        inner = en.phi_inner(wdot, gamma).value
-        assert abs(en.phi_outer(wdot).value) <= 1e-12 * abs(inner)
+        inner = en.phi_inner(wdot, gamma)
+        assert abs(en.phi_outer(wdot)) <= 1e-12 * abs(inner)
 
 
 def test_constant_C_at_large_gamma_agrees_with_the_bracket():
@@ -484,21 +468,29 @@ def test_balance_makes_five_boundary_quadratures(monkeypatch):
                      (1, 1.0, 12)]
 
 
-def test_breakdown_mutation_does_not_leak():
+def test_second_variation_forms_share_one_quadrature(monkeypatch):
+    # the bilap and biharm forms read the same five sphere integrals, so
+    # the second form is a cache hit
     rng = np.random.default_rng(59)
     h = model_H(random_weyl(rng))
     en._boundary_terms.cache_clear()
-    first = en.boundary_functional(h, 1.0)
-    expected = dict(first.breakdown)
-    for _ in range(2):
-        # the first call fills the cache, the second reads it
-        with pytest.raises(TypeError):
-            en.boundary_functional(h, 1.0).breakdown["h_d3"] = 1e300
-    again = en.boundary_functional(h, 1.0)
-    assert again.breakdown == expected
-    assert again.value == first.value
-    with pytest.raises(TypeError):
-        en.second_variation(h, ("ball", 1.0)).breakdown["bulk"] = 0.0
+    calls = []
+    original = en._boundary_quadrature
+
+    def counting(h, r, level=12):
+        calls.append(r)
+        return original(h, r, level)
+
+    monkeypatch.setattr(en, "_boundary_quadrature", counting)
+    for form in ("bilap", "biharm"):
+        en.second_variation(h, ("ball", 1.0), form)
+    assert calls == [1.0]
+    hit = en.boundary_functional(h, 1.0)
+    en._boundary_terms.cache_clear()
+    miss = en.boundary_functional(h, 1.0)
+    assert calls == [1.0, 1.0]
+    assert type(hit) is float
+    assert hit == miss
 
 
 def test_boundary_cache_is_thread_safe():

@@ -88,9 +88,3 @@ def test_glued_chart_c1_interfaces():
         dev = np.abs(chart.metric(x_in) - np.eye(4)).max()
         assert g_jump < 1e-7 * max(dev, 1e-30)
         assert dg_jump < 1e-5 * max(dev / r, 1e-30)
-
-
-def test_glued_chart_json():
-    chart, params = _glued(np.random.default_rng(45))
-    payload = chart.to_json()
-    assert payload["params"]["gamma"] == params.gamma
