@@ -123,14 +123,13 @@ def _half_sphere_rule(level: int):
     return pts[keep], 2.0 * wts[keep]
 
 
-def sphere_moment_quadrature(mu: int, nu: int, k: int, l: int, level: int = 12) -> float:
-    pts, wts = sphere_rule(level)
-    return float(np.sum(wts * pts[:, mu] * pts[:, nu] * pts[:, k] * pts[:, l]))
-
-
-#: Points per batch of every sphere loop.  A chunk's largest arrays, 4^4
-#: numbers per point (786 KB), then stay in cache; 384 divides the 3456
-#: points of the level-12 rule.
+#: Points per batch of every sphere loop; 384 divides the 3456 points of the
+#: level-12 rule.  The field kernel's products and the boundary row sums run
+#: over a chunk's points as their inner loop, so shorter chunks pay more
+#: per-loop overhead, and longer ones outgrow the cache (a chunk's jet
+#: block is 3.4 MB at 384).  In interleaved CPU-time runs of the five
+#: level-12 boundary quadratures of a balance, chunks of 128, 192 and 576
+#: points took 4-30% longer than 384 (medians, 2-vCPU Xeon VM).
 SPHERE_CHUNK = 384
 
 
@@ -249,17 +248,40 @@ def _boundary_quadrature(h, r: float, level: int = 12) -> tuple:
       lap_rad: int (Lap h_ij) (d_a h_ij) nu^a
     """
     pts, wts = sphere_rule(level)
-
-    def integrands(nu):
-        h0, h1, h2, d3_slab = h.jet(r * nu, slab=True)
-        return np.array([np.einsum("nij,nabij,na->n", h0, d3_slab, nu),
-                         np.einsum("nijab,nbij,na->n", h2, h1, nu),
-                         np.einsum("nbjia,nbij,na->n", h2, h1, nu),
-                         np.einsum("nabij,nbij,na->n", h2, h1, nu),
-                         np.einsum("nbbij,naij,na->n", h2, h1, nu)])
-
     area = r ** 3
-    return tuple(area * float(np.sum(wts * val)) for val in _pointwise(integrands, pts))
+    return tuple(area * float(np.sum(wts * val))
+                 for val in _pointwise(partial(_boundary_integrands, h, r), pts))
+
+
+def _boundary_integrands(h, r: float, nu):
+    """The five integrands of ``_boundary_quadrature`` at the points r nu,
+    shape (5, N).
+
+    Each is formed with the point axis last, as (first factor x second
+    factor) x nu^a, in the place of the slab d3h: only the first, h_d3,
+    reads the slab, so no integrand needs memory of its own.  Each is then
+    summed over its 256 rows one row at a time.  The rows run in the order
+    in which np.einsum of the same three factors adds them, (a, b, i, j)
+    and, for ``cross``, (b, i, j, a), so each value is einsum's bit for bit.
+    """
+    n = nu.shape[0]
+    if n == 1:
+        # NumPy sums a (256, 1) array pairwise, not row by row
+        return _boundary_integrands(h, r, np.concatenate([nu, nu]))[:, :1]
+    h0, h1, h2, term = h._jet_points_last(r * nu)
+    nu_t = np.ascontiguousarray(nu.T)
+    nu_a = nu_t[:, None, None, None]
+    products = ((h0, term, nu_a),
+                (h2.transpose(2, 3, 0, 1, 4), h1, nu_a),
+                (h2.transpose(0, 2, 1, 3, 4), h1[:, :, :, None], nu_t),
+                (h2, h1, nu_a),
+                (np.einsum("bbijn->bijn", h2), h1[:, None], nu_a))
+    vals = np.empty((len(products), n))
+    for val, (first, second, normal) in zip(vals, products):
+        np.multiply(first, second, out=term)
+        term *= normal
+        np.add.reduce(term.reshape(-1, n), axis=0, out=val)
+    return vals
 
 
 def boundary_functional(h, r: float, sign: float = 1.0, form: str = "bilap",

@@ -19,7 +19,14 @@ Two families cover everything the construction needs:
   formed from, is a quarter of the full order-3 array.
   ``bilaplacian_terms`` is the order-4 slab d_a d_a d_b d_b h, whose double
   trace is the bilaplacian, at a sixteenth of the full order-4 array.  The
-  full third and fourth derivatives are never formed.
+  full third and fourth derivatives are never formed.  The kernel keeps the
+  point axis last: the radial factors are formed so, each block's angular
+  factors are moved there once, and every output is (derivative axes, i,
+  j, point), so each Leibniz product and sum runs over the points,
+  contiguous, as its inner loop.  All of it is elementwise, so the layout
+  moves no bit.  The public evaluators return the point axis first,
+  transposed once into buffers the evaluation has finished with; the
+  boundary integrals in ``energy`` read the point-last arrays as they are.
 
 * ``PolynomialField`` - dense polynomial perturbations of degree 3 used as
   generic test inputs for the linearization machinery, with derivatives to
@@ -61,7 +68,7 @@ def _radial_basis(xb: np.ndarray, order: int):
     Returns (r2, tensors): r2 = |x|^2 and, for each derivative order k up
     to ``order``, the pairs (j, B) of
     d^k |x|^p = sum_j [p (p - 2) ... (p - 2j + 2)] B r^(p - 2j).
-    Each B has a leading batch axis, of length 1 for the constant ones:
+    Each B has the point axis last, of length 1 for the constant ones:
     x_a, then delta_ab and x_a x_b.  Every power of every block shares them.
     The factors of the highest order are formed only on the slab that the
     slab derivatives read of them: at order 3 the (a, b, b) slab of the
@@ -77,39 +84,39 @@ def _radial_basis(xb: np.ndarray, order: int):
     equal, so their sum is the exact double of one.
     """
     r2 = np.einsum("na,na->n", xb, xb)
-    tensors = {1: [(1, xb)]}
+    x = _points_last(xb)
+    tensors = {1: [(1, x)]}
     if order >= 2:
-        xx = xb[:, :, None] * xb[:, None, :]
-        tensors[2] = [(1, _EYE[None]), (2, xx)]
+        xx = x[:, None] * x[None]
+        tensors[2] = [(1, _EYE[..., None]), (2, xx)]
     if order == 3:
-        sym3 = 2.0 * (_EYE[None] * xb[:, None, :]) + xb[:, :, None]
-        tensors[3] = [(2, sym3), (3, xx * xb[:, None, :])]
+        sym3 = 2.0 * (_EYE[..., None] * x[None]) + x[:, None]
+        tensors[3] = [(2, sym3), (3, xx * x[None])]
     elif order == 4:
-        sym3 = (_EYE[None, :, :, None] * xb[:, None, None, :]
-                + _EYE[None, :, None, :] * xb[:, None, :, None]
-                + _EYE[None, None, :, :] * xb[:, :, None, None])
-        tensors[3] = [(2, sym3), (3, xx[:, :, :, None] * xb[:, None, None, :])]
-        x2 = xb * xb
-        mix = _EYE[None] * xx
-        sym_mix = x2[:, None, :] + mix + mix + mix + mix + x2[:, :, None]
-        xxxx = (x2[:, :, None] * xb[:, None, :]) * xb[:, None, :]
-        tensors[4] = [(2, _EYE_PAIRS_SLAB[None]), (3, sym_mix), (4, xxxx)]
+        sym3 = (_EYE[:, :, None, None] * x[None, None]
+                + _EYE[:, None, :, None] * x[None, :, None]
+                + _EYE[None, :, :, None] * x[:, None, None])
+        tensors[3] = [(2, sym3), (3, xx[:, :, None] * x[None, None])]
+        x2 = x * x
+        mix = _EYE[..., None] * xx
+        sym_mix = x2[None] + mix + mix + mix + mix + x2[:, None]
+        xxxx = (x2[:, None] * x[None]) * x[None]
+        tensors[4] = [(2, _EYE_PAIRS_SLAB[..., None]), (3, sym_mix), (4, xxxx)]
     return r2, tensors
 
 
 def _radial_derivs(basis, p: float, order: int):
     """Derivatives of |x|^p up to ``order`` from a ``_radial_basis``.
 
-    Returns a list [rho, d rho, d2 rho, ...] with the batch axis first and
-    the axes of the basis, e.g. d2 rho has shape (N, 4, 4), and so has the
+    Returns a list [rho, d rho, d2 rho, ...] with the axes of the basis and
+    the point axis last, e.g. d2 rho has shape (4, 4, N), and so has the
     slab that stands for the highest order.
     """
     r2, tensors = basis
-    n = r2.shape[0]
     if p == 0.0:
-        # the last factor of each order has the full batch axis
-        return [np.ones(n)] + [np.zeros((n,) + tensors[k][-1][1].shape[1:])
-                               for k in range(1, order + 1)]
+        # the last factor of each order has the full point axis
+        return [np.ones(r2.shape)] + [np.zeros(tensors[k][-1][1].shape)
+                                      for k in range(1, order + 1)]
     out = [r2 ** (p / 2.0)]
     falling = [1.0]  # falling[j] = p (p - 2) ... (p - 2j + 2)
     for j in range(order):
@@ -118,7 +125,7 @@ def _radial_derivs(basis, p: float, order: int):
     for k in range(1, order + 1):
         total = None
         for j, b in tensors[k]:
-            part = falling[j] * b * powers[j].reshape((n,) + (1,) * (b.ndim - 1))
+            part = falling[j] * b * powers[j]
             total = part if total is None else total + part
         out.append(total)
     return out
@@ -159,6 +166,11 @@ def _rows_times(a: np.ndarray, b: np.ndarray):
     return a @ b
 
 
+def _points_last(arr: np.ndarray):
+    """A contiguous copy of ``arr`` with its leading point axis moved last."""
+    return np.ascontiguousarray(np.moveaxis(arr, 0, -1))
+
+
 def _one_block(shapes):
     """Uninitialized arrays of the given shapes, carved out of one allocation.
 
@@ -194,12 +206,15 @@ def _products(axes: str):
     Each is (m, q view, rho view, count): a product equal to the one before
     it is listed once, with the number of times it is added.  A view is
     (diagonal subscripts or None, index) and turns the factor into a view
-    broadcasting onto the output axes "n" + axes + "ij", a repeated label
-    taking the diagonal.  The radial factor of order k itself is formed on
-    the output's axes only (for "abb", the slab of d3 rho).
+    broadcasting onto the output axes axes + "ij" + "n", a repeated label
+    taking the diagonal.  The point axis n is last in every factor, so each
+    product's inner loop runs over the points, contiguous in the output and
+    in Q, dQ and the radial factor; 2 S has a length-1 point axis.  The
+    radial factor of order k itself is formed on the output's axes only
+    (for "abb", the slab of d3 rho).
     """
     k = len(axes)
-    out = "n" + "".join(dict.fromkeys(axes)) + "ij"
+    out = "".join(dict.fromkeys(axes)) + "ijn"
 
     def view(sub):
         labels = "".join(dict.fromkeys(sub))
@@ -210,8 +225,8 @@ def _products(axes: str):
     for m in (2, 1, 0):
         for pos in combinations(range(k), m):
             ang = "".join(axes[i] for i in pos)
-            rad = "".join(axes[i] for i in range(k) if i not in pos) if m else out[1:-2]
-            plan.append((m, view(ang + "ij" if m == 2 else "n" + ang + "ij"), view("n" + rad)))
+            rad = "".join(axes[i] for i in range(k) if i not in pos) if m else out[:-3]
+            plan.append((m, view(ang + "ijn"), view(rad + "n")))
     return tuple(key + (len(list(run)),) for key, run in groupby(plan))
 
 
@@ -227,14 +242,16 @@ def _view(arr: np.ndarray, view):
 
 def _leibniz(q, rho, axes: str, term: np.ndarray, buf: np.ndarray):
     """d_axes (Q_ij f) into ``term``, from the angular factors q = (Q, dQ,
-    d2Q) and the radial derivatives rho of f (Q is quadratic, so d3Q = 0).
+    d2Q) and the radial derivatives rho of f (Q is quadratic, so d3Q = 0),
+    all with the point axis last.
 
     ``axes`` labels the derivative axes: "", "a" and "ab" for orders 0-2,
     or "abb" and "aabb" for the slabs d_a d_b d_b and d_a d_a d_b d_b.  The
     products (``_products``) are added left to right, each distinct one
     formed once: a lone first product in ``term``, every other in ``buf``
-    and then added as often as it occurs.  Both have the output's shape and
-    are overwritten.
+    and then added as often as it occurs.  Both have the output's shape,
+    axes + "ij" + "n", and are overwritten.  Every product and sum is
+    elementwise, so each entry has the same bits in any layout.
     """
     k = len(axes)
     first = True
@@ -315,23 +332,28 @@ class CurvatureQuadraticField:
         out._set_terms([(factor * c, s, p) for (c, s, p) in self.terms])
         return out
 
-    def _evaluate(self, x, axes):
-        """d_a h for each ``_leibniz`` axis label a in ``axes``, in one pass
-        over the blocks: each block's factors are formed once, to the highest
-        order asked for, and a block whose profile is a constant c adds only
-        c Q, c dQ and c d2Q.  The outputs and two flat product buffers share
-        one allocation."""
-        xb, single = _as_batch(x)
+    def _evaluate(self, xb, axes):
+        """d_a h for each ``_leibniz`` axis label a in ``axes`` at the points
+        xb, of shape (N, 4), with the point axis last, in one pass over the
+        blocks: each block's factors are formed once, to the highest order
+        asked for, its angular factors then moved to point-last; a block
+        whose profile is a constant c adds only c Q, c dQ and c d2Q.
+
+        Returns the outputs and a spare flat array, twice the largest
+        output's size: the two product buffers, free again on return.  The
+        outputs and the spare array share one allocation."""
         n = xb.shape[0]
-        shapes = [(n,) + (DIM,) * len(set(a)) + (DIM, DIM) for a in axes]
+        shapes = [(DIM,) * len(set(a)) + (DIM, DIM, n) for a in axes]
         size = max(prod(shape) for shape in shapes)
-        *out, term, buf = _one_block(shapes + [(size,)] * 2)
+        *out, spare = _one_block(shapes + [(2 * size,)])
+        term, buf = spare[:size], spare[size:]
         for total in out:
             total.fill(0.0)
         order = max(len(a) for a in axes)
         basis = None
         for s, profile in self.blocks:
             q = _angular(s, xb, order)
+            q = [_points_last(f) for f in q[:2]] + [f[..., None] for f in q[2:]]
             coeff = _constant(profile)
             if coeff is None:
                 basis = basis or _radial_basis(xb, order)
@@ -345,7 +367,29 @@ class CurvatureQuadraticField:
             # freed before the next block's: holding both lifts a small call past
             # the allocator's trim threshold, so each call faults its pages anew
             del q
-        return tuple(o[0] for o in out) if single else tuple(out)
+        return out, spare
+
+    def _points_first(self, x, axes):
+        """``_evaluate`` with the point axis first, as the public evaluators
+        return it.  Each output is transposed into the spare array, which
+        the outputs of every public call but ``jet(x, slab=True)`` fit, so
+        the transposes take no memory beyond the evaluation's own."""
+        xb, single = _as_batch(x)
+        out, spare = self._evaluate(xb, axes)
+        result = []
+        for total in out:
+            if spare.size < total.size:
+                spare = np.empty(total.size)
+            first = spare[:total.size].reshape(total.shape[-1:] + total.shape[:-1])
+            spare = spare[total.size:]
+            np.copyto(first, np.moveaxis(total, -1, 0))
+            result.append(first[0] if single else first)
+        return tuple(result)
+
+    def _jet_points_last(self, xb):
+        """``jet(xb, slab=True)`` at the points xb, of shape (N, 4), with the
+        point axis last, e.g. d2h[a, b, i, j, n]."""
+        return self._evaluate(xb, ("", "a", "ab", "abb"))[0]
 
     def derivative(self, x, order: int):
         """Partial derivatives of the field at x.
@@ -359,7 +403,7 @@ class CurvatureQuadraticField:
         if not 0 <= order <= 2:
             raise ValueError("derivative order must be 0..2; the third and fourth "
                              "are read through jet(x, slab=True) and bilaplacian_terms")
-        return self._evaluate(x, ("ab"[:order],))[0]
+        return self._points_first(x, ("ab"[:order],))[0]
 
     def jet(self, x, slab: bool = False):
         """The jet (h, dh, d2h), and with ``slab=True`` also the slab
@@ -371,7 +415,7 @@ class CurvatureQuadraticField:
         all the sphere integrands need of the third derivative, at a quarter
         of its size.
         """
-        return self._evaluate(x, ("", "a", "ab", "abb") if slab else ("", "a", "ab"))
+        return self._points_first(x, ("", "a", "ab", "abb") if slab else ("", "a", "ab"))
 
     def bilaplacian_terms(self, x):
         """T[..., a, b, i, j] = d_a d_a d_b d_b h_ij, whose double trace over
@@ -381,7 +425,7 @@ class CurvatureQuadraticField:
         sum bit for bit, at a sixteenth of its size: the same products are
         added in the same order.
         """
-        return self._evaluate(x, ("aabb",))[0]
+        return self._points_first(x, ("aabb",))[0]
 
     def _radial_factor(self, x, double: bool):
         # For a term c Q_ij r^p the angular part is harmonic (Delta Q = 0

@@ -31,8 +31,9 @@ def test_sphere_rule_volume():
 
 
 def test_sphere_rule_moment_exactness():
+    pts, wts = en.sphere_rule(12)
     for mu, nu, k, l in ((0, 0, 0, 0), (0, 1, 0, 1), (2, 3, 2, 3), (0, 1, 2, 3)):
-        got = en.sphere_moment_quadrature(mu, nu, k, l, level=12)
+        got = float(np.sum(wts * pts[:, mu] * pts[:, nu] * pts[:, k] * pts[:, l]))
         assert got == pytest.approx(en.sphere_moment(mu, nu, k, l), abs=1e-13)
 
 
@@ -533,6 +534,29 @@ def test_boundary_quadrature_is_chunk_invariant(monkeypatch, chunk):
     monkeypatch.setattr(en, "SPHERE_CHUNK", chunk)
     for case, want in zip(cases, expected):
         assert en._boundary_quadrature(*case) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 384])
+def test_boundary_integrands_equal_einsum(n):
+    # the point-last products and row sums against einsum of the public
+    # point-first jet, bit for bit, with a lone point among the batch sizes
+    rng = np.random.default_rng(64)
+    wm, wz = random_weyl(rng), random_weyl(rng)
+    wdot = assemble_interpolant(wm, wz, 0.02, 3.0)
+    pts, _ = en.sphere_rule(12)
+    nu = pts[rng.permutation(len(pts))[:n]]
+    for h, r in ((wdot, 0.02), (wdot, 1.0), (model_F(wm), 0.02), (model_H(wz), 1.0),
+                 (CurvatureQuadraticField([]), 1.0)):
+        h0, h1, h2, d3_slab = h.jet(r * nu, slab=True)
+        want = (np.einsum("nij,nabij,na->n", h0, d3_slab, nu),
+                np.einsum("nijab,nbij,na->n", h2, h1, nu),
+                np.einsum("nbjia,nbij,na->n", h2, h1, nu),
+                np.einsum("nabij,nbij,na->n", h2, h1, nu),
+                np.einsum("nbbij,naij,na->n", h2, h1, nu))
+        got = en._boundary_integrands(h, r, nu)
+        assert got.shape == (5, n)
+        for value, expected in zip(got, want):
+            assert np.array_equal(value, expected)
 
 
 def test_other_sphere_loops_are_chunk_invariant(monkeypatch):
