@@ -124,12 +124,13 @@ def _half_sphere_rule(level: int):
 
 
 #: Points per batch of every sphere loop; 384 divides the 3456 points of the
-#: level-12 rule.  The field kernel's products and the boundary row sums run
-#: over a chunk's points as their inner loop, so shorter chunks pay more
-#: per-loop overhead, and longer ones outgrow the cache (a chunk's jet
-#: block is 3.4 MB at 384).  In interleaved CPU-time runs of the five
-#: level-12 boundary quadratures of a balance, chunks of 128, 192 and 576
-#: points took 4-30% longer than 384 (medians, 2-vCPU Xeon VM).
+#: level-12 rule.  The field kernel's products and the boundary integrands'
+#: einsums run over a chunk's points as their inner loop, so shorter chunks
+#: pay more per-loop overhead, and longer ones outgrow the cache (a chunk's
+#: jet block is 3.4 MB at 384).  In interleaved CPU-time runs of the five
+#: level-12 boundary quadratures of a balance, chunks of 432 points took 3%
+#: longer than 384, 192 and 576 took 11-15% longer, 128 24% and 864 40%
+#: (medians of three runs of 15, 2-vCPU Xeon VM).
 SPHERE_CHUNK = 384
 
 
@@ -257,30 +258,22 @@ def _boundary_integrands(h, r: float, nu):
     """The five integrands of ``_boundary_quadrature`` at the points r nu,
     shape (5, N).
 
-    Each is formed with the point axis last, as (first factor x second
-    factor) x nu^a, in the place of the slab d3h: only the first, h_d3,
-    reads the slab, so no integrand needs memory of its own.  Each is then
-    summed over its 256 rows one row at a time.  The rows run in the order
-    in which np.einsum of the same three factors adds them, (a, b, i, j)
-    and, for ``cross``, (b, i, j, a), so each value is einsum's bit for bit.
+    Each is one np.einsum of its two jet factors and nu over the jet with
+    the point axis last, written into its row.  Every point's value is the
+    sum of its 256 products, added in (a, b, i, j) order, (b, i, j, a) for
+    ``cross``, whatever the number of points, so it does not depend on the
+    points that come along.
     """
-    n = nu.shape[0]
-    if n == 1:
-        # NumPy sums a (256, 1) array pairwise, not row by row
-        return _boundary_integrands(h, r, np.concatenate([nu, nu]))[:, :1]
-    h0, h1, h2, term = h._jet_points_last(r * nu)
+    h0, h1, h2, d3 = h._jet_points_last(r * nu)
     nu_t = np.ascontiguousarray(nu.T)
-    nu_a = nu_t[:, None, None, None]
-    products = ((h0, term, nu_a),
-                (h2.transpose(2, 3, 0, 1, 4), h1, nu_a),
-                (h2.transpose(0, 2, 1, 3, 4), h1[:, :, :, None], nu_t),
-                (h2, h1, nu_a),
-                (np.einsum("bbijn->bijn", h2), h1[:, None], nu_a))
-    vals = np.empty((len(products), n))
-    for val, (first, second, normal) in zip(vals, products):
-        np.multiply(first, second, out=term)
-        term *= normal
-        np.add.reduce(term.reshape(-1, n), axis=0, out=val)
+    integrands = (("ijn,abijn,an->n", h0, d3),   # h_d3
+                  ("ijabn,bijn,an->n", h2, h1),  # hess_ij
+                  ("bjian,bijn,an->n", h2, h1),  # cross
+                  ("abijn,bijn,an->n", h2, h1),  # hess_ab
+                  ("bbijn,aijn,an->n", h2, h1))  # lap_rad
+    vals = np.empty((len(integrands), nu.shape[0]))
+    for val, (subscripts, first, second) in zip(vals, integrands):
+        np.einsum(subscripts, first, second, nu_t, out=val)
     return vals
 
 

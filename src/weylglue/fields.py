@@ -203,18 +203,23 @@ def _products(axes: str):
     labelled by ``axes``, in the order they are added: m = 2, 1, 0 and, for
     each m, the m-subsets of the axes in ``combinations`` order.
 
-    Each is (m, q view, rho view, count): a product equal to the one before
-    it is listed once, with the number of times it is added.  A view is
-    (diagonal subscripts or None, index) and turns the factor into a view
-    broadcasting onto the output axes axes + "ij" + "n", a repeated label
-    taking the diagonal.  The point axis n is last in every factor, so each
-    product's inner loop runs over the points, contiguous in the output and
-    in Q, dQ and the radial factor; 2 S has a length-1 point axis.  The
-    radial factor of order k itself is formed on the output's axes only
-    (for "abb", the slab of d3 rho).
+    Each is (m, views, count): a product equal to the one before it is
+    listed once, with the number of times it is added.  ``views`` is the
+    pair (q view, rho view); a view is (diagonal subscripts or None, index)
+    and turns the factor into a view broadcasting onto the output axes
+    axes + "ij" + "n", a repeated label taking the diagonal.  The point
+    axis n is last in every factor, so each product's inner loop runs over
+    the points, contiguous in the output and in Q, dQ and the radial
+    factor; 2 S has a length-1 point axis.  The radial factor of order k
+    itself is formed on the output's axes only (for "abb", the slab of
+    d3 rho).  ``views`` is None for a product that is the one before it
+    with the axes a and b swapped, as q1_b rho1_a is q1_a rho1_b for "ab":
+    the same products of the same numbers, so it is read off the one
+    before, transposed.
     """
     k = len(axes)
     out = "".join(dict.fromkeys(axes)) + "ijn"
+    swap = str.maketrans("ab", "ba")
 
     def view(sub):
         labels = "".join(dict.fromkeys(sub))
@@ -226,8 +231,14 @@ def _products(axes: str):
         for pos in combinations(range(k), m):
             ang = "".join(axes[i] for i in pos)
             rad = "".join(axes[i] for i in range(k) if i not in pos) if m else out[:-3]
-            plan.append((m, view(ang + "ijn"), view(rad + "n")))
-    return tuple(key + (len(list(run)),) for key, run in groupby(plan))
+            plan.append((m, ang, rad))
+    products, before = [], None
+    for (m, ang, rad), run in groupby(plan):
+        swapped = before == (m, ang.translate(swap), rad.translate(swap))
+        views = None if swapped else (view(ang + "ijn"), view(rad + "n"))
+        products.append((m, views, len(list(run))))
+        before = (m, ang, rad)
+    return tuple(products)
 
 
 #: ``_products`` of the derivative orders 0-2 and of the slabs d_a d_b d_b
@@ -249,23 +260,29 @@ def _leibniz(q, rho, axes: str, term: np.ndarray, buf: np.ndarray):
     or "abb" and "aabb" for the slabs d_a d_b d_b and d_a d_a d_b d_b.  The
     products (``_products``) are added left to right, each distinct one
     formed once: a lone first product in ``term``, every other in ``buf``
-    and then added as often as it occurs.  Both have the output's shape,
-    axes + "ij" + "n", and are overwritten.  Every product and sum is
-    elementwise, so each entry has the same bits in any layout.
+    and then added as often as it occurs, and a transposed one added as
+    ``buf`` with its first two axes swapped.  Both arrays have the output's
+    shape, axes + "ij" + "n", and are overwritten; ``term`` may be the
+    output itself.  Every product and sum is elementwise, so each entry has
+    the same bits in any layout.
     """
     k = len(axes)
     first = True
-    for m, q_view, rho_view, count in _PRODUCTS[axes]:
-        factors = (_view(q[m], q_view), _view(rho[k - m], rho_view))
-        if first and count == 1:
-            np.multiply(*factors, out=term)
+    for m, views, count in _PRODUCTS[axes]:
+        if views is None:
+            product = buf.swapaxes(0, 1)
         else:
-            np.multiply(*factors, out=buf)
-            if first:
-                np.add(buf, buf, out=term)
-                count -= 2
-            for _ in range(count):
-                term += buf
+            factors = (_view(q[m], views[0]), _view(rho[k - m], views[1]))
+            if first and count == 1:
+                np.multiply(*factors, out=term)
+                first = False
+                continue
+            product = np.multiply(*factors, out=buf)
+        if first:
+            np.add(product, product, out=term)
+            count -= 2
+        for _ in range(count):
+            term += product
         first = False
     return term
 
@@ -339,6 +356,12 @@ class CurvatureQuadraticField:
         asked for, its angular factors then moved to point-last; a block
         whose profile is a constant c adds only c Q, c dQ and c d2Q.
 
+        The first block that writes an output writes it in place, its
+        Leibniz sum formed in the output or c Q multiplied into it; later
+        blocks form theirs in a buffer and add it.  An output no block
+        writes, the slab of a field of constant blocks or any output of the
+        empty field, is filled with zeros.
+
         Returns the outputs and a spare flat array, twice the largest
         output's size: the two product buffers, free again on return.  The
         outputs and the spare array share one allocation."""
@@ -347,8 +370,7 @@ class CurvatureQuadraticField:
         size = max(prod(shape) for shape in shapes)
         *out, spare = _one_block(shapes + [(2 * size,)])
         term, buf = spare[:size], spare[size:]
-        for total in out:
-            total.fill(0.0)
+        unwritten = set(range(len(out)))
         order = max(len(a) for a in axes)
         basis = None
         for s, profile in self.blocks:
@@ -358,15 +380,25 @@ class CurvatureQuadraticField:
             if coeff is None:
                 basis = basis or _radial_basis(xb, order)
                 rho = _profile_derivs(basis, profile, order)
-            for total, a in zip(out, axes):
-                if coeff is None:
-                    total += _leibniz(q, rho, a, term[:total.size].reshape(total.shape),
-                                      buf[:total.size].reshape(total.shape))
-                elif len(a) <= 2:
+            for index, (total, a) in enumerate(zip(out, axes)):
+                if coeff is not None and len(a) > 2:
+                    continue  # a constant block's third and fourth derivatives are 0
+                work = buf[:total.size].reshape(total.shape)
+                if index in unwritten:
+                    unwritten.discard(index)
+                    if coeff is None:
+                        _leibniz(q, rho, a, total, work)
+                    else:
+                        np.multiply(coeff, q[len(a)], out=total)
+                elif coeff is None:
+                    total += _leibniz(q, rho, a, term[:total.size].reshape(total.shape), work)
+                else:
                     total += coeff * q[len(a)]
             # freed before the next block's: holding both lifts a small call past
             # the allocator's trim threshold, so each call faults its pages anew
             del q
+        for index in unwritten:
+            out[index].fill(0.0)
         return out, spare
 
     def _points_first(self, x, axes):

@@ -536,10 +536,34 @@ def test_boundary_quadrature_is_chunk_invariant(monkeypatch, chunk):
         assert en._boundary_quadrature(*case) == want
 
 
+def _row_sums(h, r, nu):
+    """The five integrands spelled as products and row sums: (first factor
+    x second factor) x nu^a over the point-last jet, summed over its 256
+    rows one row at a time, in (a, b, i, j) order and in (b, i, j, a) order
+    for ``cross``.  NumPy sums a lone point's (256, 1) array pairwise, not
+    row by row, so a lone point is summed as a pair."""
+    n = nu.shape[0]
+    if n == 1:
+        return _row_sums(h, r, np.concatenate([nu, nu]))[:, :1]
+    h0, h1, h2, d3 = (np.ascontiguousarray(np.moveaxis(f, 0, -1))
+                      for f in h.jet(r * nu, slab=True))
+    nu_t = np.ascontiguousarray(nu.T)
+    nu_a = nu_t[:, None, None, None]
+    products = ((h0, d3, nu_a),
+                (h2.transpose(2, 3, 0, 1, 4), h1, nu_a),
+                (h2.transpose(0, 2, 1, 3, 4), h1[:, :, :, None], nu_t),
+                (h2, h1, nu_a),
+                (np.einsum("bbijn->bijn", h2), h1[:, None], nu_a))
+    return np.array([np.add.reduce((first * second * normal).reshape(-1, n), axis=0)
+                     for first, second, normal in products])
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 384])
 def test_boundary_integrands_equal_einsum(n):
-    # the point-last products and row sums against einsum of the public
-    # point-first jet, bit for bit, with a lone point among the batch sizes
+    # the point-last einsums against two oracles, bit for bit: einsum of the
+    # public point-first jet, and the row sums in the order each einsum adds
+    # its products, so a NumPy that adds in another order fails here; a lone
+    # point is among the batch sizes
     rng = np.random.default_rng(64)
     wm, wz = random_weyl(rng), random_weyl(rng)
     wdot = assemble_interpolant(wm, wz, 0.02, 3.0)
@@ -555,8 +579,9 @@ def test_boundary_integrands_equal_einsum(n):
                 np.einsum("nbbij,naij,na->n", h2, h1, nu))
         got = en._boundary_integrands(h, r, nu)
         assert got.shape == (5, n)
-        for value, expected in zip(got, want):
+        for value, expected, rows in zip(got, want, _row_sums(h, r, nu)):
             assert np.array_equal(value, expected)
+            assert np.array_equal(value, rows)
 
 
 def test_other_sphere_loops_are_chunk_invariant(monkeypatch):
@@ -600,6 +625,37 @@ def test_energy_balance_does_not_drift():
             "interaction": 28.087274288640124,
             "interaction_term": -834.866765797587,
             "remainder": 0.0014908205189385626}
+    scale = max(abs(v) for v in want.values())
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-12 * scale, key
+
+
+#: pool-1/p06 of the benchmark inputs, for which ``choose_parameters``
+#: selects gamma = 0.04
+P06_M = ([0.9777226473527388, 0.14626901165989176, -1.1239916590126307],
+         [-0.5673982496249909, 0.307678267088885, 0.25971998253610584])
+P06_Z = ([1.663432590499867, 1.3544502575594655, -3.0178828480593323],
+         [-0.6835582902869458, -0.043505966327812916, 0.7270642566147587])
+
+
+def test_energy_balance_does_not_drift_at_gamma_004():
+    """``test_energy_balance_does_not_drift`` at gamma = 0.04, pool-1/p06.
+
+    The selection runs the brackets at 0.02 and 0.04, so this reaches the
+    interpolant of (W^M, 0) and ``model_F`` at 0.04 as well; lam and the
+    five numbers are pinned to 1e-12 of the largest term.
+    """
+    wm, wz = (tc.algweyl_from_spectrum(*tc.spectrum_from_json({"sd": sd, "asd": asd}))
+              for sd, asd in (P06_M, P06_Z))
+    params = en.choose_parameters(wm, wz, margin=1.0)
+    assert (params.gamma, params.a) == (0.04, 8e-05)
+    assert abs(params.lam - 1.9335635071423039) <= 1e-12 * 1.9335635071423039
+    got = en.energy_balance(wm, wz, params).to_json()
+    want = {"leading_bracket": -461.14650612518426,
+            "constant_C": 107.57147169485688,
+            "interaction": 34.67917211289805,
+            "interaction_term": -568.7256688835427,
+            "remainder": 0.007691063501511053}
     scale = max(abs(v) for v in want.values())
     for key, value in want.items():
         assert abs(got[key] - value) <= 1e-12 * scale, key

@@ -271,6 +271,44 @@ def test_kernel_equals_einsum_oracle_bit_for_bit(seed):
                               np.einsum("...aabbij->...abij", _oracle_derivative(h, x, 4)))
 
 
+def _evaluations(h, x):
+    """Every output of the field kernel at x: the slab jet, the orders 0-2
+    and the order-4 slab."""
+    return (*h.jet(x, slab=True), *(h.derivative(x, k) for k in range(3)),
+            h.bilaplacian_terms(x))
+
+
+def test_first_block_is_written_in_place():
+    # each output equals 0.0 plus the blocks' own evaluations in block order,
+    # bit for bit; a constant block contributes exact zeros to both slabs,
+    # which a field of constant blocks alone must read as zeros, not as the
+    # memory its outputs were carved from
+    rng = np.random.default_rng(77)
+    w1, w2 = random_weyl(rng), random_weyl(rng)
+    fields_ = (assemble_interpolant(w1, w2, 0.05, 2.0),
+               CurvatureQuadraticField([(0.8, w1, 0.0), (-1.3, w2, -4.0), (0.6, w2, 2.0)]),
+               CurvatureQuadraticField([(0.8, w1, 0.0), (0.4, w1, 0.0)]),
+               CurvatureQuadraticField([]))
+    # the output axes after the point axis; the slabs are the fourth and last
+    shapes = ((4, 4), (4,) * 3, (4,) * 4, (4,) * 4, (4, 4), (4,) * 3, (4,) * 4, (4,) * 4)
+    slabs = (3, 7)
+    batch = rng.uniform(0.05, 1.5, (9, 1)) * rng.standard_normal((9, 4))
+    for h in fields_:
+        singles = []
+        for s, profile in h.blocks:
+            single = CurvatureQuadraticField([])
+            single._set_terms([(c, s, p) for c, p in profile])
+            singles.append((single, fields._constant(profile) is not None))
+        for x in (batch, batch[4]):
+            want = [0.0] * len(shapes)
+            for single, constant in singles:
+                for k, part in enumerate(_evaluations(single, x)):
+                    want[k] = want[k] + (np.zeros_like(part) if constant and k in slabs else part)
+            for value, expected, shape in zip(_evaluations(h, x), want, shapes):
+                assert value.shape == x.shape[:-1] + shape
+                assert np.array_equal(value, np.broadcast_to(expected, value.shape))
+
+
 @pytest.mark.parametrize("batch", [1, 4, 384])
 def test_slab_equals_third_derivative_slab(batch):
     # batch 4 equals DIM, where a batch axis told from a tensor axis by its
