@@ -209,8 +209,8 @@ def assemble_interpolant(wm, wz, gamma: float, lam: float) -> CurvatureQuadratic
     gamma, lam = float(gamma), float(lam)
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     terms = []
     for w, u in zip((wm, wz), unit_sources(gamma, lam)):
         t = np.asarray(w, dtype=float)

@@ -40,7 +40,7 @@ from itertools import product
 
 import numpy as np
 
-from .tensor_core import DIM, LEX_PAIRS, weyl_from_riemann
+from .tensor_core import _PAIR_OF, DIM, LEX_PAIRS, weyl_from_riemann
 from .fields import CurvatureQuadraticField, _as_batch
 
 _EYE = np.eye(DIM)
@@ -140,15 +140,9 @@ def inverted_model(w: np.ndarray, r_min: float = 1e-8) -> FieldChart:
 # by fixed index maps, gathers at positions computed once below, so no
 # strided transpose of a 4^4 array is formed.
 
-#: (i, j) and (j, i) are the pair A = (i < j) with signs +1 and -1
-_PAIR_OF = {}
-for _a, (_i, _j) in enumerate(LEX_PAIRS):
-    _PAIR_OF[_i, _j], _PAIR_OF[_j, _i] = (_a, 1.0), (_a, -1.0)
-
-
 def _entry(i, j, k, l):
-    """(position, sign) of T_ijkl = sign * T_AB in a flat pair matrix; the
-    sign is 0 when i = j or k = l."""
+    """(position, sign) of T_ijkl = sign * T_AB in a flat pair matrix, read
+    from ``tensor_core``'s signed pair map; the sign is 0 when i = j or k = l."""
     (a, s), (b, t) = _PAIR_OF.get((i, j), (0, 0.0)), _PAIR_OF.get((k, l), (0, 0.0))
     return 6 * a + b, s * t
 

@@ -11,28 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import (DIM, LEX_PAIRS, algweyl_from_spectrum, frame_two_forms,
+from .tensor_core import (_BASIS_FORMS, DIM, algweyl_from_spectrum, frame_two_forms,
                           op_from_tensor, tensor_from_op)
 
-#: Signature of the Hodge star in the lexicographic 2-form basis: the star
-#: exchanges a pair with its complement, with the sign of the permutation
-#: (i, j, k, l) of (1, 2, 3, 4).
-HODGE_STAR = np.zeros((6, 6))
-for _a, (_i, _j) in enumerate(LEX_PAIRS):
-    _rest = [k for k in range(DIM) if k not in (_i, _j)]
-    _b = LEX_PAIRS.index(tuple(_rest))
-    _perm = [_i, _j] + _rest
-    _sign = 1.0
-    for _p in range(4):
-        for _q in range(_p + 1, 4):
-            if _perm[_p] > _perm[_q]:
-                _sign = -_sign
-    HODGE_STAR[_a, _b] = _sign
-
-#: Orthonormal (after /sqrt 2) bases of the self-dual and anti-self-dual
-#: spaces, rows omega/eta/theta as 6-vectors in the lexicographic basis.
+#: Bases of the self-dual and anti-self-dual spaces, rows omega/eta/theta as
+#: 6-vectors of norm sqrt 2 in the lexicographic basis, and the same rows
+#: divided by sqrt 2, orthonormal.
 SD_BASIS = frame_two_forms(np.eye(DIM))[:3]
 ASD_BASIS = frame_two_forms(np.eye(DIM))[3:]
+SD_UNIT = SD_BASIS / np.sqrt(2.0)
+ASD_UNIT = ASD_BASIS / np.sqrt(2.0)
 
 
 class BlockStructureError(ValueError):
@@ -48,11 +36,9 @@ def hodge_split(op: np.ndarray, tol: float = 1e-12):
     ``spectra`` uses the default 1e-12 and ``derdzinski_frame`` 1e-9.
     """
     op = np.asarray(op, dtype=float)
-    p = SD_BASIS / np.sqrt(2.0)
-    m = ASD_BASIS / np.sqrt(2.0)
-    sd = p @ op @ p.T
-    asd = m @ op @ m.T
-    cross = p @ op @ m.T
+    sd = SD_UNIT @ op @ SD_UNIT.T
+    asd = ASD_UNIT @ op @ ASD_UNIT.T
+    cross = SD_UNIT @ op @ ASD_UNIT.T
     scale = max(np.abs(op).max(), 1.0)
     if np.abs(cross).max() > tol * scale:
         raise BlockStructureError(
@@ -69,11 +55,9 @@ def spectra(w: np.ndarray):
 
 
 def _antisym_matrix(vec6: np.ndarray) -> np.ndarray:
-    mat = np.zeros((DIM, DIM))
-    for a, (i, j) in enumerate(LEX_PAIRS):
-        mat[i, j] = vec6[a]
-        mat[j, i] = -vec6[a]
-    return mat
+    """The antisymmetric 4x4 matrix of a lexicographic 6-vector, the
+    vector's contraction with ``tensor_core``'s basis forms."""
+    return np.tensordot(vec6, _BASIS_FORMS, 1)
 
 
 def _eigh_descending(block: np.ndarray):
@@ -98,10 +82,8 @@ def derdzinski_frame(w: np.ndarray):
     lam_asd, u_asd = _eigh_descending(asd)
 
     # eigen-2-forms back in the lexicographic basis, normalized to |.| = sqrt 2
-    p = SD_BASIS / np.sqrt(2.0)
-    m = ASD_BASIS / np.sqrt(2.0)
-    sd_forms = [np.sqrt(2.0) * (u_sd[:, k] @ p) for k in range(3)]
-    asd_forms = [np.sqrt(2.0) * (u_asd[:, k] @ m) for k in range(3)]
+    sd_forms = [np.sqrt(2.0) * (u_sd[:, k] @ SD_UNIT) for k in range(3)]
+    asd_forms = [np.sqrt(2.0) * (u_asd[:, k] @ ASD_UNIT) for k in range(3)]
 
     # Orient both triples to satisfy the quaternionic relations of a frame's
     # canonical forms: omega+ eta+ = -theta+ and omega- eta- = +theta-.  Any

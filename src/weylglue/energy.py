@@ -284,16 +284,17 @@ def boundary_functional(h, r: float, sign: float = 1.0, form: str = "bilap",
     ``sign`` is +1 when the outward normal of the underlying domain is
     +x/|x| on this sphere and -1 when it is -x/|x|.  Form "bilap" carries
     the -(1/2) h d3h term and the half-weighted Laplacian term; form
-    "biharm" omits h d3h and weights the Laplacian term fully.
+    "biharm" omits h d3h and weights the Laplacian term fully.  An unknown
+    form is refused before any quadrature.
     """
+    if form not in ("bilap", "biharm"):
+        raise ValueError(f"unknown form {form!r}")
     h_d3, hess_ij, cross, hess_ab, lap_rad = _boundary_terms(h, r, level)
     bracket = hess_ij - 2.0 * cross + hess_ab
     if form == "bilap":
         value = sign * (-0.5 * h_d3 + bracket - 0.5 * lap_rad)
-    elif form == "biharm":
-        value = sign * (bracket - lap_rad)
     else:
-        raise ValueError(f"unknown form {form!r}")
+        value = sign * (bracket - lap_rad)
     return float(value)
 
 
@@ -336,15 +337,19 @@ def second_variation(h, domain, form: str = "bilap") -> float:
     ``domain`` is ("ball", r) or ("annulus", r0, r1).  Phi sums, in this
     order, the bulk integral and ``boundary_functional`` on the inner (sign
     -1) and outer (sign +1) sphere.  For a field with Lap^2 h = 0 the bilap
-    form is purely a boundary expression.
+    form is purely a boundary expression.  An unknown form or domain is
+    refused before any integral.
     """
-    if domain[0] == "ball":
+    if form not in ("bilap", "biharm"):
+        raise ValueError(f"unknown form {form!r}")
+    if len(domain) == 2 and domain[0] == "ball":
         bulk_range, spheres = (1e-8 * domain[1], domain[1]), [(domain[1], 1.0)]
-    elif domain[0] == "annulus":
+    elif len(domain) == 3 and domain[0] == "annulus":
         bulk_range = (domain[1], domain[2])
         spheres = [(domain[1], -1.0), (domain[2], 1.0)]
     else:
-        raise ValueError(f"unknown domain {domain[0]!r}")
+        raise ValueError(f"unknown domain {tuple(domain)!r}; the domains are "
+                         "('ball', r) and ('annulus', r0, r1)")
     probe = np.array([[0.3, -0.2, 0.4, 0.1]]) * domain[1]
     tr = np.abs(h.trace(probe)).max()
     dv = np.abs(h.divergence(probe)).max()

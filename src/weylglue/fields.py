@@ -13,10 +13,10 @@ Two families cover everything the construction needs:
   against the summed radial derivatives of f.  ``derivative`` (orders 0-2)
   and ``jet`` share one pass over the blocks, which forms the angular and
   radial factors only up to the highest order it returns (an order-0 call
-  forms Q alone).  ``jet`` evaluates h, dh, d2h, and with ``slab=True``
-  also the slab d_a d_b d_b h of the third derivative; the sphere integrals
-  need nothing more, and the slab, like the order-3 radial factors it is
-  formed from, is a quarter of the full order-3 array.
+  forms Q alone).  ``jet`` evaluates h, dh, d2h; the sphere integrals read
+  the same jet with the slab d_a d_b d_b h of the third derivative beside
+  it, point axis last, and need nothing more; the slab, like the order-3
+  radial factors it is formed from, is a quarter of the full order-3 array.
   ``bilaplacian_terms`` is the order-4 slab d_a d_a d_b d_b h, whose double
   trace is the bilaplacian, at a sixteenth of the full order-4 array.  The
   full third and fourth derivatives are never formed.  The kernel keeps the
@@ -297,9 +297,10 @@ def _constant(profile):
 class CurvatureQuadraticField:
     """Sum of terms c * W_kijl x^k x^l |x|^p with exact derivatives.
 
-    ``derivative`` gives orders 0-2, ``jet`` the jet and the third-order
-    slab d_a d_b d_b h, and ``bilaplacian_terms`` the fourth-order slab
-    d_a d_a d_b d_b h; nothing reads more of the third and fourth orders.
+    ``derivative`` gives orders 0-2, ``jet`` the jet, ``_jet_points_last``
+    the jet and the third-order slab d_a d_b d_b h, and
+    ``bilaplacian_terms`` the fourth-order slab d_a d_a d_b d_b h; nothing
+    reads more of the third and fourth orders.
 
     Each term stores the symmetrized coefficient array S[k, l, i, j] so the
     angular factor is the quadratic form Q_ij(x) = S_klij x^k x^l.  The
@@ -403,15 +404,14 @@ class CurvatureQuadraticField:
 
     def _points_first(self, x, axes):
         """``_evaluate`` with the point axis first, as the public evaluators
-        return it.  Each output is transposed into the spare array, which
-        the outputs of every public call but ``jet(x, slab=True)`` fit, so
-        the transposes take no memory beyond the evaluation's own."""
+        return it.  Each output is transposed into the spare array, which the
+        outputs of every public call fit: the largest output is at least half
+        of their total.  So the transposes take no memory beyond the
+        evaluation's own."""
         xb, single = _as_batch(x)
         out, spare = self._evaluate(xb, axes)
         result = []
         for total in out:
-            if spare.size < total.size:
-                spare = np.empty(total.size)
             first = spare[:total.size].reshape(total.shape[-1:] + total.shape[:-1])
             spare = spare[total.size:]
             np.copyto(first, np.moveaxis(total, -1, 0))
@@ -419,8 +419,13 @@ class CurvatureQuadraticField:
         return tuple(result)
 
     def _jet_points_last(self, xb):
-        """``jet(xb, slab=True)`` at the points xb, of shape (N, 4), with the
-        point axis last, e.g. d2h[a, b, i, j, n]."""
+        """The jet (h, dh, d2h) and the slab T[a, b, i, j] = d_a d_b d_b h_ij
+        at the points xb, of shape (N, 4), with the point axis last, e.g.
+        d2h[a, b, i, j, n]: all the sphere integrands read.
+
+        The jet equals ``jet(xb)`` with its point axis moved last, and T
+        equals the b = c slab of the third derivative's Leibniz sum bit for
+        bit: the same products are added in the same order."""
         return self._evaluate(xb, ("", "a", "ab", "abb"))[0]
 
     def derivative(self, x, order: int):
@@ -429,25 +434,19 @@ class CurvatureQuadraticField:
         Returns an array of shape (..., 4^order, 4, 4): derivative axes first
         (after the batch axis), then the two tensor component axes, e.g.
         order 2 gives D[n, a, b, i, j] = d_a d_b h_ij(x_n).  Higher orders
-        are read only through their slabs, ``jet(x, slab=True)`` and
+        are read only through their slabs, ``_jet_points_last`` and
         ``bilaplacian_terms``.
         """
         if not 0 <= order <= 2:
-            raise ValueError("derivative order must be 0..2; the third and fourth "
-                             "are read through jet(x, slab=True) and bilaplacian_terms")
+            raise ValueError("derivative order must be 0..2; the third and fourth are "
+                             "read through their slabs, in the sphere integrands' jet "
+                             "and bilaplacian_terms")
         return self._points_first(x, ("ab"[:order],))[0]
 
-    def jet(self, x, slab: bool = False):
-        """The jet (h, dh, d2h), and with ``slab=True`` also the slab
-        T[..., a, b, i, j] = d_a d_b d_b h_ij.
-
-        The first three arrays equal ``derivative(x, k)`` for k = 0, 1, 2,
-        and T equals the b = c slab of the third derivative's Leibniz sum
-        bit for bit: the same products are added in the same order.  T is
-        all the sphere integrands need of the third derivative, at a quarter
-        of its size.
-        """
-        return self._points_first(x, ("", "a", "ab", "abb") if slab else ("", "a", "ab"))
+    def jet(self, x):
+        """The jet (h, dh, d2h), equal to ``derivative(x, k)`` for k = 0, 1, 2
+        bit for bit, in one pass over the blocks."""
+        return self._points_first(x, ("", "a", "ab"))
 
     def bilaplacian_terms(self, x):
         """T[..., a, b, i, j] = d_a d_a d_b d_b h_ij, whose double trace over

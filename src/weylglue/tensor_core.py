@@ -23,12 +23,19 @@ LEX_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 DEFAULT_TOL = 1e-12
 
-#: Coefficient matrices E[b] of the basis 2-forms: E[b][i, j] = +1 / -1 on the
-#: b-th lexicographic pair and its transpose.
+#: The signed pair map, the one encoding of 2-forms on the pairs: (i, j) is
+#: (A, +1) and (j, i) is (A, -1) for the A-th lexicographic pair (i, j), i < j.
+_PAIR_OF = {}
+for _a, (_i, _j) in enumerate(LEX_PAIRS):
+    _PAIR_OF[_i, _j], _PAIR_OF[_j, _i] = (_a, 1.0), (_a, -1.0)
+#: Flat positions 4 i + j of the pairs (i, j) in a (4, 4) array, and of (j, i).
+_PAIR_AT = np.array([DIM * i + j for i, j in LEX_PAIRS])
+_REVERSED_AT = np.array([DIM * j + i for i, j in LEX_PAIRS])
+#: Coefficient matrices E[A] of the basis 2-forms: E[A][i, j] is the sign of
+#: the pair map where (i, j) names A, else 0.
 _BASIS_FORMS = np.zeros((6, DIM, DIM))
-for _b, (_i, _j) in enumerate(LEX_PAIRS):
-    _BASIS_FORMS[_b, _i, _j] = 1.0
-    _BASIS_FORMS[_b, _j, _i] = -1.0
+for (_i, _j), (_a, _s) in _PAIR_OF.items():
+    _BASIS_FORMS[_a, _i, _j] = _s
 
 
 class TensorSymmetryError(ValueError):
@@ -99,15 +106,13 @@ def op_from_tensor(w: np.ndarray) -> np.ndarray:
 
     The operator sends e^i^e^j to (1/2) W_ijlk e^k^e^l; note the reversal of
     the last two slots.  Returns the symmetric 6x6 matrix in the
-    lexicographic basis.  With this convention |W|^2 = 4 ||W_hat||^2.
+    lexicographic basis, entry (A, B) = W_ijlk for the pairs A = (k, l) and
+    B = (i, j), gathered as a C-ordered copy from the pair positions.  With
+    this convention |W|^2 = 4 ||W_hat||^2.
     """
     w = np.asarray(w, dtype=float)
     check_class(w, "riemann", 1e-10)
-    mat = np.empty((6, 6))
-    for a, (k, l) in enumerate(LEX_PAIRS):
-        for b, (i, j) in enumerate(LEX_PAIRS):
-            mat[a, b] = w[i, j, l, k]
-    return mat
+    return w.reshape(DIM * DIM, DIM * DIM).T[np.ix_(_REVERSED_AT, _PAIR_AT)]
 
 
 def tensor_from_op(op: np.ndarray) -> np.ndarray:
@@ -125,9 +130,10 @@ def weyl_from_riemann(riem: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Totally trace-free (Weyl) part of a curvature tensor, n = 4.
 
     W_ijkl = R_ijkl - 1/2 (R_jk g_il + R_il g_jk - R_ik g_jl - R_jl g_ik)
-             + (R/6) (g_jk g_il - g_ik g_jl).
-    Ricci and scalar curvature are computed from ``riem`` and ``g``.  The
-    result is trace-free in every index pair.
+             + (R/6) (g_jk g_il - g_ik g_jl),
+    that is Rm - Ric . g + (R/6) g . g with the half-normalized
+    ``kulkarni_nomizu`` product.  Ricci and scalar curvature are computed
+    from ``riem`` and ``g``.  The result is trace-free in every index pair.
     """
     riem = np.asarray(riem, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -137,11 +143,7 @@ def weyl_from_riemann(riem: np.ndarray, g: np.ndarray) -> np.ndarray:
     ginv = np.linalg.inv(g)
     ric = np.einsum("kijl,kl->ij", riem, ginv)
     scal = float(np.einsum("ij,ij->", ginv, ric))
-    n = DIM
-    ric_part = (np.einsum("jk,il->ijkl", ric, g) + np.einsum("il,jk->ijkl", ric, g)
-                - np.einsum("ik,jl->ijkl", ric, g) - np.einsum("jl,ik->ijkl", ric, g))
-    scal_part = (np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g))
-    return riem - ric_part / (n - 2) + scal * scal_part / ((n - 1) * (n - 2))
+    return riem - kulkarni_nomizu(ric, g) + (scal / 6.0) * kulkarni_nomizu(g, g)
 
 
 def frame_two_forms(frame: np.ndarray) -> np.ndarray:
@@ -166,7 +168,7 @@ def frame_two_forms(frame: np.ndarray) -> np.ndarray:
 
     def wedge(a: int, b: int) -> np.ndarray:
         mat = np.outer(frame[a], frame[b]) - np.outer(frame[b], frame[a])
-        return np.array([mat[i, j] for (i, j) in LEX_PAIRS])
+        return mat.reshape(-1)[_PAIR_AT]
 
     e12, e34 = wedge(0, 1), wedge(2, 3)
     e13, e42 = wedge(0, 2), wedge(3, 1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weylglue import biharmonic as bh
+from weylglue.energy import leading_bracket
 
 from random_tensors import random_weyl
 
@@ -111,6 +112,16 @@ def test_interpolant_boundary_values():
     got = wdot.derivative(x_out, 0)
     scale = max(np.abs(outer).max(), 1e-30)
     assert np.abs(got - outer).max() < 1e-9 * scale
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+def test_interpolant_refuses_bad_lam(lam):
+    # a non-finite lam would reach leading_bracket as a nan result
+    w = random_weyl(np.random.default_rng(17))
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        bh.assemble_interpolant(w, w, 0.1, lam)
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        leading_bracket(w, w, 0.1, lam)
 
 
 def test_interpolant_tt_and_biharmonic():

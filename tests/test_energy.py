@@ -13,7 +13,7 @@ from weylglue.curvature import FieldChart, MetricChart, weyl_density
 from weylglue.fields import CurvatureQuadraticField, PolynomialField
 from weylglue.gluing import GluingParams, RegimeWarning, model_F, model_H
 
-from random_tensors import random_weyl
+from random_tensors import random_weyl, slab_jet
 
 
 SPEC = (1.0, 0.0, -1.0)
@@ -134,6 +134,28 @@ def test_second_variation_rejects_unknown_domain():
     h = model_H(random_weyl(np.random.default_rng(53)))
     with pytest.raises(ValueError, match="unknown domain"):
         en.second_variation(h, ("exterior", 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda h: en.second_variation(h, ("ball", 1.0), form="bogus"),
+    lambda h: en.second_variation(h, ("annulus", 0.5, 2.0), form="bogus"),
+    lambda h: en.boundary_functional(h, 1.0, form="bogus"),
+    lambda h: en.second_variation(h, ("ball",)),
+    lambda h: en.second_variation(h, ("annulus", 0.5)),
+    lambda h: en.second_variation(h, ("ball", 1.0, 2.0)),
+    lambda h: en.second_variation(h, ()),
+], ids=["ball-form", "annulus-form", "boundary-form", "ball-no-radius", "annulus-one-radius",
+        "ball-two-radii", "empty-domain"])
+def test_unknown_form_or_domain_is_refused_before_integrating(monkeypatch, call):
+    def integrating(*args, **kwargs):
+        raise AssertionError("integrated before checking the form and domain")
+
+    monkeypatch.setattr(en, "_boundary_quadrature", integrating)
+    monkeypatch.setattr(en, "_pointwise", integrating)
+    en._boundary_terms.cache_clear()
+    h = model_H(random_weyl(np.random.default_rng(55)))
+    with pytest.raises(ValueError, match="unknown (form|domain)"):
+        call(h)
 
 
 def test_second_variation_positive_for_models():
@@ -397,7 +419,7 @@ def test_zero_tensor_term_changes_no_derivative():
     plain = CurvatureQuadraticField(terms)
     padded = CurvatureQuadraticField(terms[:1] + [(2.5, np.zeros((4,) * 4), -6.0)] + terms[1:])
     x = rng.uniform(0.2, 1.0, (7, 1)) * rng.standard_normal((7, 4))
-    for got, want in zip(padded.jet(x, slab=True), plain.jet(x, slab=True)):
+    for got, want in zip(slab_jet(padded, x), slab_jet(plain, x)):
         assert np.array_equal(got, want)
     assert np.array_equal(padded.bilaplacian_terms(x), plain.bilaplacian_terms(x))
 
@@ -412,14 +434,13 @@ def test_energy_balance_reuses_selection_quadratures(monkeypatch):
         params = en.choose_parameters(wm, wz, margin=1.0)
     assert params.gamma == en.GAMMA_GRID[-1]
     calls = []
-    original = CurvatureQuadraticField.jet
+    original = CurvatureQuadraticField._jet_points_last
 
-    def counting(self, x, slab=False):
-        if slab:
-            calls.append(len(self.terms))
-        return original(self, x, slab)
+    def counting(self, xb):
+        calls.append(len(self.terms))
+        return original(self, xb)
 
-    monkeypatch.setattr(CurvatureQuadraticField, "jet", counting)
+    monkeypatch.setattr(CurvatureQuadraticField, "_jet_points_last", counting)
     en.energy_balance(wm, wz, params)
     assert calls == []
 
@@ -546,7 +567,7 @@ def _row_sums(h, r, nu):
     if n == 1:
         return _row_sums(h, r, np.concatenate([nu, nu]))[:, :1]
     h0, h1, h2, d3 = (np.ascontiguousarray(np.moveaxis(f, 0, -1))
-                      for f in h.jet(r * nu, slab=True))
+                      for f in slab_jet(h, r * nu))
     nu_t = np.ascontiguousarray(nu.T)
     nu_a = nu_t[:, None, None, None]
     products = ((h0, d3, nu_a),
@@ -571,7 +592,7 @@ def test_boundary_integrands_equal_einsum(n):
     nu = pts[rng.permutation(len(pts))[:n]]
     for h, r in ((wdot, 0.02), (wdot, 1.0), (model_F(wm), 0.02), (model_H(wz), 1.0),
                  (CurvatureQuadraticField([]), 1.0)):
-        h0, h1, h2, d3_slab = h.jet(r * nu, slab=True)
+        h0, h1, h2, d3_slab = slab_jet(h, r * nu)
         want = (np.einsum("nij,nabij,na->n", h0, d3_slab, nu),
                 np.einsum("nijab,nbij,na->n", h2, h1, nu),
                 np.einsum("nbjia,nbij,na->n", h2, h1, nu),

@@ -9,7 +9,7 @@ from weylglue import gluing as gl
 from weylglue.biharmonic import assemble_interpolant
 from weylglue.fields import CurvatureQuadraticField, PolynomialField
 
-from random_tensors import random_weyl
+from random_tensors import random_weyl, slab_jet
 
 
 def jet_field(rng):
@@ -51,7 +51,7 @@ def test_derivative_refuses_orders_read_through_slabs(order):
     h = CurvatureQuadraticField([(1.0, random_weyl(np.random.default_rng(76)), -4.0)])
     with pytest.raises(ValueError) as info:
         h.derivative(np.ones(4), order)
-    assert "jet(x, slab=True)" in str(info.value)
+    assert "slabs" in str(info.value)
     assert "bilaplacian_terms" in str(info.value)
 
 
@@ -81,9 +81,9 @@ def test_blocks_equal_sum_of_single_terms(seed, coeffs):
     for order in range(3):
         close(h.derivative(x, order), [f.derivative(x, order) for f in singles])
     close(h.bilaplacian_terms(x), [f.bilaplacian_terms(x) for f in singles])
-    for slab in (True, False):
-        single_jets = [f.jet(x, slab) for f in singles]
-        for k, got in enumerate(h.jet(x, slab)):
+    for jet in (slab_jet, CurvatureQuadraticField.jet):
+        single_jets = [jet(f, x) for f in singles]
+        for k, got in enumerate(jet(h, x)):
             close(got, [jet[k] for jet in single_jets])
     close(h.laplacian(x), [f.laplacian(x) for f in singles])
     close(h.bilaplacian(x), [f.bilaplacian(x) for f in singles])
@@ -95,7 +95,7 @@ def test_jet_equals_derivatives_bit_for_bit(seed):
     h = jet_field(rng)
     batch = rng.uniform(0.02, 1.5, (9, 1)) * rng.standard_normal((9, 4))
     for x in (batch, batch[4]):
-        h0, h1, h2, slab = h.jet(x, slab=True)
+        h0, h1, h2, slab = slab_jet(h, x)
         for k, got in enumerate((h0, h1, h2)):
             assert np.array_equal(got, h.derivative(x, k))
         d3 = _oracle_derivative(h, x, 3)
@@ -263,7 +263,7 @@ def test_kernel_equals_einsum_oracle_bit_for_bit(seed):
     for x in (batch, batch[5]):
         for order in range(3):
             assert np.array_equal(h.derivative(x, order), _oracle_derivative(h, x, order))
-        *jet, slab = h.jet(x, slab=True)
+        *jet, slab = slab_jet(h, x)
         for k, got in enumerate(jet):
             assert np.array_equal(got, _oracle_derivative(h, x, k))
         assert np.array_equal(slab, _oracle_slab(h, x))
@@ -274,7 +274,7 @@ def test_kernel_equals_einsum_oracle_bit_for_bit(seed):
 def _evaluations(h, x):
     """Every output of the field kernel at x: the slab jet, the orders 0-2
     and the order-4 slab."""
-    return (*h.jet(x, slab=True), *(h.derivative(x, k) for k in range(3)),
+    return (*slab_jet(h, x), *(h.derivative(x, k) for k in range(3)),
             h.bilaplacian_terms(x))
 
 
@@ -319,7 +319,7 @@ def test_slab_equals_third_derivative_slab(batch):
     interp = assemble_interpolant(wm, wz, 0.05, 2.0)
     x = rng.uniform(0.05, 1.0, (batch, 1)) * rng.standard_normal((batch, 4))
     for h in (constant, interp):
-        slab = h.jet(x, slab=True)[3]
+        slab = slab_jet(h, x)[3]
         want = np.einsum("nabbij->nabij", _oracle_derivative(h, x, 3))
         assert slab.shape == want.shape == (batch, 4, 4, 4, 4)
         assert np.array_equal(slab, want)

@@ -1,8 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylglue import curvature as cv
 from weylglue import gluing as gl
 from weylglue import tensor_core as tc
 
@@ -147,3 +150,85 @@ def test_weyl_from_riemann_kills_traces():
     w = tc.weyl_from_riemann(riem, g)
     trace = np.einsum("kijl,kl->ij", w, ginv)
     assert np.abs(trace).max() < 1e-12
+
+
+# The pair conventions pinned against the spellings they replaced, bit for
+# bit and with the signs of zero, on tensors with exact zero entries.
+
+def _exact_zero_tensors():
+    """Weyl tensors at the identity frame, with exact zeros of both signs."""
+    spectra = (((2.0, -0.5, -1.5), (1.0, 0.5, -1.5)), ((1.0, 0.0, -1.0), (0.0, 0.0, 0.0)),
+               ((0.0, 0.0, 0.0), (0.5, 0.25, -0.75)))
+    tensors = [tc.algweyl_from_spectrum(sd, asd) for sd, asd in spectra]
+    tensors += [-w for w in tensors]
+    zeros = np.concatenate([w[w == 0.0] for w in tensors])
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    return tensors
+
+
+def test_op_from_tensor_equals_loop_spelling():
+    for w in _exact_zero_tensors():
+        loop = np.empty((6, 6))
+        for a, (k, l) in enumerate(tc.LEX_PAIRS):
+            for b, (i, j) in enumerate(tc.LEX_PAIRS):
+                loop[a, b] = w[i, j, l, k]
+        got = tc.op_from_tensor(w)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, loop)
+        assert np.array_equal(np.signbit(got), np.signbit(loop))
+
+
+def test_frame_two_forms_equals_list_spelling():
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    q[3] *= np.sign(np.linalg.det(q))
+    # the reflected frame's wedges hold zeros of both signs
+    for frame in (np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0]), q):
+        def wedge(a, b):
+            mat = np.outer(frame[a], frame[b]) - np.outer(frame[b], frame[a])
+            return np.array([mat[i, j] for (i, j) in tc.LEX_PAIRS])
+
+        e12, e34, e13, e42, e14, e23 = (wedge(0, 1), wedge(2, 3), wedge(0, 2), wedge(3, 1),
+                                        wedge(0, 3), wedge(1, 2))
+        want = np.stack([e12 + e34, e13 + e42, e14 + e23, e12 - e34, e13 - e42, e14 - e23])
+        got = tc.frame_two_forms(frame)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_curvature_tables_equal_those_of_a_local_pair_map():
+    pair_of = {}
+    for a, (i, j) in enumerate(tc.LEX_PAIRS):
+        pair_of[i, j], pair_of[j, i] = (a, 1.0), (a, -1.0)
+
+    def entry(i, j, k, l):
+        (a, s), (b, t) = pair_of.get((i, j), (0, 0.0)), pair_of.get((k, l), (0, 0.0))
+        return 6 * a + b, s * t
+
+    tables = (((cv._EXPAND_AT, cv._EXPAND_SIGN),
+               [entry(*ijkl) for ijkl in product(range(4), repeat=4)]),
+              ((cv._RIC_AT, cv._RIC_SIGN),
+               [entry(k, i, j, l) for i, j, k, l in cv._RIC_TERMS]))
+    for (at, sign), entries in tables:
+        want_at, want_sign = (np.array(column) for column in zip(*entries))
+        assert np.array_equal(at, want_at)
+        assert np.array_equal(sign.ravel(), want_sign)
+        assert np.array_equal(np.signbit(sign.ravel()), np.signbit(want_sign))
+
+
+def test_weyl_from_riemann_equals_six_einsum_spelling():
+    rng = np.random.default_rng(11)
+    a, s = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+    g = np.eye(4) + 0.05 * (a + a.T)
+    cases = [(w, np.eye(4)) for w in _exact_zero_tensors()]
+    cases += [(tc.kulkarni_nomizu(s + s.T, g) + 0.3 * tc.kulkarni_nomizu(g, g) + w, g)
+              for w in _exact_zero_tensors()[:2]]
+    for riem, g in cases:
+        ginv = np.linalg.inv(g)
+        ric = np.einsum("kijl,kl->ij", riem, ginv)
+        scal = float(np.einsum("ij,ij->", ginv, ric))
+        ric_part = (np.einsum("jk,il->ijkl", ric, g) + np.einsum("il,jk->ijkl", ric, g)
+                    - np.einsum("ik,jl->ijkl", ric, g) - np.einsum("jl,ik->ijkl", ric, g))
+        scal_part = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
+        want = riem - ric_part / 2.0 + scal * scal_part / 6.0
+        got = tc.weyl_from_riemann(riem, g)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
