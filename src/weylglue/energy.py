@@ -1,11 +1,10 @@
 """Weyl-energy evaluation, boundary functionals, and the energy balance.
 
-Everything here reduces to integrals over spheres and radial intervals,
-evaluated with tensor-product Gauss-Legendre rules in hyperspherical angles.
-For a field h homogeneous of degree 2 the radial integral of the Weyl
-energy becomes one in the dilation parameter: delta + t h at radius r is a
-dilation of delta + t r^2 h at radius 1, and |W|^2 dV is conformally
-invariant in dimension 4, so
+Sphere integrals are evaluated with tensor-product Gauss-Legendre rules in
+hyperspherical angles.  For a field h homogeneous of degree 2 the radial
+integral of the Weyl energy becomes one in the dilation parameter:
+delta + t h at radius r is a dilation of delta + t r^2 h at radius 1, and
+|W|^2 dV is conformally invariant in dimension 4, so
 
     int_{|x|<1} |W|^2 dV = (1/2) int_0^t F(s) ds / s,
 
@@ -16,9 +15,12 @@ The quadratic Weyl-energy expansion at the flat metric for a TT field h is
 
 where Phi is available in two algebraically equal forms: the "biharm" form
 with bulk (1/2) int (Lap h)^2, and the "bilap" form with bulk
-(1/2) int (Lap^2 h) h, which is boundary-only for biharmonic fields.  All
-boundary functionals are written with the normal +x/|x| and a sign factor
-supplied by the caller (+1 when that is the outward normal of the domain,
+(1/2) int (Lap^2 h) h, which is boundary-only for biharmonic fields.  The
+bulk term is computed in closed form: each term of a field is an
+eigenfunction of the Laplacian, so the bulk integral is a sum over pairs of
+terms of one S^3 moment times one radial power integral.  All boundary
+functionals are written with the normal +x/|x| and a sign factor supplied
+by the caller (+1 when that is the outward normal of the domain,
 -1 when the domain lies outside the sphere).
 """
 
@@ -298,46 +300,41 @@ def boundary_functional(h, r: float, sign: float = 1.0, form: str = "bilap",
     return float(value)
 
 
-def _bulk_integral(h, r0: float, r1: float, form: str,
-                   level: int = 8, n_radial: int = 24) -> float:
-    # panelize wide radial ranges dyadically: a single Gauss rule loses
-    # accuracy badly on steep r^-k integrands spanning many octaves; a range
-    # starting at (numerically) zero is smooth there and needs no panels.
-    # h is a CurvatureQuadraticField, a sum of Q_S(x) f(|x|): even in x, so
-    # are its Laplacians and both integrands
-    pts, wts = _half_sphere_rule(level)
-    if r0 > 1e-6 * r1:
-        edges = [r0]
-        while edges[-1] * 2.0 < r1:
-            edges.append(edges[-1] * 2.0)
-        edges.append(r1)
-    else:
-        edges = [r0, r1]
-    rs, wr = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        r_p, w_p = radial_rule(lo, hi, n_radial)
-        rs.extend(r_p)
-        wr.extend(w_p)
+def _bulk_term(h, r0: float, r1: float, form: str) -> float:
+    """The bulk term of ``second_variation`` on r0 < |x| < r1, in closed form.
 
-    def integrand(xc):
-        if form == "bilap":
-            return np.einsum("nij,nij->n", h.bilaplacian(xc), h.derivative(xc, 0))
-        lap = h.laplacian(xc)
-        return np.einsum("nij,nij->n", lap, lap)
-
+    Each term c Q_S(x) |x|^p of h is an eigenfunction of the Laplacian:
+    Lap (Q_S r^p) = p (p + 6) Q_S r^(p-2) and
+    Lap^2 (Q_S r^p) = mu(p) Q_S r^(p-4) with mu(p) = p (p + 6) (p - 2) (p + 4).
+    For trace-free S the degree-4 moments of ``sphere_moment`` give
+    int_{S^3} <Q_S, Q_T> = (pi^2 / 6) <S, T>, so (1/2) int (Lap^2 h) h
+    ("bilap") and (1/2) int |Lap h|^2 ("biharm") are
+    (pi^2 / 12) sum_(t,u) c_t c_u K(p_t, p_u) <S_t, S_u> R(p_t + p_u + 4),
+    with K = mu(p_t) or p_t (p_t + 6) p_u (p_u + 6) and
+    R(e) = int_r0^r1 r^(e-1) dr.  A pair with K = 0 adds nothing, so the
+    bilap term of a biharmonic field is exactly 0.
+    """
     total = 0.0
-    for r, w in zip(rs, wr):
-        total += w * r ** 3 * float(np.sum(wts * _pointwise(integrand, r * pts)))
-    return 0.5 * total
+    for c, s, p in h.terms:
+        for d, t, q in h.terms:
+            if form == "bilap":
+                k = p * (p + 6.0) * (p - 2.0) * (p + 4.0)
+            else:
+                k = p * (p + 6.0) * q * (q + 6.0)
+            if k != 0.0:
+                e = p + q + 4.0
+                radial = np.log(r1 / r0) if e == 0.0 else (r1 ** e - r0 ** e) / e
+                total += c * d * k * float(np.sum(s * t)) * radial
+    return float(np.pi ** 2 / 12.0 * total)
 
 
 def second_variation(h, domain, form: str = "bilap") -> float:
     """Quadratic Weyl-energy coefficient Phi(h, Omega) for a TT field h.
 
     ``domain`` is ("ball", r) or ("annulus", r0, r1).  Phi sums, in this
-    order, the bulk integral and ``boundary_functional`` on the inner (sign
-    -1) and outer (sign +1) sphere.  For a field with Lap^2 h = 0 the bilap
-    form is purely a boundary expression.  An unknown form or domain is
+    order, the closed-form bulk term and ``boundary_functional`` on the
+    inner (sign -1) and outer (sign +1) sphere.  For a field with
+    Lap^2 h = 0 the bilap form is purely a boundary expression.  An unknown form or domain is
     refused before any integral.
     """
     if form not in ("bilap", "biharm"):
@@ -357,7 +354,7 @@ def second_variation(h, domain, form: str = "bilap") -> float:
     if max(tr, dv) > 1e-9 * scale:
         raise ValueError("second variation requires a transverse-traceless field")
 
-    value = _bulk_integral(h, *bulk_range, form)
+    value = _bulk_term(h, *bulk_range, form)
     for r, sign in spheres:
         value += boundary_functional(h, r, sign, form)
     return float(value)

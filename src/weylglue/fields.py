@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations, groupby
 from math import prod
+from typing import Protocol
 
 import numpy as np
 
@@ -495,6 +496,12 @@ class CurvatureQuadraticField:
         return np.einsum("...kki->...i", d1)
 
 
+class _Normals(Protocol):
+    """What ``PolynomialField.random`` reads of its source of draws."""
+
+    def standard_normal(self, size) -> np.ndarray: ...
+
+
 class PolynomialField:
     """Dense symmetric polynomial of degree <= 3 with exact derivatives to order 2.
 
@@ -523,7 +530,10 @@ class PolynomialField:
         self.c3 = prep(c3, 3)
 
     @classmethod
-    def random(cls, rng: np.random.Generator, scale: float = 0.05) -> "PolynomialField":
+    def random(cls, rng: _Normals, scale: float = 0.05) -> "PolynomialField":
+        """Coefficients of scale times standard normal draws, read from
+        ``rng.standard_normal(shape)`` alone: a numpy Generator serves, and
+        so does any source of that one method."""
         return cls(c0=scale * rng.standard_normal((DIM, DIM)),
                    c1=scale * rng.standard_normal((DIM, DIM, DIM)),
                    c2=scale * rng.standard_normal((DIM, DIM, DIM, DIM)),

@@ -8,9 +8,10 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from weylglue import cli
+from weylglue import cli, tensor_core
 from weylglue.gluing import RegimeWarning
 
 
@@ -82,6 +83,52 @@ def test_verify_unknown_suite_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])
     assert exc.value.code == cli.EXIT_INPUT
+
+
+def test_verify_negative_seed_exits_two(capsys):
+    code = cli.main(["verify", "sphere", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
+def test_verify_tensor_reports_coupled_blocks_as_failed(capsys, monkeypatch):
+    # a Kulkarni-Nomizu product of a trace-free diagonal with delta couples
+    # the SD and ASD blocks; the coupling is its trace-free Ricci part, so
+    # the Weyl-class check fails beside the block check
+    names = [c["name"] for c in json.loads(run(["verify", "tensor"], capsys)[1])["checks"]]
+    diag = np.diag([1.0, -1.0, 0.5, -0.5])
+    monkeypatch.setattr(cli, "_random_weyl",
+                        lambda rng: tensor_core.kulkarni_nomizu(diag, np.eye(4)))
+    code, out = run(["verify", "tensor"], capsys)
+    checks = json.loads(out)["checks"]
+    assert code == cli.EXIT_FAIL
+    assert [c["name"] for c in checks] == names
+    assert [c["name"] for c in checks if not c["pass"]] == ["weyl-class-residual",
+                                                            "hodge-block-diagonal"]
+    assert checks[names.index("hodge-block-diagonal")]["residual"] > 0.1
+
+
+def test_cubic_remainder_check_reports_its_slope(capsys):
+    code, out = run(["verify", "variation", "--seed", "0"], capsys)
+    check, = [c for c in json.loads(out)["checks"] if c["name"] == "cubic-remainder-slope"]
+    assert code == cli.EXIT_PASS and check["pass"]
+    assert 2.7 <= check["slope"] <= 3.3
+
+
+def test_verify_all_leaves_numpy_random_unimported():
+    # in a fresh interpreter: pytest itself imports numpy.random
+    script = ("import io, sys, contextlib\n"
+              "from weylglue import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(['verify', 'all', '--seed', '0'])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(cli.EXIT_PASS), "False"]
 
 
 def test_interact_reports_values(spectra, capsys):

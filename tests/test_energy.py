@@ -13,6 +13,7 @@ from weylglue.curvature import FieldChart, MetricChart, weyl_density
 from weylglue.fields import CurvatureQuadraticField, PolynomialField
 from weylglue.gluing import GluingParams, RegimeWarning, model_F, model_H
 
+from oracles import bulk_integral
 from random_tensors import random_weyl, slab_jet
 
 
@@ -306,11 +307,41 @@ def test_bulk_integral_half_rule_equals_full_rule(form, monkeypatch):
     # powers 0, -4 and 4: the last is not biharmonic, so neither form vanishes
     w = random_weyl(np.random.default_rng(66))
     h = CurvatureQuadraticField([(1.0, w, 0.0), (0.5, w, -4.0), (0.3, w, 4.0)])
-    half = en._bulk_integral(h, 0.5, 2.0, form)
+    half = bulk_integral(h, 0.5, 2.0, form)
     monkeypatch.setattr(en, "_half_sphere_rule", en.sphere_rule)
-    full = en._bulk_integral(h, 0.5, 2.0, form)
+    full = bulk_integral(h, 0.5, 2.0, form)
     assert abs(full) > 1.0
     assert half == pytest.approx(full, rel=1e-13)
+
+
+def _bulk_cases():
+    rng = np.random.default_rng(67)
+    wm, wz = random_weyl(rng), random_weyl(rng)
+    w = random_weyl(np.random.default_rng(66))
+    # the ball's range as second_variation integrates it
+    return {"model_H-ball": (model_H(wz), 1e-8, 1.0, True),
+            "model_F-annulus": (model_F(wm), 0.5, 2.0, True),
+            "interpolant-0.3": (assemble_interpolant(wm, wz, 0.3, 1.5), 0.3, 1.0, True),
+            "interpolant-0.02": (assemble_interpolant(wm, wz, 0.02, 1.5), 0.02, 1.0, True),
+            "powers-0-4-4": (CurvatureQuadraticField([(1.0, w, 0.0), (0.5, w, -4.0),
+                                                      (0.3, w, 4.0)]), 0.5, 2.0, False),
+            # p + q + 4 = 0 for the cross terms: the logarithmic radial integral
+            "powers-1-3": (CurvatureQuadraticField([(1.0, w, -1.0), (0.5, w, -3.0)]),
+                           0.5, 2.0, False)}
+
+
+@pytest.mark.parametrize("form", ["bilap", "biharm"])
+@pytest.mark.parametrize("case", list(_bulk_cases()))
+def test_bulk_term_matches_quadrature_oracle(case, form):
+    h, r0, r1, biharmonic = _bulk_cases()[case]
+    got = en._bulk_term(h, r0, r1, form)
+    want = bulk_integral(h, r0, r1, form)
+    assert type(got) is float
+    assert abs(got - want) <= 1e-13 * abs(want)
+    if biharmonic and form == "bilap":
+        assert got == 0.0
+    if case == "powers-1-3" and form == "biharm":
+        assert abs(want) > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +643,7 @@ def test_other_sphere_loops_are_chunk_invariant(monkeypatch):
 
     def run():
         return (en.dilation_energy(h, [0.01, 0.1], level=6).tolist(),
-                en._bulk_integral(f, 0.5, 2.0, "biharm", level=6, n_radial=4),
+                bulk_integral(f, 0.5, 2.0, "biharm", level=6, n_radial=4),
                 en.weyl_energy_numeric(FieldChart(h, scale=0.2), 0.0, 1.0, level=4, n_radial=4))
 
     expected = run()
