@@ -443,12 +443,13 @@ def fd_curvature(chart: MetricChart, x, step: float = 1e-5) -> dict:
     return {"christoffel": gamma, "riemann": riem, "ricci": ric, "scalar": scal}
 
 
-def fd_linearize(chart: MetricChart, h, x, quantity: str):
-    """d/dt at t=0 of a nonlinear curvature quantity of chart + t*h.
+def fd_linearize(chart: MetricChart, h, x) -> dict:
+    """d/dt at t=0 of every nonlinear curvature quantity of chart + t*h.
 
-    ``quantity`` is one of inv, gamma, riem13, riem04, ric, scal, weyl.
-    Central differences in t at steps 1e-4 and 1e-4 / 2, with one
-    Richardson level.
+    Keyed like ``linearize_curvature``: inv_dot, gamma_dot, riem13_dot,
+    riem04_dot, ric_dot, scal_dot, weyl_dot.  Central differences in t at
+    steps 1e-4 and 1e-4 / 2, with one Richardson level; the four
+    evaluations of chart + t*h serve every quantity.
     """
     x = np.asarray(x, dtype=float)[None]
     # the jets do not depend on t: form them once and add t times h's jet
@@ -458,27 +459,17 @@ def fd_linearize(chart: MetricChart, h, x, quantity: str):
     def value(t):
         g, dg, d2g = (b + t * d for b, d in zip(base, jet))
         ginv = np.linalg.inv(g[0])
-        if quantity == "inv":
-            return ginv
-        gamma = christoffel_from_data(g, dg)[0]
-        if quantity == "gamma":
-            return gamma
         riem = riemann_from_data(g, dg, d2g)[0]
-        if quantity == "riem04":
-            return riem
-        if quantity == "riem13":
-            return np.einsum("ijks,sl->ijkl", riem, ginv)
         ric = np.einsum("kijl,kl->ij", riem, ginv)
-        if quantity == "ric":
-            return ric
-        scal = np.einsum("ij,ij->", ginv, ric)
-        if quantity == "scal":
-            return scal
-        if quantity == "weyl":
-            return weyl_from_riemann(riem, g[0])
-        raise ValueError(f"unknown quantity {quantity!r}")
+        return {"inv_dot": ginv, "gamma_dot": christoffel_from_data(g, dg)[0],
+                "riem13_dot": np.einsum("ijks,sl->ijkl", riem, ginv),
+                "riem04_dot": riem, "ric_dot": ric,
+                "scal_dot": np.einsum("ij,ij->", ginv, ric),
+                "weyl_dot": weyl_from_riemann(riem, g[0])}
 
     def central(tt):
-        return (value(tt) - value(-tt)) / (2 * tt)
+        plus, minus = value(tt), value(-tt)
+        return {key: (plus[key] - minus[key]) / (2 * tt) for key in plus}
 
-    return (4 * central(1e-4 / 2) - central(1e-4)) / 3.0
+    fine, coarse = central(1e-4 / 2), central(1e-4)
+    return {key: (4 * fine[key] - coarse[key]) / 3.0 for key in fine}

@@ -15,13 +15,17 @@ The quadratic Weyl-energy expansion at the flat metric for a TT field h is
 
 where Phi is available in two algebraically equal forms: the "biharm" form
 with bulk (1/2) int (Lap h)^2, and the "bilap" form with bulk
-(1/2) int (Lap^2 h) h, which is boundary-only for biharmonic fields.  The
-bulk term is computed in closed form: each term of a field is an
-eigenfunction of the Laplacian, so the bulk integral is a sum over pairs of
-terms of one S^3 moment times one radial power integral.  All boundary
-functionals are written with the normal +x/|x| and a sign factor supplied
-by the caller (+1 when that is the outward normal of the domain,
--1 when the domain lies outside the sphere).
+(1/2) int (Lap^2 h) h, which is boundary-only for biharmonic fields.
+``second_variation`` computes Phi in closed form: each term of a field is
+an eigenfunction of the Laplacian and every integrand of a pair of terms is
+homogeneous, so the bulk term and each sphere term are sums over pairs of
+terms of one S^3 moment times a polynomial kernel in the two powers and a
+power of the radius.  The level-12 boundary quadrature,
+``boundary_functional``, serves the energy bracket and is the sphere
+terms' oracle in the tests.  All boundary functionals are written with the
+normal +x/|x| and a sign factor supplied by the caller (+1 when that is
+the outward normal of the domain, -1 when the domain lies outside the
+sphere).
 """
 
 from __future__ import annotations
@@ -166,11 +170,16 @@ def weyl_energy_numeric(chart, r0: float, r1: float, level: int = 10,
 #: Gauss-Legendre nodes in the dilation parameter s used by ``dilation_energy``.
 DILATION_NODES = 8
 #: Points per batch of ``dilation_energy``.  A chunk's jet is held through
-#: all ``DILATION_NODES`` density passes; at 128 points it and a pass's
+#: all ``DILATION_NODES`` density passes; at 64 points it and a pass's
 #: temporaries stay small enough that the C allocator keeps them between
-#: passes instead of handing them back and faulting them in again, which at
-#: ``SPHERE_CHUNK`` points made the loop about 1.7 times slower.
-DILATION_CHUNK = 128
+#: passes instead of handing them back and faulting them in again (at
+#: ``SPHERE_CHUNK`` points that made the loop about 1.7 times slower), and
+#: they add little to a process's peak memory.  The result is bit for bit
+#: the same at chunks 1, 7, 64, 128 and 1000 (model_H, four tensors).  At 64
+#: each ``weyl_density`` pass has half the temporaries of 128, for about 13%
+#: more CPU: ``verify variation``'s call took a median 33.7 ms against
+#: 29.8 ms (21 interleaved in-process runs, 2-vCPU Xeon VM).
+DILATION_CHUNK = 64
 
 
 class _JetAt:
@@ -300,47 +309,88 @@ def boundary_functional(h, r: float, sign: float = 1.0, form: str = "bilap",
     return float(value)
 
 
-def _bulk_term(h, r0: float, r1: float, form: str) -> float:
-    """The bulk term of ``second_variation`` on r0 < |x| < r1, in closed form.
+def _bulk_kernel(form: str, p: float, q: float) -> float:
+    """K of the bulk term for the ordered pair of powers (p, q).
 
     Each term c Q_S(x) |x|^p of h is an eigenfunction of the Laplacian:
     Lap (Q_S r^p) = p (p + 6) Q_S r^(p-2) and
-    Lap^2 (Q_S r^p) = mu(p) Q_S r^(p-4) with mu(p) = p (p + 6) (p - 2) (p + 4).
+    Lap^2 (Q_S r^p) = mu(p) Q_S r^(p-4) with mu(p) = p (p + 6) (p - 2) (p + 4),
+    so (1/2) int (Lap^2 h) h ("bilap") takes K = mu(p) and
+    (1/2) int |Lap h|^2 ("biharm") K = p (p + 6) q (q + 6).
+    """
+    if form == "bilap":
+        return p * (p + 6.0) * (p - 2.0) * (p + 4.0)
+    return p * (p + 6.0) * q * (q + 6.0)
+
+
+def _sphere_kernel(form: str, p: float, q: float) -> float:
+    """K of ``boundary_functional`` for the pair of powers (p, q): two terms
+    c_t W_t x x |x|^(p_t) and c_u W_u x x |x|^(p_u) add
+    sign pi^2 c_t c_u <W_t, W_u> K(p_t, p_u) r^(p_t + p_u + 4) on the sphere
+    of radius r.
+
+    A polynomial of degree 3 ("bilap") or 2 ("biharm"), with rational
+    coefficients fitted to the level-12 quadrature over 45 (p, q) pairs;
+    the tests check it against that quadrature.
+    """
+    if form == "bilap":
+        return (9.0 / 2.0 + (9.0 / 8.0) * (p + q) - (p * p + q * q) / 8.0
+                - (p ** 3 + q ** 3) / 32.0 + p * q / 4.0 + p * q * (p + q) / 32.0)
+    return 9.0 / 2.0 + (3.0 / 4.0) * (p + q) - p * q / 8.0
+
+
+def _closed_form_phi(h, form: str, r0: float, r1: float, spheres) -> float:
+    """Phi of h in closed form: the bulk term on r0 < |x| < r1 plus, for
+    each (r, sign) of ``spheres``, ``boundary_functional(h, r, sign, form)``.
+
     For trace-free S the degree-4 moments of ``sphere_moment`` give
-    int_{S^3} <Q_S, Q_T> = (pi^2 / 6) <S, T>, so (1/2) int (Lap^2 h) h
-    ("bilap") and (1/2) int |Lap h|^2 ("biharm") are
-    (pi^2 / 12) sum_(t,u) c_t c_u K(p_t, p_u) <S_t, S_u> R(p_t + p_u + 4),
-    with K = mu(p_t) or p_t (p_t + 6) p_u (p_u + 6) and
-    R(e) = int_r0^r1 r^(e-1) dr.  A pair with K = 0 adds nothing, so the
-    bilap term of a biharmonic field is exactly 0.
+    int_{S^3} <Q_S, Q_T> = (pi^2 / 6) <S, T>, and every integrand of a pair
+    of terms c_t Q_(S_t) r^(p_t), c_u Q_(S_u) r^(p_u) is homogeneous of
+    degree e - 4 with e = p_t + p_u + 4, so Phi is
+
+        pi^2 sum_(t,u) c_t c_u <S_t, S_u> [K_bulk(p_t, p_u) R(e) / 12
+                                           + (4/3) sum_spheres sign K_sphere(p_t, p_u) r^e]
+
+    with R(e) = int_r0^r1 r^(e-1) dr, a logarithm at e = 0; the 4/3 turns
+    the sphere kernel's <W_t, W_u> into <S_t, S_u> = (3/4) <W_t, W_u> of the
+    stored symmetrized tensors.  A pair with K_bulk = 0 adds an exact 0 to
+    the bulk, so the bilap bulk of a biharmonic field is exactly 0.  The
+    Gram <S_t, S_u> is formed once per pair of blocks.
     """
     total = 0.0
-    for c, s, p in h.terms:
-        for d, t, q in h.terms:
-            if form == "bilap":
-                k = p * (p + 6.0) * (p - 2.0) * (p + 4.0)
-            else:
-                k = p * (p + 6.0) * q * (q + 6.0)
-            if k != 0.0:
-                e = p + q + 4.0
-                radial = np.log(r1 / r0) if e == 0.0 else (r1 ** e - r0 ** e) / e
-                total += c * d * k * float(np.sum(s * t)) * radial
-    return float(np.pi ** 2 / 12.0 * total)
+    for s, profile in h.blocks:
+        for t, other in h.blocks:
+            gram = float(np.sum(s * t))
+            for c, p in profile:
+                for d, q in other:
+                    e = p + q + 4.0
+                    radial = np.log(r1 / r0) if e == 0.0 else (r1 ** e - r0 ** e) / e
+                    pair = _bulk_kernel(form, p, q) * radial / 12.0
+                    for r, sign in spheres:
+                        pair += (4.0 / 3.0) * sign * _sphere_kernel(form, p, q) * r ** e
+                    total += c * d * gram * pair
+    return float(np.pi ** 2 * total)
 
 
 def second_variation(h, domain, form: str = "bilap") -> float:
     """Quadratic Weyl-energy coefficient Phi(h, Omega) for a TT field h.
 
-    ``domain`` is ("ball", r) or ("annulus", r0, r1).  Phi sums, in this
-    order, the closed-form bulk term and ``boundary_functional`` on the
-    inner (sign -1) and outer (sign +1) sphere.  For a field with
-    Lap^2 h = 0 the bilap form is purely a boundary expression.  An unknown form or domain is
-    refused before any integral.
+    ``domain`` is ("ball", r) or ("annulus", r0, r1).  Phi is the bulk term
+    plus ``boundary_functional`` on the inner (sign -1) and outer (sign +1)
+    sphere, summed in closed form over pairs of terms
+    (``_closed_form_phi``): no sphere is integrated.  For a field with
+    Lap^2 h = 0 the bilap form is purely a boundary expression.  An unknown
+    form or domain is refused before any evaluation, and so is a ball for a
+    field with a power p <= -2: such a term is not in H^2 near 0, and its
+    Phi diverges.
     """
     if form not in ("bilap", "biharm"):
         raise ValueError(f"unknown form {form!r}")
     if len(domain) == 2 and domain[0] == "ball":
-        bulk_range, spheres = (1e-8 * domain[1], domain[1]), [(domain[1], 1.0)]
+        if any(p <= -2.0 for _, _, p in h.terms):
+            raise ValueError("a field with a power p <= -2 is not in H^2 near 0, "
+                             "so its second variation on a ball diverges")
+        bulk_range, spheres = (0.0, domain[1]), [(domain[1], 1.0)]
     elif len(domain) == 3 and domain[0] == "annulus":
         bulk_range = (domain[1], domain[2])
         spheres = [(domain[1], -1.0), (domain[2], 1.0)]
@@ -353,11 +403,7 @@ def second_variation(h, domain, form: str = "bilap") -> float:
     scale = max(np.abs(h.derivative(probe, 0)).max(), 1.0)
     if max(tr, dv) > 1e-9 * scale:
         raise ValueError("second variation requires a transverse-traceless field")
-
-    value = _bulk_term(h, *bulk_range, form)
-    for r, sign in spheres:
-        value += boundary_functional(h, r, sign, form)
-    return float(value)
+    return _closed_form_phi(h, form, *bulk_range, spheres)
 
 
 # ---------------------------------------------------------------------------

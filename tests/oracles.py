@@ -14,19 +14,18 @@ def bulk_integral(h, r0: float, r1: float, form: str,
     The sphere rule, the radial rule and the chunked loop are read from
     ``energy`` at call time, so a test may patch them there.
     """
-    # panelize wide radial ranges dyadically: a single Gauss rule loses
-    # accuracy badly on steep r^-k integrands spanning many octaves; a range
-    # starting at (numerically) zero is smooth there and needs no panels.
+    # panelize the radial range dyadically: a single Gauss rule loses
+    # accuracy badly on steep r^-k integrands spanning many octaves, and on
+    # a non-integer power r^(e-1) near 0.  A range from below 1e-12 r1
+    # starts its panels there: on a ball every exponent e of a field the
+    # tests integrate is at least 1, so the rest adds below 1e-12 of it.
     # h is a CurvatureQuadraticField, a sum of Q_S(x) f(|x|): even in x, so
     # are its Laplacians and both integrands
     pts, wts = en._half_sphere_rule(level)
-    if r0 > 1e-6 * r1:
-        edges = [r0]
-        while edges[-1] * 2.0 < r1:
-            edges.append(edges[-1] * 2.0)
-        edges.append(r1)
-    else:
-        edges = [r0, r1]
+    edges = [max(r0, 1e-12 * r1)]
+    while edges[-1] * 2.0 < r1:
+        edges.append(edges[-1] * 2.0)
+    edges.append(r1)
     rs, wr = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         r_p, w_p = en.radial_rule(lo, hi, n_radial)

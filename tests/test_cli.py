@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylglue import cli, tensor_core
+from weylglue import cli, energy, tensor_core
 from weylglue.gluing import RegimeWarning
 
 
@@ -108,6 +108,23 @@ def test_verify_tensor_reports_coupled_blocks_as_failed(capsys, monkeypatch):
     assert [c["name"] for c in checks if not c["pass"]] == ["weyl-class-residual",
                                                             "hodge-block-diagonal"]
     assert checks[names.index("hodge-block-diagonal")]["residual"] > 0.1
+
+
+def test_verify_variation_reports_disagreeing_forms_as_failed(capsys, monkeypatch):
+    # the biharm bulk kernel off by 1e-6: the interpolant's biharm form has a
+    # bulk term, so the forms disagree there (model_H's has none)
+    names = [c["name"] for c in json.loads(run(["verify", "variation"], capsys)[1])["checks"]]
+    kernel = energy._bulk_kernel
+
+    def scaled(form, p, q):
+        return kernel(form, p, q) * (1.0 + 1e-6 if form == "biharm" else 1.0)
+
+    monkeypatch.setattr(energy, "_bulk_kernel", scaled)
+    code, out = run(["verify", "variation"], capsys)
+    checks = json.loads(out)["checks"]
+    assert code == cli.EXIT_FAIL
+    assert [c["name"] for c in checks] == names
+    assert [c["name"] for c in checks if not c["pass"]] == ["boundary-forms-agree"]
 
 
 def test_cubic_remainder_check_reports_its_slope(capsys):

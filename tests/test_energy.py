@@ -319,7 +319,7 @@ def _bulk_cases():
     wm, wz = random_weyl(rng), random_weyl(rng)
     w = random_weyl(np.random.default_rng(66))
     # the ball's range as second_variation integrates it
-    return {"model_H-ball": (model_H(wz), 1e-8, 1.0, True),
+    return {"model_H-ball": (model_H(wz), 0.0, 1.0, True),
             "model_F-annulus": (model_F(wm), 0.5, 2.0, True),
             "interpolant-0.3": (assemble_interpolant(wm, wz, 0.3, 1.5), 0.3, 1.0, True),
             "interpolant-0.02": (assemble_interpolant(wm, wz, 0.02, 1.5), 0.02, 1.0, True),
@@ -334,7 +334,7 @@ def _bulk_cases():
 @pytest.mark.parametrize("case", list(_bulk_cases()))
 def test_bulk_term_matches_quadrature_oracle(case, form):
     h, r0, r1, biharmonic = _bulk_cases()[case]
-    got = en._bulk_term(h, r0, r1, form)
+    got = en._closed_form_phi(h, form, r0, r1, ())
     want = bulk_integral(h, r0, r1, form)
     assert type(got) is float
     assert abs(got - want) <= 1e-13 * abs(want)
@@ -342,6 +342,67 @@ def test_bulk_term_matches_quadrature_oracle(case, form):
         assert got == 0.0
     if case == "powers-1-3" and form == "biharm":
         assert abs(want) > 1.0
+
+
+def _phi_cases():
+    rng = np.random.default_rng(68)
+    wm, wz, w = random_weyl(rng), random_weyl(rng), random_weyl(rng)
+    odd = CurvatureQuadraticField([(1.0, w, -1.3), (0.5, wm, 0.55), (0.2, w, 2.7)])
+    cases = {"model_H-ball": (model_H(wz), ("ball", 1.0)),
+             "model_H-annulus": (model_H(wz), ("annulus", 0.3, 1.0)),
+             "model_F-annulus": (model_F(wm), ("annulus", 0.3, 1.0)),
+             "powers-odd-ball": (odd, ("ball", 1.0)),
+             "powers-odd-annulus": (odd, ("annulus", 0.3, 1.0))}
+    for gamma in (0.3, 0.08, 0.02):
+        cases[f"interpolant-{gamma}"] = (assemble_interpolant(wm, wz, gamma, 1.5),
+                                         ("annulus", gamma, 1.0))
+    return cases
+
+
+@pytest.mark.parametrize("form", ["bilap", "biharm"])
+@pytest.mark.parametrize("case", list(_phi_cases()))
+def test_second_variation_matches_quadrature_oracles(case, form):
+    # the closed form against the bulk quadrature plus the boundary
+    # functional's sphere quadrature on each bounding sphere
+    h, domain = _phi_cases()[case]
+    if domain[0] == "ball":
+        r0, spheres = 0.0, [(domain[1], 1.0)]
+    else:
+        r0, spheres = domain[1], [(domain[1], -1.0), (domain[2], 1.0)]
+    want = bulk_integral(h, r0, domain[-1], form)
+    for r, sign in spheres:
+        want += en.boundary_functional(h, r, sign, form)
+    got = en.second_variation(h, domain, form)
+    assert type(got) is float
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_second_variation_integrates_no_sphere(monkeypatch):
+    def integrating(*args, **kwargs):
+        raise AssertionError("second_variation integrated a sphere")
+
+    cases = _phi_cases()
+    monkeypatch.setattr(en, "_boundary_quadrature", integrating)
+    monkeypatch.setattr(en, "_pointwise", integrating)
+    en._boundary_terms.cache_clear()
+    for h, domain in cases.values():
+        for form in ("bilap", "biharm"):
+            assert np.isfinite(en.second_variation(h, domain, form))
+
+
+@pytest.mark.parametrize("form", ["bilap", "biharm"])
+def test_second_variation_refuses_a_ball_for_a_field_singular_at_0(form):
+    # a term |x|^p Q_S with p <= -2 is not in H^2 near 0: Phi on the ball
+    # diverges, and a cutoff near 0 would report its artefact
+    rng = np.random.default_rng(69)
+    wm, wz = random_weyl(rng), random_weyl(rng)
+    for h in (model_F(wm), assemble_interpolant(wm, wz, 0.3, 1.5),
+              CurvatureQuadraticField([(1.0, wm, 0.0), (1.0, wz, -2.0)])):
+        with pytest.raises(ValueError, match="not in H\\^2"):
+            en.second_variation(h, ("ball", 1.0), form)
+    # just above the bound the ball is admissible, and Phi is finite
+    h = CurvatureQuadraticField([(1.0, wm, 0.0), (1.0, wz, -1.9)])
+    assert np.isfinite(en.second_variation(h, ("ball", 1.0), form))
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +582,9 @@ def test_balance_makes_five_boundary_quadratures(monkeypatch):
                      (1, 1.0, 12)]
 
 
-def test_second_variation_forms_share_one_quadrature(monkeypatch):
+def test_boundary_memo_hit_equals_miss(monkeypatch):
     # the bilap and biharm forms read the same five sphere integrals, so
-    # the second form is a cache hit
+    # the second form is a cache hit, and a hit returns the bits of a miss
     rng = np.random.default_rng(59)
     h = model_H(random_weyl(rng))
     en._boundary_terms.cache_clear()
@@ -535,10 +596,9 @@ def test_second_variation_forms_share_one_quadrature(monkeypatch):
         return original(h, r, level)
 
     monkeypatch.setattr(en, "_boundary_quadrature", counting)
-    for form in ("bilap", "biharm"):
-        en.second_variation(h, ("ball", 1.0), form)
-    assert calls == [1.0]
+    en.boundary_functional(h, 1.0, form="biharm")
     hit = en.boundary_functional(h, 1.0)
+    assert calls == [1.0]
     en._boundary_terms.cache_clear()
     miss = en.boundary_functional(h, 1.0)
     assert calls == [1.0, 1.0]
@@ -649,6 +709,9 @@ def test_other_sphere_loops_are_chunk_invariant(monkeypatch):
     expected = run()
     monkeypatch.setattr(en, "SPHERE_CHUNK", 7)
     assert run() == expected
+    for chunk in (7, 128):
+        monkeypatch.setattr(en, "DILATION_CHUNK", chunk)
+        assert run() == expected
 
 
 #: pool-1/p07 of the benchmark inputs (its "sd"/"asd" spectra) and the
