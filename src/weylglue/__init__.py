@@ -7,28 +7,27 @@ negativity certifies the strict energy decrease.
 """
 
 from .tensor_core import (algweyl_from_spectrum, kulkarni_nomizu, spectrum_from_json,
-                          tensor_norm2, weyl_from_riemann)
+                          weyl_from_riemann)
 from .duality import (align_and_interact, derdzinski_frame, interaction_star,
                       positivity_bound, reverse_orientation, spectra)
-from .biharmonic import assemble_interpolant, smallgamma_expansion, solve_profile
+from .biharmonic import assemble_interpolant, solve_profile
 from .gluing import GluedChart, GluingParams, RegimeWarning
 from .energy import (EnergyBalance, boundary_functional, choose_parameters,
                      dilation_energy, energy_balance, extract_interaction_coefficient,
-                     phi_inner, phi_outer, rough_energy_bound, second_variation,
-                     sphere_moment, sphere_rule, weyl_energy_numeric)
+                     phi_inner, phi_outer, second_variation, sphere_moment,
+                     sphere_rule)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "algweyl_from_spectrum", "kulkarni_nomizu",
-    "spectrum_from_json", "tensor_norm2", "weyl_from_riemann",
+    "spectrum_from_json", "weyl_from_riemann",
     "align_and_interact", "derdzinski_frame",
     "interaction_star", "positivity_bound", "reverse_orientation", "spectra",
-    "assemble_interpolant", "smallgamma_expansion", "solve_profile",
+    "assemble_interpolant", "solve_profile",
     "GluedChart", "GluingParams", "RegimeWarning",
     "EnergyBalance", "boundary_functional", "choose_parameters", "dilation_energy",
     "energy_balance",
     "extract_interaction_coefficient", "phi_inner", "phi_outer",
-    "rough_energy_bound", "second_variation", "sphere_moment", "sphere_rule",
-    "weyl_energy_numeric",
+    "second_variation", "sphere_moment", "sphere_rule",
 ]

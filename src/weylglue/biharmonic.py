@@ -14,9 +14,10 @@ The interpolant is one field, the CurvatureQuadraticField that
                + sum_m Chat_m^Z W^Z_kijl x^k x^l |x|^(m-2)
 
 with m running over the profile powers (-4, -2, 2, 4) and the overall a^2
-factored out.  ``harmonic_component`` is the per-harmonic reference the
-tests compare it against: one component of wdot as a sum of profiles times
-second spherical harmonics, one linear solve per boundary case.
+factored out.  ``boundary_vector`` gives the data of each boundary case of
+one component, the per-harmonic form of the same system, which
+``verify biharmonic`` solves directly; the tests rebuild components of
+wdot from those solves.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor_core import DIM
-from .fields import CurvatureQuadraticField, _as_batch
+from .fields import CurvatureQuadraticField
 
 #: Powers of the radial profile basis r^p.
 PROFILE_POWERS = np.array([-4.0, -2.0, 2.0, 4.0])
@@ -44,19 +45,6 @@ def radial_profile(c, r, deriv: int = 0):
             fac *= (p - d)
         out = out + ck * fac * r ** (p - deriv)
     return out
-
-
-def radial_bilaplacian(c, r: float) -> float:
-    """The radial operator T(f) = f'''' + 6 f'''/r - 13 f''/r^2 - 19 f'/r^3 + 64 f/r^4.
-
-    This is Delta^2 acting on f(r) phi(theta) for a second spherical harmonic
-    phi (angular eigenvalue -8), with f the radial profile of the
-    coefficient 4-vector ``c``.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    f0, f1, f2, f3, f4 = (radial_profile(c, r, d) for d in range(5))
-    return float(f4 + 6 * f3 / r - 13 * f2 / r ** 2 - 19 * f1 / r ** 3 + 64 * f0 / r ** 4)
 
 
 def a_gamma(gamma: float) -> np.ndarray:
@@ -161,28 +149,6 @@ def solve_profile(gamma: float, v) -> np.ndarray:
     return np.array([c1, c2, c3, c4])
 
 
-def smallgamma_expansion(v, gamma: float) -> np.ndarray:
-    """Truncated small-gamma expansion of the solved coefficients.
-
-    Requires the structural relations v2 = -2 v1 and v4 = 2 v3.  For a
-    boundary vector held fixed as gamma varies, the truncation errors of the
-    four coefficients are of order gamma^8, gamma^4, gamma^4, gamma^4; with
-    the construction's own scaling v1 ~ gamma^2 each order increases by 2.
-    """
-    v = np.asarray(v, dtype=float)
-    v1, v2, v3, v4 = v
-    scale = max(np.abs(v).max(), 1.0)
-    if abs(v2 + 2.0 * v1) > 1e-12 * scale or abs(v4 - 2.0 * v3) > 1e-12 * scale:
-        raise ValueError("expansion requires v2 = -2 v1 and v4 = 2 v3")
-    g2 = gamma ** 2
-    return np.array([
-        -6.0 * v1 * g2 ** 2 + (2.0 * v3 + 6.0 * v1) * g2 ** 3,
-        v1 / g2 + 9.0 * v1 * g2 - 3.0 * v3 * g2 ** 2,
-        -3.0 * v1 / g2 + v3 - 27.0 * v1 * g2 + 9.0 * v3 * g2 ** 2,
-        2.0 * v1 / g2 + 18.0 * v1 * g2 - 6.0 * v3 * g2 ** 2,
-    ])
-
-
 # ---------------------------------------------------------------------------
 # interpolant assembly
 
@@ -219,42 +185,3 @@ def assemble_interpolant(wm, wz, gamma: float, lam: float) -> CurvatureQuadratic
     return CurvatureQuadraticField(terms)
 
 
-def harmonic_component(wm, wz, gamma: float, lam: float, i: int, j: int):
-    """The (i, j) component of the interpolant as a per-harmonic profile sum.
-
-    Each boundary case of the component gets its own radial solve; the
-    returned evaluate(x) sums profile(r) * harmonic(theta) at ambient points,
-    with the second spherical harmonics phi(k, l) = x^k x^l and
-    psi(k, l) = (x^k)^2 - (x^l)^2 divided by |x|^2.  It agrees with
-    ``assemble_interpolant``'s (i, j) component pointwise.
-    """
-    pairs = []
-    if i == j:
-        s, t, u = [k for k in range(DIM) if k != i]
-        for al, be in ((s, t), (s, u), (t, u)):
-            v = boundary_vector("diag-phi", (i, al, be), wm, wz, gamma, lam)
-            pairs.append((("phi", al, be), solve_profile(gamma, v)))
-        for al, be in ((s, u), (t, u)):
-            v = boundary_vector("diag-psi", (i, al), wm, wz, gamma, lam)
-            pairs.append((("psi", al, be), solve_profile(gamma, v)))
-    else:
-        s, t = [k for k in range(DIM) if k not in (i, j)]
-        for al, be in ((j, i), (j, s), (j, t), (s, i), (t, i)):
-            v = boundary_vector("offdiag-phi", (i, j, al, be), wm, wz, gamma, lam)
-            pairs.append((("phi", al, be), solve_profile(gamma, v)))
-        v = boundary_vector("offdiag-phi-st", (i, j), wm, wz, gamma, lam)
-        pairs.append((("phi", s, t), solve_profile(gamma, v)))
-        v = boundary_vector("offdiag-psi-st", (i, j), wm, wz, gamma, lam)
-        pairs.append((("psi", s, t), solve_profile(gamma, v)))
-
-    def evaluate(x):
-        xb, single = _as_batch(x)
-        r2 = np.einsum("na,na->n", xb, xb)
-        r = np.sqrt(r2)
-        out = np.zeros(xb.shape[0])
-        for (kind, k, l), chat in pairs:
-            poly = xb[:, k] * xb[:, l] if kind == "phi" else xb[:, k] ** 2 - xb[:, l] ** 2
-            out = out + radial_profile(chat, r) * (poly / r2)
-        return out[0] if single else out
-
-    return evaluate

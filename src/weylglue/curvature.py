@@ -2,9 +2,9 @@
 
 Charts are immutable evaluators: a domain test ``contains`` and the metric
 jet ``metric_jet`` = (g, dg, d2g) in closed form, which is all any chart
-computes (``metric`` is the jet's first entry).  The curvature pipeline
-below never differentiates numerically.  Finite-difference oracles, which
-read ``metric`` alone, are provided separately for testing.
+computes.  The curvature pipeline below never differentiates the metric
+numerically; ``fd_linearize``, the reference of ``verify``'s
+linearization check, differentiates in the direction parameter t alone.
 
 Convention: R_ij = R_kijl g^kl, and the coordinate curvature tensor is
     R_ijkl = (d_i Gamma_jk^s - d_j Gamma_ik^s) g_sl
@@ -41,7 +41,7 @@ from itertools import product
 import numpy as np
 
 from .tensor_core import _PAIR_OF, DIM, LEX_PAIRS, weyl_from_riemann
-from .fields import CurvatureQuadraticField, _as_batch
+from .fields import _as_batch
 
 _EYE = np.eye(DIM)
 
@@ -53,8 +53,7 @@ class ChartDomainError(ValueError):
 class MetricChart:
     """Base chart: flat metric on all of R^4.
 
-    A chart is its domain test ``contains`` and its metric jet
-    ``metric_jet``; ``metric`` is the first entry of the jet.
+    A chart is its domain test ``contains`` and its metric jet ``metric_jet``.
     """
 
     def contains(self, x) -> np.ndarray:
@@ -72,9 +71,6 @@ class MetricChart:
         n = xb.shape[0]
         g = np.broadcast_to(_EYE, (n, DIM, DIM)).copy()
         return _unbatch((g, np.zeros((n,) + (DIM,) * 3), np.zeros((n,) + (DIM,) * 4)), single)
-
-    def metric(self, x):
-        return self.metric_jet(x)[0]
 
 
 class FieldChart(MetricChart):
@@ -102,32 +98,8 @@ class FieldChart(MetricChart):
         return _unbatch((_EYE[None] + self.scale * h0, self.scale * h1, self.scale * h2), single)
 
 
-class ScaledChart(MetricChart):
-    """Constant conformal rescaling g -> c^2 g in the same coordinates."""
-
-    def __init__(self, base: MetricChart, factor: float):
-        self.base = base
-        self.factor = float(factor)
-
-    def contains(self, x):
-        return self.base.contains(x)
-
-    def metric_jet(self, x):
-        return tuple(self.factor * d for d in self.base.metric_jet(x))
-
-
 def _unbatch(arrays, single):
     return tuple(a[0] for a in arrays) if single else tuple(arrays)
-
-
-def cnc_model(w: np.ndarray) -> FieldChart:
-    """Conformal normal form chart delta - 1/3 W_kijl x^k x^l."""
-    return FieldChart(CurvatureQuadraticField([(-1.0 / 3.0, w, 0.0)]))
-
-
-def inverted_model(w: np.ndarray, r_min: float = 1e-8) -> FieldChart:
-    """Inverted-end chart delta - 1/3 W_kijl x^k x^l / |x|^4."""
-    return FieldChart(CurvatureQuadraticField([(-1.0 / 3.0, w, -4.0)]), r_min=r_min)
 
 
 # ---------------------------------------------------------------------------
@@ -374,74 +346,8 @@ def linearize_curvature(chart: MetricChart, h, x) -> dict:
             "weyl_dot": _expand(weyl_dot)[0]}
 
 
-def linearized_weyl_flat_tt(h, x):
-    """Linearized Weyl tensor at the flat metric for a TT perturbation.
-
-    W_dot_aijb = 1/2 (d2_aj h_ib + d2_ib h_aj - d2_ab h_ij - d2_ij h_ab)
-               + 1/4 (delta_ab Lap h_ij + delta_ij Lap h_ab
-                      - delta_ib Lap h_aj - delta_aj Lap h_ib).
-    """
-    xb, single = _as_batch(x)
-    h0, h1, h2 = h.jet(xb)
-    tr = np.abs(np.einsum("nii->n", h0)).max()
-    div = np.abs(np.einsum("nkki->ni", h1)).max()
-    if max(tr, div) > 1e-10:
-        raise ValueError("not transverse-traceless")
-    lap = np.einsum("naaij->nij", h2)
-    wdot = 0.5 * (np.einsum("najib->naijb", h2) + np.einsum("nibaj->naijb", h2)
-                  - np.einsum("nabij->naijb", h2) - np.einsum("nijab->naijb", h2))
-    wdot += 0.25 * (np.einsum("ab,nij->naijb", _EYE, lap)
-                    + np.einsum("ij,nab->naijb", _EYE, lap)
-                    - np.einsum("ib,naj->naijb", _EYE, lap)
-                    - np.einsum("aj,nib->naijb", _EYE, lap))
-    return wdot[0] if single else wdot
-
-
 # ---------------------------------------------------------------------------
-# finite-difference oracles (testing support)
-
-def fd_metric_data(chart: MetricChart, x, step: float = 1e-5):
-    """Metric derivative arrays (g, dg, d2g) at a single point by central
-    differences with one Richardson extrapolation level."""
-    x = np.asarray(x, dtype=float)
-
-    def dg_at(hh):
-        out = np.zeros((DIM, DIM, DIM))
-        for a in range(DIM):
-            e = np.zeros(DIM); e[a] = hh
-            out[a] = (chart.metric(x + e) - chart.metric(x - e)) / (2 * hh)
-        return out
-
-    def d2g_at(hh):
-        out = np.zeros((DIM, DIM, DIM, DIM))
-        g0 = chart.metric(x)
-        for a in range(DIM):
-            ea = np.zeros(DIM); ea[a] = hh
-            out[a, a] = (chart.metric(x + ea) - 2 * g0 + chart.metric(x - ea)) / hh ** 2
-            for b in range(a + 1, DIM):
-                eb = np.zeros(DIM); eb[b] = hh
-                mixed = (chart.metric(x + ea + eb) - chart.metric(x + ea - eb)
-                         - chart.metric(x - ea + eb) + chart.metric(x - ea - eb)) / (4 * hh ** 2)
-                out[a, b] = mixed
-                out[b, a] = mixed
-        return out
-
-    dg = (4 * dg_at(step / 2) - dg_at(step)) / 3.0
-    d2g = (4 * d2g_at(step / 2) - d2g_at(step)) / 3.0
-    return chart.metric(x), dg, d2g
-
-
-def fd_curvature(chart: MetricChart, x, step: float = 1e-5) -> dict:
-    """Curvature computed from finite-difference metric derivatives."""
-    g, dg, d2g = fd_metric_data(chart, x, step)
-    g, dg, d2g = g[None], dg[None], d2g[None]
-    gamma = christoffel_from_data(g, dg)[0]
-    riem = riemann_from_data(g, dg, d2g)[0]
-    ginv = np.linalg.inv(g[0])
-    ric = np.einsum("kijl,kl->ij", riem, ginv)
-    scal = float(np.einsum("ij,ij->", ginv, ric))
-    return {"christoffel": gamma, "riemann": riem, "ricci": ric, "scalar": scal}
-
+# finite-difference linearization (the reference of ``verify``)
 
 def fd_linearize(chart: MetricChart, h, x) -> dict:
     """d/dt at t=0 of every nonlinear curvature quantity of chart + t*h.

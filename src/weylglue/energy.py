@@ -25,7 +25,9 @@ power of the radius.  The level-12 boundary quadrature,
 terms' oracle in the tests.  All boundary functionals are written with the
 normal +x/|x| and a sign factor supplied by the caller (+1 when that is
 the outward normal of the domain, -1 when the domain lies outside the
-sphere).
+sphere).  Nothing here integrates along a radius: the direct Weyl-energy
+quadrature over a ball or an annulus, its radial rule, the cutoff-region
+bound and the bulk quadrature are test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -97,15 +99,6 @@ def _sphere_rule(level: int):
     return pts, wts
 
 
-def radial_rule(r0: float, r1: float, n: int = 16):
-    """Gauss-Legendre nodes and weights on [r0, r1] (unit density)."""
-    if not 0.0 <= r0 < r1:
-        raise ValueError("need 0 <= r0 < r1")
-    x, w = np.polynomial.legendre.leggauss(n)
-    r = 0.5 * (r1 - r0) * (x + 1.0) + r0
-    return r, 0.5 * (r1 - r0) * w
-
-
 def sphere_moment(mu: int, nu: int, k: int, l: int) -> float:
     """Closed form of int_{S^3} z^mu z^nu z^k z^l dsigma."""
     for idx in (mu, nu, k, l):
@@ -153,19 +146,7 @@ def _pointwise(f, xb):
 
 
 # ---------------------------------------------------------------------------
-# direct Weyl energy
-
-def weyl_energy_numeric(chart, r0: float, r1: float, level: int = 10,
-                        n_radial: int = 16) -> float:
-    """int |W|^2_g dV_g over the annulus (or ball when r0 = 0) r0 < |x| < r1."""
-    pts, wts = sphere_rule(level)
-    rs, wr = radial_rule(max(r0, 1e-9 if r0 == 0.0 else r0), r1, n_radial)
-    total = 0.0
-    for r, w in zip(rs, wr):
-        vals = _pointwise(partial(_curv.weyl_density, chart), r * pts)
-        total += w * r ** 3 * float(np.sum(wts * vals))
-    return total
-
+# the Weyl energy by dilation
 
 #: Gauss-Legendre nodes in the dilation parameter s used by ``dilation_energy``.
 DILATION_NODES = 8
@@ -296,10 +277,13 @@ def boundary_functional(h, r: float, sign: float = 1.0, form: str = "bilap",
     +x/|x| on this sphere and -1 when it is -x/|x|.  Form "bilap" carries
     the -(1/2) h d3h term and the half-weighted Laplacian term; form
     "biharm" omits h d3h and weights the Laplacian term fully.  An unknown
-    form is refused before any quadrature.
+    form, or an r that is not finite and positive, is refused before any
+    quadrature.
     """
     if form not in ("bilap", "biharm"):
         raise ValueError(f"unknown form {form!r}")
+    if not 0.0 < r < np.inf:
+        raise ValueError(f"the radius must be finite and positive, got {r}")
     h_d3, hess_ij, cross, hess_ab, lap_rad = _boundary_terms(h, r, level)
     bracket = hess_ij - 2.0 * cross + hess_ab
     if form == "bilap":
@@ -380,16 +364,13 @@ def second_variation(h, domain, form: str = "bilap") -> float:
     sphere, summed in closed form over pairs of terms
     (``_closed_form_phi``): no sphere is integrated.  For a field with
     Lap^2 h = 0 the bilap form is purely a boundary expression.  An unknown
-    form or domain is refused before any evaluation, and so is a ball for a
-    field with a power p <= -2: such a term is not in H^2 near 0, and its
-    Phi diverges.
+    form or domain is refused before any evaluation, and so are radii that
+    are not finite with 0 < r and 0 < r0 < r1, and a ball for a field with
+    a power p <= -2: such a term is not in H^2 near 0, and its Phi diverges.
     """
     if form not in ("bilap", "biharm"):
         raise ValueError(f"unknown form {form!r}")
     if len(domain) == 2 and domain[0] == "ball":
-        if any(p <= -2.0 for _, _, p in h.terms):
-            raise ValueError("a field with a power p <= -2 is not in H^2 near 0, "
-                             "so its second variation on a ball diverges")
         bulk_range, spheres = (0.0, domain[1]), [(domain[1], 1.0)]
     elif len(domain) == 3 and domain[0] == "annulus":
         bulk_range = (domain[1], domain[2])
@@ -397,6 +378,14 @@ def second_variation(h, domain, form: str = "bilap") -> float:
     else:
         raise ValueError(f"unknown domain {tuple(domain)!r}; the domains are "
                          "('ball', r) and ('annulus', r0, r1)")
+    radii = domain[1:]
+    if (not all(0.0 < r < np.inf for r in radii)
+            or any(lo >= hi for lo, hi in zip(radii, radii[1:]))):
+        raise ValueError(f"bad radii in {tuple(domain)!r}: they must be finite, "
+                         "with 0 < r and 0 < r0 < r1")
+    if domain[0] == "ball" and any(p <= -2.0 for _, _, p in h.terms):
+        raise ValueError("a field with a power p <= -2 is not in H^2 near 0, "
+                         "so its second variation on a ball diverges")
     probe = np.array([[0.3, -0.2, 0.4, 0.1]]) * domain[1]
     tr = np.abs(h.trace(probe)).max()
     dv = np.abs(h.divergence(probe)).max()
@@ -562,33 +551,3 @@ def choose_parameters(wm, wz, margin: float = 1.0) -> GluingParams:
         raise MarginNotReached("no gamma in the grid achieves the requested margin")
     a = chosen ** 2 / 20.0
     return GluingParams(a=a, lam=lam, gamma=chosen)
-
-
-# ---------------------------------------------------------------------------
-# rough bound for the cutoff region
-
-def rough_energy_bound(chart, r0: float, r1: float, level: int = 8,
-                       n_radial: int = 12) -> float:
-    """Crude upper bound C(|g|, |g^-1|) int (|dg^-1|^2 |dg|^2 + |dg|^4 + |d2g|^2).
-
-    The constant is generous by design; the bound is a scaling diagnostic
-    (it realizes the a^(9/2) gamma^-5 size of the cutoff-region error), not
-    a sharp estimate.  Always at least the numeric Weyl energy.
-    """
-    pts, wts = sphere_rule(level)
-    rs, wr = radial_rule(r0, r1, n_radial)
-    integral = 0.0
-    sup_g, sup_ginv = 0.0, 0.0
-    for r, w in zip(rs, wr):
-        xb = r * pts
-        g, dg, d2g = chart.metric_jet(xb)
-        ginv = np.linalg.inv(g)
-        dginv = -np.einsum("nia,nkab,nbj->nkij", ginv, dg, ginv)
-        n_dg2 = np.einsum("nkij,nkij->n", dg, dg)
-        n_dginv2 = np.einsum("nkij,nkij->n", dginv, dginv)
-        n_d2g2 = np.einsum("nklij,nklij->n", d2g, d2g)
-        vals = n_dginv2 * n_dg2 + n_dg2 ** 2 + n_d2g2
-        integral += w * r ** 3 * float(np.sum(wts * vals))
-        sup_g = max(sup_g, float(np.abs(g).max()))
-        sup_ginv = max(sup_ginv, float(np.abs(ginv).max()))
-    return 1.0e6 * (1.0 + sup_g) ** 6 * (1.0 + sup_ginv) ** 10 * integral

@@ -95,12 +95,6 @@ def check_class(t: np.ndarray, symmetry_class: str, tol: float = DEFAULT_TOL) ->
         raise TensorSymmetryError(f"{symmetry_class} symmetry violated: {bad}")
 
 
-def tensor_norm2(t: np.ndarray) -> float:
-    """Full-contraction squared norm |T|^2 = T_ijkl T_ijkl (identity metric)."""
-    t = np.asarray(t, dtype=float)
-    return float(np.sum(t * t))
-
-
 def op_from_tensor(w: np.ndarray) -> np.ndarray:
     """Curvature operator on 2-forms induced by a (0,4) curvature tensor.
 

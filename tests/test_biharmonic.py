@@ -4,6 +4,7 @@ import pytest
 from weylglue import biharmonic as bh
 from weylglue.energy import leading_bracket
 
+from oracles import harmonic_component, radial_bilaplacian, smallgamma_expansion
 from random_tensors import random_weyl
 
 
@@ -15,7 +16,7 @@ def test_profile_powers_are_biharmonic():
         for r in (0.3, 0.7, 1.5):
             # normalize by the size of the individual operator terms
             scale = max(r ** (p - 4), 1.0)
-            assert abs(bh.radial_bilaplacian(c, r)) < 1e-11 * scale
+            assert abs(radial_bilaplacian(c, r)) < 1e-11 * scale
 
 
 def test_a_gamma_structure():
@@ -70,7 +71,7 @@ def test_smallgamma_expansion_orders():
     residuals = np.zeros((len(gammas), 4))
     for k, gamma in enumerate(gammas):
         exact = np.linalg.solve(bh.a_gamma(gamma), v)
-        residuals[k] = np.abs(exact - bh.smallgamma_expansion(v, gamma))
+        residuals[k] = np.abs(exact - smallgamma_expansion(v, gamma))
     for j, order in enumerate((8, 4, 4, 4)):
         slope = np.polyfit(np.log(gammas), np.log(residuals[:, j]), 1)[0]
         assert abs(slope - order) < 0.3
@@ -78,7 +79,7 @@ def test_smallgamma_expansion_orders():
 
 def test_smallgamma_expansion_requires_structured_vector():
     with pytest.raises(ValueError):
-        bh.smallgamma_expansion(np.array([1.0, 1.0, 0.0, 0.0]), 0.1)
+        smallgamma_expansion(np.array([1.0, 1.0, 0.0, 0.0]), 0.1)
 
 
 def test_boundary_vector_structure():
@@ -149,7 +150,7 @@ def test_harmonic_component_matches_collapsed():
     x = np.array([0.3, -0.2, 0.25, 0.4])
     for i in range(4):
         for j in range(i, 4):
-            evaluate = bh.harmonic_component(wm, wz, 0.15, 1.2, i, j)
+            evaluate = harmonic_component(wm, wz, 0.15, 1.2, i, j)
             direct = wdot.derivative(x[None], 0)[0, i, j]
             scale = max(abs(direct), 1e-30)
             assert abs(evaluate(x) - direct) < 1e-12 * scale

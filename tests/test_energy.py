@@ -13,7 +13,7 @@ from weylglue.curvature import FieldChart, MetricChart, weyl_density
 from weylglue.fields import CurvatureQuadraticField, PolynomialField
 from weylglue.gluing import GluingParams, RegimeWarning, model_F, model_H
 
-from oracles import bulk_integral
+from oracles import bulk_integral, radial_rule, rough_energy_bound, weyl_energy_numeric
 from random_tensors import random_weyl, slab_jet
 
 
@@ -54,7 +54,7 @@ def test_sphere_rule_rejects_low_level():
 
 def test_radial_rule_bounds():
     with pytest.raises(ValueError):
-        en.radial_rule(1.0, 0.5)
+        radial_rule(1.0, 0.5)
 
 
 def test_sphere_moment_index_validation():
@@ -159,6 +159,39 @@ def test_unknown_form_or_domain_is_refused_before_integrating(monkeypatch, call)
         call(h)
 
 
+@pytest.mark.parametrize("model, call", [
+    (model_H, lambda h: en.second_variation(h, ("annulus", 1.0, 0.5))),
+    (model_H, lambda h: en.second_variation(h, ("annulus", 0.5, 0.5), "biharm")),
+    (model_H, lambda h: en.second_variation(h, ("ball", -1.0))),
+    (model_H, lambda h: en.second_variation(h, ("ball", 0.0))),
+    (model_H, lambda h: en.second_variation(h, ("ball", np.nan))),
+    (model_H, lambda h: en.second_variation(h, ("ball", np.inf))),
+    (model_F, lambda h: en.second_variation(h, ("annulus", 0.0, 1.0))),
+    (model_F, lambda h: en.second_variation(h, ("annulus", 0.5, np.inf))),
+    (model_F, lambda h: en.second_variation(h, ("annulus", np.nan, 1.0), "biharm")),
+    (model_H, lambda h: en.boundary_functional(h, 0.0)),
+    (model_H, lambda h: en.boundary_functional(h, -1.0, form="biharm")),
+    (model_F, lambda h: en.boundary_functional(h, np.nan)),
+    (model_F, lambda h: en.boundary_functional(h, np.inf)),
+], ids=["annulus-reversed", "annulus-empty", "ball-negative", "ball-zero", "ball-nan",
+        "ball-inf", "annulus-from-0", "annulus-to-inf", "annulus-nan", "boundary-zero",
+        "boundary-negative", "boundary-nan", "boundary-inf"])
+def test_bad_radii_are_refused_before_any_evaluation(monkeypatch, call, model):
+    # unchecked, a reversed annulus gives model_H a negative Phi, a negative
+    # ball radius a positive one, a NaN radius a NaN, and a zero inner radius
+    # model_F a bare ZeroDivisionError
+    def evaluating(*args, **kwargs):
+        raise AssertionError("evaluated before checking the radii")
+
+    h = model(random_weyl(np.random.default_rng(0)))
+    monkeypatch.setattr(CurvatureQuadraticField, "_evaluate", evaluating)
+    monkeypatch.setattr(en, "_closed_form_phi", evaluating)
+    monkeypatch.setattr(en, "_boundary_quadrature", evaluating)
+    en._boundary_terms.cache_clear()
+    with pytest.raises(ValueError, match="radi"):
+        call(h)
+
+
 def test_second_variation_positive_for_models():
     rng = np.random.default_rng(54)
     assert en.second_variation(model_H(random_weyl(rng)), ("ball", 1.0)) > 0.0
@@ -214,7 +247,7 @@ def test_choose_parameters_rejects_degenerate():
 
 
 def test_rough_bound_flat_chart_is_zero():
-    assert en.rough_energy_bound(MetricChart(), 0.5, 1.0) == 0.0
+    assert rough_energy_bound(MetricChart(), 0.5, 1.0) == 0.0
 
 
 def test_rough_bound_dominates_numeric_energy():
@@ -222,8 +255,8 @@ def test_rough_bound_dominates_numeric_energy():
     from weylglue.curvature import FieldChart
     chart = FieldChart(model_H(random_weyl(rng)), scale=0.05,
                        r_max=3.0)
-    bound = en.rough_energy_bound(chart, 0.3, 1.0)
-    numeric = en.weyl_energy_numeric(chart, 0.3, 1.0, level=6, n_radial=8)
+    bound = rough_energy_bound(chart, 0.3, 1.0)
+    numeric = weyl_energy_numeric(chart, 0.3, 1.0, level=6, n_radial=8)
     assert bound >= numeric
 
 
@@ -236,7 +269,7 @@ def test_truncation_slope_of_numeric_energy():
     res = []
     for t in ts:
         chart = FieldChart(h, scale=t, r_max=2.0)
-        res.append(abs(en.weyl_energy_numeric(chart, 0.0, 1.0, level=8,
+        res.append(abs(weyl_energy_numeric(chart, 0.0, 1.0, level=8,
                                               n_radial=12) - t * t * phi))
     slope = np.polyfit(np.log(ts), np.log(res), 1)[0]
     assert slope >= 2.7
@@ -274,7 +307,7 @@ def test_dilation_energy_matches_numeric_energy():
     ts = [2e-3, 1e-2]
     got = en.dilation_energy(h, ts, level=8)
     for t, e in zip(ts, got):
-        want = en.weyl_energy_numeric(FieldChart(h, scale=t), 0.0, 1.0, level=8,
+        want = weyl_energy_numeric(FieldChart(h, scale=t), 0.0, 1.0, level=8,
                                       n_radial=12)
         assert e == pytest.approx(want, rel=1e-12)
 
@@ -704,7 +737,7 @@ def test_other_sphere_loops_are_chunk_invariant(monkeypatch):
     def run():
         return (en.dilation_energy(h, [0.01, 0.1], level=6).tolist(),
                 bulk_integral(f, 0.5, 2.0, "biharm", level=6, n_radial=4),
-                en.weyl_energy_numeric(FieldChart(h, scale=0.2), 0.0, 1.0, level=4, n_radial=4))
+                weyl_energy_numeric(FieldChart(h, scale=0.2), 0.0, 1.0, level=4, n_radial=4))
 
     expected = run()
     monkeypatch.setattr(en, "SPHERE_CHUNK", 7)

@@ -9,6 +9,7 @@ from weylglue import gluing as gl
 from weylglue.biharmonic import assemble_interpolant
 from weylglue.fields import CurvatureQuadraticField, PolynomialField
 
+from oracles import ScaledChart, fd_metric_data, metric
 from random_tensors import random_weyl, slab_jet
 
 
@@ -348,13 +349,13 @@ def _charts(rng):
     poly = cv.FieldChart(PolynomialField.random(rng, scale=0.05))
     wm, wz = random_weyl(rng), random_weyl(rng)
     glued = gl.GluedChart(wm, wz, gl.GluingParams(a=1e-5, lam=1.5, gamma=0.05))
-    return [quad, poly, cv.ScaledChart(quad, 1.7), cv.ScaledChart(poly, 0.4), glued]
+    return [quad, poly, ScaledChart(quad, 1.7), ScaledChart(poly, 0.4), glued]
 
 
 def _jet_from_derivatives(chart, x):
     """The metric jet of a field-backed chart, spelled from the fields' own
     ``derivative`` with the chart's arithmetic."""
-    if isinstance(chart, cv.ScaledChart):
+    if isinstance(chart, ScaledChart):
         return tuple(chart.factor * d for d in _jet_from_derivatives(chart.base, x))
     if isinstance(chart, gl.GluedChart):
         xb, single = fields._as_batch(x)
@@ -390,7 +391,7 @@ def test_metric_jet_equals_field_derivatives(seed):
             for a, b in zip(got, want):
                 assert a.shape == b.shape
                 assert np.array_equal(a, b)
-            assert np.array_equal(chart.metric(x), got[0])
+            assert np.array_equal(metric(chart, x), got[0])
 
 
 @pytest.mark.parametrize("seed", [64, 65])
@@ -405,7 +406,7 @@ def test_metric_jet_matches_finite_differences(seed):
     for chart in _charts(rng):
         for x in batch:
             jet = chart.metric_jet(x)
-            fd = cv.fd_metric_data(chart, x, step)
+            fd = fd_metric_data(chart, x, step)
             assert np.array_equal(fd[0], jet[0])
             for k in (1, 2):
                 tol = 100 * eps * np.abs(jet[0]).max() / step ** k + 1e-5 * np.abs(jet[k]).max()
