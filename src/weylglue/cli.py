@@ -301,12 +301,11 @@ def cmd_balance(args) -> int:
                          "balance glues M-bar # Z (the inversion reverses M's "
                          "orientation), so both summands are self-dual or both "
                          "anti-self-dual, and no sign conclusion is available")
-    regime_notes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", gluing.RegimeWarning)
         if args.auto is not None:
             try:
-                params = energy.choose_parameters(wm, wz, margin=args.auto)
+                bal = energy.choose_parameters(wm, wz, margin=args.auto)
             except energy.MarginNotReached as exc:
                 # valid input whose bracket stays above -margin: a failed
                 # check, not an input error
@@ -317,17 +316,15 @@ def cmd_balance(args) -> int:
             if missing:
                 raise ValueError(f"missing {', '.join(missing)} (or use --auto)")
             params = gluing.GluingParams(a=args.a, lam=args.lam, gamma=args.gamma)
-        bal = energy.energy_balance(wm, wz, params)
-        regime_notes = [str(w.message) for w in caught
-                        if issubclass(w.category, gluing.RegimeWarning)]
-    # the model energy_balance evaluates: no error tensors, so the
-    # cutoff-region term is zero
+            bal = energy.energy_balance(wm, wz, params)
+    # the balance's model has no error tensors: the cutoff-region term is zero
     report = {"tag": "energy-balance", **bal.to_json(),
               "error_model": "truncated", "cutoff_region_term": 0.0,
-              "regime_warnings": sorted(set(regime_notes)),
+              "regime_warnings": sorted({str(w.message) for w in caught
+                                         if issubclass(w.category, gluing.RegimeWarning)}),
               "negative": bool(bal.leading_bracket < 0.0)}
     if args.auto is not None:
-        report["selected"] = {"lambda": params.lam, "gamma": params.gamma, "a": params.a}
+        report["selected"] = {"lambda": bal.lam, "gamma": bal.gamma, "a": bal.a}
     _emit(report, args.output)
     return EXIT_PASS if bal.leading_bracket < 0.0 else EXIT_FAIL
 
@@ -359,25 +356,20 @@ def cmd_sweep(args) -> int:
     flags = duality.positivity_bound(wm, wz)
     inconclusive = flags["excluded_case"] or flags["conformally_flat_factor"]
     # the CSV does not record the regime, so its warnings are silenced here, on
-    # this thread (catch_warnings is not thread-safe); energy_balance emits none
+    # this thread (catch_warnings is not thread-safe); the balances emit none
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", gluing.RegimeWarning)
         grid = [gluing.GluingParams(a=gamma ** 2 / 20.0, lam=lam, gamma=gamma)
                 for lam in lam_grid for gamma in gamma_grid]
-
-    def one(params):
-        bal = energy.energy_balance(wm, wz, params)
-        if inconclusive:
-            sign = "inconclusive"
-        else:
-            sign = "negative" if bal.leading_bracket < 0.0 else "nonnegative"
-        return {"lambda": params.lam, "gamma": params.gamma, "a": params.a,
-                "bracket": bal.leading_bracket, "interaction": bal.interaction,
-                "constant_C": bal.constant_C, "fit_residual": bal.remainder,
-                "sign": sign}
-
     with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(one, grid))
+        balances = energy.balance_grid(wm, wz, grid, pool.map)
+    rows = []
+    for bal in balances:
+        sign = "negative" if bal.leading_bracket < 0.0 else "nonnegative"
+        rows.append({"lambda": bal.lam, "gamma": bal.gamma, "a": bal.a,
+                     "bracket": bal.leading_bracket, "interaction": bal.interaction,
+                     "constant_C": bal.constant_C, "fit_residual": bal.remainder,
+                     "sign": "inconclusive" if inconclusive else sign})
     for row in rows:
         if not np.isfinite([row[k] for k in CSV_COLUMNS if k != "sign"]).all():
             raise ValueError("floating-point overflow: the sweep row at lambda = "

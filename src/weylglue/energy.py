@@ -33,7 +33,7 @@ bound and the bulk quadrature are test oracles, in ``tests/oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -219,17 +219,6 @@ def dilation_energy(h, ts, level: int = 10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the quadratic boundary functional
 
-@lru_cache(maxsize=128)
-def _boundary_terms(h, r: float, level: int) -> tuple:
-    """``_boundary_quadrature`` memoised on (h, r, level).
-
-    Fields compare by their terms, so equal fields built separately (the
-    inner model shared by C and the bracket, say) are integrated once.
-    Threads that miss on one key at once each integrate it, to the same bits.
-    """
-    return _boundary_quadrature(h, r, level)
-
-
 def _boundary_quadrature(h, r: float, level: int = 12) -> tuple:
     """The five boundary integral families on the sphere of radius r.
 
@@ -284,7 +273,7 @@ def boundary_functional(h, r: float, sign: float = 1.0, form: str = "bilap",
         raise ValueError(f"unknown form {form!r}")
     if not 0.0 < r < np.inf:
         raise ValueError(f"the radius must be finite and positive, got {r}")
-    h_d3, hess_ij, cross, hess_ab, lap_rad = _boundary_terms(h, r, level)
+    h_d3, hess_ij, cross, hess_ab, lap_rad = _boundary_quadrature(h, r, level)
     bracket = hess_ij - 2.0 * cross + hess_ab
     if form == "bilap":
         value = sign * (-0.5 * h_d3 + bracket - 0.5 * lap_rad)
@@ -475,12 +464,29 @@ class EnergyBalance:
         }
 
 
+def _bracket(wm, wz, gamma: float, lam: float, e_f: float, e_h: float) -> float:
+    """``leading_bracket`` given the model energies e_f at gamma and e_h."""
+    wdot = assemble_interpolant(wm, wz, gamma, lam)
+    return phi_inner(wdot, gamma) + phi_outer(wdot) - e_f - lam ** 4 * e_h
+
+
+def _constant_C(wm, gamma: float, e_f: float) -> float:
+    """``constant_C`` from the inner model energy e_f at gamma."""
+    wdot = assemble_interpolant(wm, np.zeros((DIM,) * 4), gamma, 1.0)
+    return phi_inner(wdot, gamma) - e_f
+
+
+def _balance(params, bracket: float, c_const: float, inter: float) -> EnergyBalance:
+    predicted = c_const + INTERACTION_COEFFICIENT * params.lam ** 2 * inter
+    return EnergyBalance(leading_bracket=float(bracket), constant_C=float(c_const),
+                         interaction=float(inter), lam=params.lam, gamma=params.gamma,
+                         a=params.a, remainder=float(bracket - predicted))
+
+
 def leading_bracket(wm, wz, gamma: float, lam: float) -> float:
     """Phi_gamma + Phi_1 minus the two model energies at the same scales."""
-    wdot = assemble_interpolant(wm, wz, gamma, lam)
-    return (phi_inner(wdot, gamma) + phi_outer(wdot)
-            - inner_model_energy(wm, gamma)
-            - lam ** 4 * outer_model_energy(wz))
+    return _bracket(wm, wz, gamma, lam, inner_model_energy(wm, gamma),
+                    outer_model_energy(wz))
 
 
 def constant_C(wm, gamma: float) -> float:
@@ -492,8 +498,7 @@ def constant_C(wm, gamma: float) -> float:
     half an ulp of ``phi_inner``), and the outer model of W^Z = 0 is 0; C
     is ``phi_inner`` minus the inner model energy, bit for bit the bracket.
     """
-    wdot = assemble_interpolant(wm, np.zeros((DIM,) * 4), gamma, 1.0)
-    return phi_inner(wdot, gamma) - inner_model_energy(wm, gamma)
+    return _constant_C(wm, gamma, inner_model_energy(wm, gamma))
 
 
 def energy_balance(wm, wz, params: GluingParams) -> EnergyBalance:
@@ -504,21 +509,28 @@ def energy_balance(wm, wz, params: GluingParams) -> EnergyBalance:
     O(lam^2 gamma^2) terms.  With the truncated error model the
     cutoff-region contribution is exactly zero.
     """
-    bracket = leading_bracket(wm, wz, params.gamma, params.lam)
-    c_const = constant_C(wm, params.gamma)
+    return balance_grid(wm, wz, [params])[0]
+
+
+def balance_grid(wm, wz, grid, mapper=map) -> list:
+    """``energy_balance`` at each GluingParams of ``grid``: E_H integrated
+    once, E_F and C once per gamma and the interpolant's two spheres once per
+    point, the last three run by ``mapper`` (``map``, or a thread pool's)."""
+    gammas = list(dict.fromkeys(p.gamma for p in grid))
+    e_f = dict(zip(gammas, mapper(partial(inner_model_energy, wm), gammas)))
+    c_const = dict(zip(gammas, mapper(partial(_constant_C, wm), gammas, e_f.values())))
+    e_h = outer_model_energy(wz)
+    brackets = mapper(lambda p: _bracket(wm, wz, p.gamma, p.lam, e_f[p.gamma], e_h), grid)
     inter = interaction_star(wm, wz)
-    predicted = c_const + INTERACTION_COEFFICIENT * params.lam ** 2 * inter
-    return EnergyBalance(leading_bracket=float(bracket), constant_C=float(c_const),
-                         interaction=float(inter), lam=params.lam, gamma=params.gamma,
-                         a=params.a, remainder=float(bracket - predicted))
+    return [_balance(p, b, c_const[p.gamma], inter) for p, b in zip(grid, brackets)]
 
 
 class MarginNotReached(ValueError):
     """No gamma of the grid brings the leading bracket below -margin."""
 
 
-def choose_parameters(wm, wz, margin: float = 1.0) -> GluingParams:
-    """Pick (lam, gamma, a) making the leading bracket < -margin.
+def choose_parameters(wm, wz, margin: float = 1.0) -> EnergyBalance:
+    """The balance at (lam, gamma, a) picked to make the leading bracket < -margin.
 
     Follows the existence proof's order: lam first from the fitted constant
     and interaction, then gamma from the descending grid with the bracket
@@ -531,23 +543,25 @@ def choose_parameters(wm, wz, margin: float = 1.0) -> GluingParams:
         raise ValueError("hypotheses violated: interaction term is not positive "
                          f"(flags: {flags})")
     inter = interaction_star(wm, wz)
+    if np.abs(wm).max() * np.abs(wz).max() < np.finfo(float).tiny:
+        raise ValueError(f"floating-point underflow: W * W = {inter} for tensors this small")
     gamma0 = GAMMA_GRID[-1]
-    c_const = constant_C(wm, gamma0)
+    e_f0 = inner_model_energy(wm, gamma0)
+    c_const = _constant_C(wm, gamma0, e_f0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lam2 = np.float64(c_const + 2.0 * margin) / (-INTERACTION_COEFFICIENT * inter)
     lam = float(np.sqrt(max(lam2, 0.0)) * 1.1 + 1.0)
     if not np.isfinite(lam):
         raise ValueError(f"floating-point overflow: lam = {lam} from C = {c_const} "
                          f"and W * W = {inter}")
-    chosen = None
+    e_h = outer_model_energy(wz)
     compatible = [g for g in GAMMA_GRID if g <= 1.0 / (10.0 * lam)]
     fallback = [g for g in GAMMA_GRID if g not in compatible]
     for gamma in compatible + fallback:
-        bracket = leading_bracket(wm, wz, gamma, lam)
+        e_f = e_f0 if gamma == gamma0 else inner_model_energy(wm, gamma)
+        bracket = _bracket(wm, wz, gamma, lam, e_f, e_h)
         if bracket < -margin:
-            chosen = gamma
-            break
-    if chosen is None:
-        raise MarginNotReached("no gamma in the grid achieves the requested margin")
-    a = chosen ** 2 / 20.0
-    return GluingParams(a=a, lam=lam, gamma=chosen)
+            params = GluingParams(a=gamma ** 2 / 20.0, lam=lam, gamma=gamma)
+            c_pick = c_const if gamma == gamma0 else _constant_C(wm, gamma, e_f)
+            return _balance(params, bracket, c_pick, inter)
+    raise MarginNotReached("no gamma in the grid achieves the requested margin")

@@ -185,18 +185,24 @@ def _one_block(shapes):
             for size, end, shape in zip(sizes, accumulate(sizes), shapes)]
 
 
-def _profile_derivs(basis, profile, order: int):
-    """Derivatives of f = sum_k c_k |x|^p_k up to ``order``, laid out as in
-    ``_radial_derivs`` and accumulated in the order of the terms."""
-    rho = None
-    for c, p in profile:
-        parts = _radial_derivs(basis, p, order)
-        if rho is None:
-            rho = [c * part for part in parts]
-        else:
-            for total, part in zip(rho, parts):
-                total += c * part
-    return rho
+def _profile_derivs(basis, profiles, order: int):
+    """Derivatives of each profile's f = sum_k c_k |x|^p_k up to ``order``, as
+    ``_radial_derivs`` lays them out, accumulated in term order.  The k-th
+    terms of all profiles are added in one pass, forming each power once."""
+    rhos = []
+    for k in range(max(map(len, profiles))):
+        radial = {}
+        for i, profile in enumerate(profiles):
+            if k < len(profile):
+                c, p = profile[k]
+                if p not in radial:
+                    radial[p] = _radial_derivs(basis, p, order)
+                if k == 0:
+                    rhos.append([c * part for part in radial[p]])
+                else:
+                    for total, part in zip(rhos[i], radial[p]):
+                        total += c * part
+    return rhos
 
 
 def _products(axes: str):
@@ -316,9 +322,6 @@ class CurvatureQuadraticField:
     per distinct S in order of first appearance, with the profile the
     (c, p) pairs of that S in term order.  Rescaled fields merge equal
     tensors through the same grouping.
-
-    Fields compare and hash by their kept terms, (c, bytes of S, p) in
-    order, so separately built copies of one field are equal.
     """
 
     def __init__(self, terms):
@@ -332,19 +335,10 @@ class CurvatureQuadraticField:
 
     def _set_terms(self, terms):
         self.terms = terms
-        groups, key = {}, []
+        groups = {}
         for c, s, p in terms:
-            raw = s.tobytes()
-            groups.setdefault(raw, (s, []))[1].append((c, p))
-            key.append((c, raw, p))
+            groups.setdefault(s.tobytes(), (s, []))[1].append((c, p))
         self.blocks = [(s, tuple(profile)) for s, profile in groups.values()]
-        self._key = tuple(key)
-
-    def __eq__(self, other):
-        return isinstance(other, CurvatureQuadraticField) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
 
     def scaled(self, factor: float) -> "CurvatureQuadraticField":
         out = CurvatureQuadraticField([])
@@ -354,9 +348,9 @@ class CurvatureQuadraticField:
     def _evaluate(self, xb, axes):
         """d_a h for each ``_leibniz`` axis label a in ``axes`` at the points
         xb, of shape (N, 4), with the point axis last, in one pass over the
-        blocks: each block's factors are formed once, to the highest order
-        asked for, its angular factors then moved to point-last; a block
-        whose profile is a constant c adds only c Q, c dQ and c d2Q.
+        blocks: each block's angular factors are formed once, to the highest
+        order asked for, and moved to point-last, the radial ones of all
+        blocks in one pass; a constant profile c adds only c Q, c dQ, c d2Q.
 
         The first block that writes an output writes it in place, its
         Leibniz sum formed in the output or c Q multiplied into it; later
@@ -374,14 +368,14 @@ class CurvatureQuadraticField:
         term, buf = spare[:size], spare[size:]
         unwritten = set(range(len(out)))
         order = max(len(a) for a in axes)
-        basis = None
+        varying = [profile for _, profile in self.blocks if _constant(profile) is None]
+        rhos = _profile_derivs(_radial_basis(xb, order), varying, order) if varying else []
         for s, profile in self.blocks:
             q = _angular(s, xb, order)
             q = [_points_last(f) for f in q[:2]] + [f[..., None] for f in q[2:]]
             coeff = _constant(profile)
             if coeff is None:
-                basis = basis or _radial_basis(xb, order)
-                rho = _profile_derivs(basis, profile, order)
+                rho = rhos.pop(0)
             for index, (total, a) in enumerate(zip(out, axes)):
                 if coeff is not None and len(a) > 2:
                     continue  # a constant block's third and fourth derivatives are 0

@@ -210,6 +210,61 @@ def test_balance_auto_selection_is_scale_free(tmp_path, capsys):
         assert other["lambda"] == pytest.approx(selected[0]["lambda"], rel=1e-8)
 
 
+#: pool-1/p06 of the benchmark inputs, for which ``balance --auto 1.0``
+#: selects gamma = 0.04
+P06 = ({"sd": [0.9777226473527388, 0.14626901165989176, -1.1239916590126307],
+        "asd": [-0.5673982496249909, 0.307678267088885, 0.25971998253610584]},
+       {"sd": [1.663432590499867, 1.3544502575594655, -3.0178828480593323],
+        "asd": [-0.6835582902869458, -0.043505966327812916, 0.7270642566147587]})
+
+
+@pytest.mark.parametrize("pair, args, threads, count", [
+    (P07, ["balance", "--auto", "1.0"], "1", 5),
+    (P06, ["balance", "--auto", "1.0"], "1", 7),
+    (P07, ["balance", "--lambda", "3", "--gamma", "0.04", "--a", "1e-5"], "1", 5),
+    (P07, ["sweep"], "1", 37),
+    (P07, ["sweep"], "2", 37),
+], ids=["auto-gamma-0.02", "auto-gamma-0.04", "manual", "sweep-1-thread", "sweep-2-threads"])
+def test_commands_integrate_each_sphere_once(tmp_path, capsys, monkeypatch, pair, args,
+                                             threads, count):
+    # --auto at 0.02: the inner model and C's interpolant at 0.02, the outer
+    # model and the interpolant's two spheres; at 0.04 also the inner model
+    # and C's interpolant at 0.04.  The default 5 x 3 sweep: the outer model,
+    # the inner model and C's interpolant per gamma, two spheres per point
+    paths = []
+    for name, payload in zip("mz", pair):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        paths.append(str(path))
+    calls = []
+    original = energy._boundary_quadrature
+
+    def counting(h, r, level=12):
+        calls.append(r)
+        return original(h, r, level)
+
+    monkeypatch.setattr(energy, "_boundary_quadrature", counting)
+    monkeypatch.setenv("WEYLGLUE_THREADS", threads)
+    code, out = run([args[0], *paths, *args[1:]], capsys)
+    assert code == cli.EXIT_PASS
+    if "--auto" in args:
+        assert json.loads(out)["gamma"] == (0.02 if count == 5 else 0.04)
+    assert len(calls) == count
+
+
+def test_balance_auto_says_when_w_star_w_underflows(tmp_path, capsys):
+    # positivity_bound pairs the spectra scaled to 1 and finds the pair
+    # positive, but W * W of the tensors themselves underflows to 0.0, and
+    # lam would be inf
+    path = tmp_path / "tiny.json"
+    path.write_text('{"sd": [1e-300, -5e-301, -5e-301], "asd": [0, 0, 0]}')
+    code = cli.main(["balance", str(path), str(path), "--auto", "1.0"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert "underflow: W * W = 0.0" in captured.err
+    assert captured.out == ""
+
+
 def test_balance_negative_bracket(spectra, capsys):
     code, out = run(["balance", spectra["pair"], spectra["pair"],
                      "--lambda", "2.0", "--gamma", "0.02", "--a", "2e-5"],
@@ -467,7 +522,7 @@ def test_output_file_written(spectra, capsys, tmp_path):
 
 def test_balance_auto_without_margin_exits_one(spectra, capsys, monkeypatch):
     # a bracket that never drops below -margin: valid input, failed check
-    monkeypatch.setattr(cli.energy, "leading_bracket", lambda *args, **kw: 0.0)
+    monkeypatch.setattr(cli.energy, "_bracket", lambda *args, **kw: 0.0)
     code, out = run(["balance", spectra["pair"], spectra["pair"],
                      "--auto", "1.0"], capsys)
     assert code == cli.EXIT_FAIL

@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 import warnings
@@ -153,7 +150,6 @@ def test_unknown_form_or_domain_is_refused_before_integrating(monkeypatch, call)
 
     monkeypatch.setattr(en, "_boundary_quadrature", integrating)
     monkeypatch.setattr(en, "_pointwise", integrating)
-    en._boundary_terms.cache_clear()
     h = model_H(random_weyl(np.random.default_rng(55)))
     with pytest.raises(ValueError, match="unknown (form|domain)"):
         call(h)
@@ -187,7 +183,6 @@ def test_bad_radii_are_refused_before_any_evaluation(monkeypatch, call, model):
     monkeypatch.setattr(CurvatureQuadraticField, "_evaluate", evaluating)
     monkeypatch.setattr(en, "_closed_form_phi", evaluating)
     monkeypatch.setattr(en, "_boundary_quadrature", evaluating)
-    en._boundary_terms.cache_clear()
     with pytest.raises(ValueError, match="radi"):
         call(h)
 
@@ -417,7 +412,6 @@ def test_second_variation_integrates_no_sphere(monkeypatch):
     cases = _phi_cases()
     monkeypatch.setattr(en, "_boundary_quadrature", integrating)
     monkeypatch.setattr(en, "_pointwise", integrating)
-    en._boundary_terms.cache_clear()
     for h, domain in cases.values():
         for form in ("bilap", "biharm"):
             assert np.isfinite(en.second_variation(h, domain, form))
@@ -549,55 +543,31 @@ def test_zero_tensor_term_changes_no_derivative():
     assert np.array_equal(padded.bilaplacian_terms(x), plain.bilaplacian_terms(x))
 
 
-def test_energy_balance_reuses_selection_quadratures(monkeypatch):
-    # the selection measures C at the smallest gamma of the grid; when it
-    # also selects that gamma, energy_balance repeats only integrals it made
-    wm, _ = pair_tensors()
-    wz = 0.3 * wm
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        params = en.choose_parameters(wm, wz, margin=1.0)
-    assert params.gamma == en.GAMMA_GRID[-1]
-    calls = []
-    original = CurvatureQuadraticField._jet_points_last
-
-    def counting(self, xb):
-        calls.append(len(self.terms))
-        return original(self, xb)
-
-    monkeypatch.setattr(CurvatureQuadraticField, "_jet_points_last", counting)
-    en.energy_balance(wm, wz, params)
-    assert calls == []
-
-
-def test_energy_balance_integrates_no_sphere_twice(monkeypatch):
-    # the same reuse counted at the quadrature itself: the boundary jet
-    # forms no full third derivative, so counting those sees nothing
-    wm, _ = pair_tensors()
-    wz = 0.3 * wm
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        params = en.choose_parameters(wm, wz, margin=1.0)
-    assert params.gamma == en.GAMMA_GRID[-1]
-    calls = []
-    original = en._boundary_quadrature
-
-    def counting(h, r, level=12):
-        calls.append(r)
-        return original(h, r, level)
-
-    monkeypatch.setattr(en, "_boundary_quadrature", counting)
-    en.energy_balance(wm, wz, params)
-    assert calls == []
+def test_selected_balance_is_energy_balance_at_its_parameters():
+    # the selection shares its quadratures with the balance it returns; the
+    # shared numbers are the ones energy_balance integrates afresh, at the
+    # smallest gamma of the grid (pair_tensors) and at 0.04 (pool-1/p06)
+    pairs = [(pair_tensors()[0], 0.3 * pair_tensors()[0])]
+    pairs.append(tuple(tc.algweyl_from_spectrum(*tc.spectrum_from_json({"sd": sd, "asd": asd}))
+                       for sd, asd in (P06_M, P06_Z)))
+    for (wm, wz), gamma in zip(pairs, (0.02, 0.04)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            bal = en.choose_parameters(wm, wz, margin=1.0)
+            again = en.energy_balance(wm, wz, GluingParams(a=bal.a, lam=bal.lam,
+                                                           gamma=bal.gamma))
+        assert bal.gamma == gamma
+        assert type(bal) is en.EnergyBalance
+        assert bal == again
 
 
 def test_balance_makes_five_boundary_quadratures(monkeypatch):
-    # selection then balance at gamma = 0.02: C is phi_inner of the W^M-only
-    # interpolant and the inner model, the bracket adds the interpolant's
-    # two spheres and the outer model; everything else is a cache hit
+    # the selection at gamma = 0.02: C is phi_inner of the W^M-only
+    # interpolant less the inner model, and the bracket adds the outer
+    # model and the interpolant's two spheres; the balance it returns
+    # integrates nothing more
     wm, _ = pair_tensors()
     wz = 0.3 * wm
-    en._boundary_terms.cache_clear()
     calls = []
     original = en._boundary_quadrature
 
@@ -608,61 +578,10 @@ def test_balance_makes_five_boundary_quadratures(monkeypatch):
     monkeypatch.setattr(en, "_boundary_quadrature", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        params = en.choose_parameters(wm, wz, margin=1.0)
-    en.energy_balance(wm, wz, params)
-    assert params.gamma == 0.02
-    assert calls == [(4, 0.02, 12), (1, 0.02, 12), (8, 0.02, 12), (8, 1.0, 12),
-                     (1, 1.0, 12)]
-
-
-def test_boundary_memo_hit_equals_miss(monkeypatch):
-    # the bilap and biharm forms read the same five sphere integrals, so
-    # the second form is a cache hit, and a hit returns the bits of a miss
-    rng = np.random.default_rng(59)
-    h = model_H(random_weyl(rng))
-    en._boundary_terms.cache_clear()
-    calls = []
-    original = en._boundary_quadrature
-
-    def counting(h, r, level=12):
-        calls.append(r)
-        return original(h, r, level)
-
-    monkeypatch.setattr(en, "_boundary_quadrature", counting)
-    en.boundary_functional(h, 1.0, form="biharm")
-    hit = en.boundary_functional(h, 1.0)
-    assert calls == [1.0]
-    en._boundary_terms.cache_clear()
-    miss = en.boundary_functional(h, 1.0)
-    assert calls == [1.0, 1.0]
-    assert type(hit) is float
-    assert hit == miss
-
-
-def test_boundary_cache_is_thread_safe():
-    # more threads than cores, a short switch interval and a cleared cache
-    # every few lookups, so hits, misses and clears interleave
-    rng = np.random.default_rng(60)
-    fields = [model_H(random_weyl(rng)) for _ in range(3)]
-    expected = [en._boundary_quadrature(h, 1.0, 2) for h in fields]
-
-    def work(k):
-        ok = True
-        for i in range(200):
-            if (i + k) % 5 == 0:
-                en._boundary_terms.cache_clear()
-            ok &= en._boundary_terms(fields[(i + k) % 3], 1.0, 2) == expected[(i + k) % 3]
-        return ok
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(work, range(8), timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(results)
-    assert en._boundary_terms.cache_info().currsize <= 3
+        bal = en.choose_parameters(wm, wz, margin=1.0)
+    assert bal.gamma == 0.02
+    assert calls == [(1, 0.02, 12), (4, 0.02, 12), (1, 1.0, 12), (8, 0.02, 12),
+                     (8, 1.0, 12)]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 2 * 12 ** 3])
