@@ -561,6 +561,59 @@ def test_selected_balance_is_energy_balance_at_its_parameters():
         assert bal == again
 
 
+def test_energy_balance_reuses_selection_quadratures(monkeypatch):
+    # the selection measures C at the smallest gamma of the grid; when it
+    # also selects that gamma, it evaluates the same jets as one
+    # energy_balance at its pick, and the balance it returns adds none
+    wm, _ = pair_tensors()
+    wz = 0.3 * wm
+    calls = []
+    original = CurvatureQuadraticField._jet_points_last
+
+    def counting(self, xb):
+        calls.append((len(self.terms), float(np.linalg.norm(xb[0]))))
+        return original(self, xb)
+
+    monkeypatch.setattr(CurvatureQuadraticField, "_jet_points_last", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        bal = en.choose_parameters(wm, wz, margin=1.0)
+        selected = sorted(calls)
+        calls.clear()
+        en.energy_balance(wm, wz, GluingParams(a=bal.a, lam=bal.lam, gamma=bal.gamma))
+    assert bal.gamma == en.GAMMA_GRID[-1]
+    assert selected
+    assert selected == sorted(calls)
+
+
+def test_energy_balance_integrates_no_sphere_twice(monkeypatch):
+    # the same reuse counted at the quadrature itself, at the smallest gamma
+    # of the grid (pair_tensors) and at 0.04 (pool-1/p06): the selection
+    # integrates each sphere of the balance it returns once
+    pairs = [(pair_tensors()[0], 0.3 * pair_tensors()[0])]
+    pairs.append(tuple(tc.algweyl_from_spectrum(*tc.spectrum_from_json({"sd": sd, "asd": asd}))
+                       for sd, asd in (P06_M, P06_Z)))
+    calls = []
+    original = en._boundary_quadrature
+
+    def counting(h, r, level=12):
+        calls.append((len(h.terms), r))
+        return original(h, r, level)
+
+    monkeypatch.setattr(en, "_boundary_quadrature", counting)
+    for (wm, wz), gamma in zip(pairs, (0.02, 0.04)):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            bal = en.choose_parameters(wm, wz, margin=1.0)
+            selected = list(calls)
+            calls.clear()
+            en.energy_balance(wm, wz, GluingParams(a=bal.a, lam=bal.lam, gamma=bal.gamma))
+        assert bal.gamma == gamma
+        assert len(set(selected)) == len(selected)
+        assert set(calls) <= set(selected)
+
+
 def test_balance_makes_five_boundary_quadratures(monkeypatch):
     # the selection at gamma = 0.02: C is phi_inner of the W^M-only
     # interpolant less the inner model, and the bracket adds the outer
