@@ -6,8 +6,7 @@ and the glued metric chart, then evaluates the Weyl-energy balance whose
 negativity certifies the strict energy decrease.
 """
 
-from .tensor_core import (algweyl_from_spectrum, kulkarni_nomizu, spectrum_from_json,
-                          weyl_from_riemann)
+from .tensor_core import algweyl_from_spectrum, spectrum_from_json
 from .duality import (align_and_interact, derdzinski_frame, interaction_star,
                       positivity_bound, reverse_orientation, spectra)
 from .biharmonic import assemble_interpolant, solve_profile
@@ -20,8 +19,7 @@ from .energy import (EnergyBalance, boundary_functional, choose_parameters,
 __version__ = "0.1.0"
 
 __all__ = [
-    "algweyl_from_spectrum", "kulkarni_nomizu",
-    "spectrum_from_json", "weyl_from_riemann",
+    "algweyl_from_spectrum", "spectrum_from_json",
     "align_and_interact", "derdzinski_frame",
     "interaction_star", "positivity_bound", "reverse_orientation", "spectra",
     "assemble_interpolant", "solve_profile",

@@ -60,10 +60,18 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_spectrum(path: str):
+def _load_json(path: str):
+    """The JSON value in the file at path; a file that holds none is an
+    input error that names the file."""
     with open(path) as fh:
-        payload = json.load(fh)
-    sd, asd = tensor_core.spectrum_from_json(payload)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ValueError(f"{path} holds no JSON value: {exc}") from None
+
+
+def _load_spectrum(path: str):
+    sd, asd = tensor_core.spectrum_from_json(_load_json(path))
     return tensor_core.algweyl_from_spectrum(sd, asd)
 
 
@@ -388,8 +396,7 @@ def _apply_config(args, parser, argv):
     equal to its default."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config) as fh:
-        conf = json.load(fh)
+    conf = _load_json(args.config)
     if not isinstance(conf, dict):
         raise ValueError("config file must hold a JSON object")
     sub = parser.commands[args.command]
@@ -490,7 +497,7 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(args, parser, argv)
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OverflowError:

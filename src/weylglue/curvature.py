@@ -19,8 +19,9 @@ symmetry of Gamma_{p,jk} Gamma^p_il this is 1/2 (f_ijkl - f_jikl - f_ijlk
 + f_jilk) for f_ijkl = d_i d_k g_jl - Gamma_{p,jk} Gamma^p_il.  The Weyl
 part is W = Rm - P (.) g with the Schouten tensor P = Ric/2 - (R/12) g and
 the Kulkarni-Nomizu product
-    (a (.) b)_ijkl = a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik,
-which is twice ``tensor_core.kulkarni_nomizu`` (that one carries a 1/2).
+    (a (.) b)_ijkl = a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik.
+This is the only Weyl decomposition of the package; the dense spelling the
+tests hold it against is ``weyl_from_riemann`` in ``tests/oracles.py``.
 Rm, W and (.) have the pair symmetries of a curvature tensor, so the
 pipeline keeps each as its 6x6 matrix on two-forms, the index pairs i < j,
 and |W|^2_g = 4 tr((G W)^2) with G_(ij)(kl) = g^ik g^jl - g^il g^jk, the
@@ -40,7 +41,7 @@ from itertools import product
 
 import numpy as np
 
-from .tensor_core import _PAIR_OF, DIM, LEX_PAIRS, weyl_from_riemann
+from .tensor_core import _PAIR_OF, DIM, LEX_PAIRS
 from .fields import _as_batch
 
 _EYE = np.eye(DIM)
@@ -253,11 +254,6 @@ def christoffel(chart: MetricChart, x):
     return out[0] if single else out
 
 
-def riemann_from_data(g, dg, d2g):
-    """R_ijkl in its second-derivative form (module docstring), shape (n, 4, 4, 4, 4)."""
-    return _expand(_riemann_pairs(np.linalg.inv(g), dg, d2g))
-
-
 def _curvature_data(chart: MetricChart, x):
     """(single, g, g^-1, R_AB) of the chart at x."""
     xb, single, g, dg, d2g = _metric_data(chart, x)
@@ -292,14 +288,20 @@ def weyl(chart: MetricChart, x):
 
 def weyl_density(chart: MetricChart, x):
     """Pointwise |W|^2_g sqrt(det g), the integrand of the Weyl functional."""
-    single, g, ginv, riem = _curvature_data(chart, x)
-    w = _weyl_part(riem, g, ginv).reshape(-1, 6, 6)
+    xb, single, g, dg, d2g = _metric_data(chart, x)
+    dens = _weyl_density(g, dg, d2g)
+    return dens[0] if single else dens
+
+
+def _weyl_density(g, dg, d2g):
+    """|W|^2_g sqrt(det g) of a batch of metric jets, shape (n,)."""
+    ginv = np.linalg.inv(g)
+    w = _weyl_part(_riemann_pairs(ginv, dg, d2g), g, ginv).reshape(-1, 6, 6)
     # |W|^2_g = 4 tr(G W G W) over the pairs i < j, with G the metric
     # G_(ij)(kl) = g^ik g^jl - g^il g^jk on two-forms
     gg = (_flat(ginv)[:, _G_A_AT] * _flat(ginv)[:, _G_B_AT]).reshape(-1, 2, 36)
     gw = (gg[:, 0] - gg[:, 1]).reshape(-1, 6, 6) @ w
-    dens = 4.0 * _dot(gw, gw.transpose(0, 2, 1)) * np.sqrt(np.linalg.det(g))
-    return dens[0] if single else dens
+    return 4.0 * _dot(gw, gw.transpose(0, 2, 1)) * np.sqrt(np.linalg.det(g))
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +312,8 @@ def linearize_curvature(chart: MetricChart, h, x) -> dict:
 
     ``h`` is a symmetric 2-tensor field whose ``jet`` gives (h, dh, d2h).  Returns
     a dict with keys inv_dot, gamma_dot, riem13_dot, riem04_dot, ric_dot,
-    scal_dot, weyl_dot: the t-derivatives at t = 0 of the steps of
-    ``riemann_from_data`` and its contractions for the metric g + t h.
+    scal_dot, weyl_dot: the t-derivatives at t = 0 of the steps of the
+    pair pipeline and its contractions for the metric g + t h.
     """
     xb, single, g, dg, d2g = _metric_data(chart, x)
     if not single:
@@ -355,7 +357,8 @@ def fd_linearize(chart: MetricChart, h, x) -> dict:
     Keyed like ``linearize_curvature``: inv_dot, gamma_dot, riem13_dot,
     riem04_dot, ric_dot, scal_dot, weyl_dot.  Central differences in t at
     steps 1e-4 and 1e-4 / 2, with one Richardson level; the four
-    evaluations of chart + t*h serve every quantity.
+    evaluations of chart + t*h serve every quantity, each through the pair
+    pipeline that ``riemann``, ``ricci``, ``scalar`` and ``weyl`` report.
     """
     x = np.asarray(x, dtype=float)[None]
     # the jets do not depend on t: form them once and add t times h's jet
@@ -364,14 +367,14 @@ def fd_linearize(chart: MetricChart, h, x) -> dict:
 
     def value(t):
         g, dg, d2g = (b + t * d for b, d in zip(base, jet))
-        ginv = np.linalg.inv(g[0])
-        riem = riemann_from_data(g, dg, d2g)[0]
-        ric = np.einsum("kijl,kl->ij", riem, ginv)
-        return {"inv_dot": ginv, "gamma_dot": christoffel_from_data(g, dg)[0],
-                "riem13_dot": np.einsum("ijks,sl->ijkl", riem, ginv),
-                "riem04_dot": riem, "ric_dot": ric,
-                "scal_dot": np.einsum("ij,ij->", ginv, ric),
-                "weyl_dot": weyl_from_riemann(riem, g[0])}
+        ginv = np.linalg.inv(g)
+        riem = _riemann_pairs(ginv, dg, d2g)
+        ric = _ricci(riem, ginv)
+        riem04 = _expand(riem)
+        return {"inv_dot": ginv[0], "gamma_dot": christoffel_from_data(g, dg)[0],
+                "riem13_dot": (riem04 @ ginv[:, None, None])[0], "riem04_dot": riem04[0],
+                "ric_dot": ric[0].reshape(DIM, DIM), "scal_dot": _dot(ginv, ric)[0],
+                "weyl_dot": _expand(_weyl_part(riem, g, ginv))[0]}
 
     def central(tt):
         plus, minus = value(tt), value(-tt)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .tensor_core import DIM
 from .fields import CurvatureQuadraticField
-from . import curvature as _curv
+from .curvature import _weyl_density
 from .biharmonic import assemble_interpolant
 from .duality import interaction_star, positivity_bound
 from .gluing import GluingParams, model_F, model_H
@@ -157,24 +157,10 @@ DILATION_NODES = 8
 #: ``SPHERE_CHUNK`` points that made the loop about 1.7 times slower), and
 #: they add little to a process's peak memory.  The result is bit for bit
 #: the same at chunks 1, 7, 64, 128 and 1000 (model_H, four tensors).  At 64
-#: each ``weyl_density`` pass has half the temporaries of 128, for about 13%
+#: each density pass has half the temporaries of 128, for about 13%
 #: more CPU: ``verify variation``'s call took a median 33.7 ms against
 #: 29.8 ms (21 interleaved in-process runs, 2-vCPU Xeon VM).
 DILATION_CHUNK = 64
-
-
-class _JetAt:
-    """The jet of a field at fixed points, formed once and handed to every
-    chart built on it, so charts delta + s h of several s share one jet."""
-
-    def __init__(self, h, x):
-        self.x = x
-        self.value = h.jet(x)
-
-    def jet(self, x):
-        if not np.array_equal(x, self.x):
-            raise ValueError("the jet was formed at other points")
-        return self.value
 
 
 def dilation_energy(h, ts, level: int = 10) -> np.ndarray:
@@ -187,7 +173,8 @@ def dilation_energy(h, ts, level: int = 10) -> np.ndarray:
     sampled at ``DILATION_NODES`` Gauss-Legendre nodes on [0, max(ts)],
     interpolated by a polynomial and integrated exactly, so every t shares
     the same sphere passes.  The jet of h does not depend on s: each chunk
-    of sphere points forms it once, for the charts delta + s h of all nodes.
+    of sphere points forms it once, and each node's metric jet
+    (delta + s h, s dh, s d2h) is formed from it as ``FieldChart`` forms it.
     """
     terms = getattr(h, "terms", None)
     if terms is None or any(p != 0.0 for _, _, p in terms):
@@ -202,12 +189,11 @@ def dilation_energy(h, ts, level: int = 10) -> np.ndarray:
     s_max = float(ts.max())
     scales = 0.5 * s_max * (x + 1.0)
     dens = np.empty((DILATION_NODES, wts.size))
+    eye = np.eye(DIM)
     for start in range(0, wts.size, DILATION_CHUNK):
-        chunk = pts[start:start + DILATION_CHUNK]
-        jet = _JetAt(h, chunk)
+        h0, h1, h2 = h.jet(pts[start:start + DILATION_CHUNK])
         for row, s in zip(dens, scales):
-            row[start:start + DILATION_CHUNK] = _curv.weyl_density(
-                _curv.FieldChart(jet, scale=s), chunk)
+            row[start:start + DILATION_CHUNK] = _weyl_density(eye + s * h0, s * h1, s * h2)
     g = np.array([np.sum(wts * row) for row in dens]) / scales
     # interpolant in Legendre form: at Gauss nodes the discrete projection is exact
     vander = np.polynomial.legendre.legvander(x, DILATION_NODES - 1)
@@ -554,6 +540,10 @@ def choose_parameters(wm, wz, margin: float = 1.0) -> EnergyBalance:
     if not np.isfinite(lam):
         raise ValueError(f"floating-point overflow: lam = {lam} from C = {c_const} "
                          f"and W * W = {inter}")
+    if lam > np.finfo(float).max ** 0.25:
+        raise ValueError(f"tensors too small for the margin: margin {margin} with "
+                         f"W * W = {inter} needs lam = {lam}, whose fourth power "
+                         "overflows")
     e_h = outer_model_energy(wz)
     compatible = [g for g in GAMMA_GRID if g <= 1.0 / (10.0 * lam)]
     fallback = [g for g in GAMMA_GRID if g not in compatible]

@@ -7,9 +7,8 @@ e^1^e^2, e^1^e^3, e^1^e^4, e^2^e^3, e^2^e^4, e^3^e^4.
 
 Index convention, fixed once for the whole package: the Ricci tensor is
 obtained by contracting the first and last slots of the (0,4) curvature
-tensor, R_ij = R_kijl g^kl, and the Kulkarni-Nomizu product carries a 1/2
-normalization, so that (delta (x) delta)_{1212} = -1.  With this choice the
-curvature operator of delta (x) delta is plus the identity on 2-forms.
+tensor, R_ij = R_kijl g^kl.  The Weyl decomposition of a curvature tensor
+is the pair pipeline's, in ``curvature``.
 """
 
 from __future__ import annotations
@@ -40,19 +39,6 @@ for (_i, _j), (_a, _s) in _PAIR_OF.items():
 
 class TensorSymmetryError(ValueError):
     """Raised when an input violates the declared tensor symmetry class."""
-
-
-def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Half-normalized Kulkarni-Nomizu product of two symmetric 2-tensors.
-
-    (a . b)_ijkl = 1/2 (a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik).
-    The result has all the algebraic symmetries of a curvature tensor.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    term = np.einsum("il,jk->ijkl", a, b) + np.einsum("jk,il->ijkl", a, b)
-    term -= np.einsum("ik,jl->ijkl", a, b) + np.einsum("jl,ik->ijkl", a, b)
-    return 0.5 * term
 
 
 def validate(t: np.ndarray, symmetry_class: str = "riemann") -> dict[str, float]:
@@ -118,26 +104,6 @@ def tensor_from_op(op: np.ndarray) -> np.ndarray:
         raise TensorSymmetryError("operator matrix is not symmetric")
     # W_ijkl on sorted pairs equals -op[(k,l), (i,j)]; extend antisymmetrically.
     return -np.einsum("ab,bpq,ars->pqrs", op, _BASIS_FORMS, _BASIS_FORMS)
-
-
-def weyl_from_riemann(riem: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Totally trace-free (Weyl) part of a curvature tensor, n = 4.
-
-    W_ijkl = R_ijkl - 1/2 (R_jk g_il + R_il g_jk - R_ik g_jl - R_jl g_ik)
-             + (R/6) (g_jk g_il - g_ik g_jl),
-    that is Rm - Ric . g + (R/6) g . g with the half-normalized
-    ``kulkarni_nomizu`` product.  Ricci and scalar curvature are computed
-    from ``riem`` and ``g``.  The result is trace-free in every index pair.
-    """
-    riem = np.asarray(riem, dtype=float)
-    g = np.asarray(g, dtype=float)
-    check_class(riem, "riemann", 1e-9)
-    if abs(np.linalg.det(g)) < 1e-14:
-        raise np.linalg.LinAlgError("degenerate metric")
-    ginv = np.linalg.inv(g)
-    ric = np.einsum("kijl,kl->ij", riem, ginv)
-    scal = float(np.einsum("ij,ij->", ginv, ric))
-    return riem - kulkarni_nomizu(ric, g) + (scal / 6.0) * kulkarni_nomizu(g, g)
 
 
 def frame_two_forms(frame: np.ndarray) -> np.ndarray:

@@ -1,9 +1,15 @@
-"""Quadrature and finite-difference oracles for the tests.
+"""Quadrature, finite-difference and dense-tensor oracles for the tests.
 
 The package computes its numbers in closed form or from exact jets; these
 are the independent references the tests hold them against: direct sphere
 and radial quadratures, central differences of the metric, the
-per-harmonic interpolant, the small-gamma expansion and the model charts.
+per-harmonic interpolant, the small-gamma expansion, the model charts, and
+the dense (4, 4, 4, 4) Weyl decomposition ``weyl_from_riemann``, the
+reference of the package's 6x6 pair pipeline.  Its Kulkarni-Nomizu product
+``kulkarni_nomizu`` carries a 1/2 normalization, so that
+(delta (x) delta)_{1212} = -1 and the curvature operator of
+delta (x) delta is plus the identity on 2-forms; the pipeline's product
+(.) in ``weylglue.curvature`` carries none, so it is twice this one.
 The sphere rule and the chunked loop (with its ``SPHERE_CHUNK``) are read
 from ``energy`` at call time, so a test may patch them there.
 """
@@ -16,13 +22,46 @@ from weylglue import curvature as cv
 from weylglue import energy as en
 from weylglue.biharmonic import boundary_vector, radial_profile, solve_profile
 from weylglue.fields import CurvatureQuadraticField, _as_batch
-from weylglue.tensor_core import DIM
+from weylglue.tensor_core import DIM, check_class
 
 _EYE = np.eye(DIM)
 
 
 # ---------------------------------------------------------------------------
 # tensors and charts
+
+def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Half-normalized Kulkarni-Nomizu product of two symmetric 2-tensors.
+
+    (a . b)_ijkl = 1/2 (a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik).
+    The result has all the algebraic symmetries of a curvature tensor.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    term = np.einsum("il,jk->ijkl", a, b) + np.einsum("jk,il->ijkl", a, b)
+    term -= np.einsum("ik,jl->ijkl", a, b) + np.einsum("jl,ik->ijkl", a, b)
+    return 0.5 * term
+
+
+def weyl_from_riemann(riem: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Totally trace-free (Weyl) part of a curvature tensor, n = 4.
+
+    W_ijkl = R_ijkl - 1/2 (R_jk g_il + R_il g_jk - R_ik g_jl - R_jl g_ik)
+             + (R/6) (g_jk g_il - g_ik g_jl),
+    that is Rm - Ric . g + (R/6) g . g with the half-normalized
+    ``kulkarni_nomizu`` product.  Ricci and scalar curvature are computed
+    from ``riem`` and ``g``.  The result is trace-free in every index pair.
+    """
+    riem = np.asarray(riem, dtype=float)
+    g = np.asarray(g, dtype=float)
+    check_class(riem, "riemann", 1e-9)
+    if abs(np.linalg.det(g)) < 1e-14:
+        raise np.linalg.LinAlgError("degenerate metric")
+    ginv = np.linalg.inv(g)
+    ric = np.einsum("kijl,kl->ij", riem, ginv)
+    scal = float(np.einsum("ij,ij->", ginv, ric))
+    return riem - kulkarni_nomizu(ric, g) + (scal / 6.0) * kulkarni_nomizu(g, g)
+
 
 def tensor_norm2(t: np.ndarray) -> float:
     """Full-contraction squared norm |T|^2 = T_ijkl T_ijkl (identity metric)."""
@@ -122,10 +161,10 @@ def fd_curvature(chart, x, step: float = 1e-5) -> dict:
     g, dg, d2g = fd_metric_data(chart, x, step)
     g, dg, d2g = g[None], dg[None], d2g[None]
     gamma = cv.christoffel_from_data(g, dg)[0]
-    riem = cv.riemann_from_data(g, dg, d2g)[0]
-    ginv = np.linalg.inv(g[0])
-    ric = np.einsum("kijl,kl->ij", riem, ginv)
-    scal = float(np.einsum("ij,ij->", ginv, ric))
+    ginv = np.linalg.inv(g)
+    riem = cv._expand(cv._riemann_pairs(ginv, dg, d2g))[0]
+    ric = np.einsum("kijl,kl->ij", riem, ginv[0])
+    scal = float(np.einsum("ij,ij->", ginv[0], ric))
     return {"christoffel": gamma, "riemann": riem, "ricci": ric, "scalar": scal}
 
 

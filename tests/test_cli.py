@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylglue import cli, energy, tensor_core
+from weylglue import cli, energy
 from weylglue.gluing import RegimeWarning
+
+from oracles import kulkarni_nomizu
 
 
 @pytest.fixture
@@ -100,7 +102,7 @@ def test_verify_tensor_reports_coupled_blocks_as_failed(capsys, monkeypatch):
     names = [c["name"] for c in json.loads(run(["verify", "tensor"], capsys)[1])["checks"]]
     diag = np.diag([1.0, -1.0, 0.5, -0.5])
     monkeypatch.setattr(cli, "_random_weyl",
-                        lambda rng: tensor_core.kulkarni_nomizu(diag, np.eye(4)))
+                        lambda rng: kulkarni_nomizu(diag, np.eye(4)))
     code, out = run(["verify", "tensor"], capsys)
     checks = json.loads(out)["checks"]
     assert code == cli.EXIT_FAIL
@@ -263,6 +265,22 @@ def test_balance_auto_says_when_w_star_w_underflows(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
     assert "underflow: W * W = 0.0" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("scale", ["1e-153", "1e-120"])
+def test_balance_auto_says_when_tensors_are_too_small_for_the_margin(tmp_path, capsys,
+                                                                     scale):
+    # W * W is a normal float, but the absolute margin needs a lam whose
+    # fourth power overflows: the input is too small, not too large
+    path = tmp_path / "tiny.json"
+    path.write_text(f'{{"sd": [{scale}, 0, -{scale}], "asd": [{scale}, 0, -{scale}]}}')
+    code = cli.main(["balance", str(path), str(path), "--auto", "1.0"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert "too small" in captured.err and "too large" not in captured.err
+    for name in ("margin 1.0", "W * W = ", "lam = "):
+        assert name in captured.err
 
 
 def test_balance_negative_bracket(spectra, capsys):
@@ -510,6 +528,19 @@ def test_missing_spectrum_file_exits_two(capsys, tmp_path):
     code, _ = run(["interact", str(tmp_path / "nope.json"),
                    str(tmp_path / "nope.json")], capsys)
     assert code == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("text", ["", '{"align": true,}'])
+@pytest.mark.parametrize("where", ["spectrum", "config"])
+def test_file_without_json_is_named(spectra, capsys, tmp_path, where, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    extra = [str(bad)] if where == "spectrum" else [spectra["pair"], "--config", str(bad)]
+    code = cli.main(["interact", spectra["pair"], *extra])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad} ")
 
 
 def test_output_file_written(spectra, capsys, tmp_path):

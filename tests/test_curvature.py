@@ -7,7 +7,7 @@ from weylglue import tensor_core as tc
 from weylglue.fields import CurvatureQuadraticField, PolynomialField
 
 from oracles import (ScaledChart, cnc_model, fd_curvature, fd_metric_data, inverted_model,
-                     linearized_weyl_flat_tt, metric)
+                     kulkarni_nomizu, linearized_weyl_flat_tt, metric, weyl_from_riemann)
 from random_tensors import random_weyl
 
 
@@ -97,6 +97,27 @@ def test_linearization_matches_fd_on_model_charts(seed):
             for key, fd in fds.items():
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(np.asarray(lin[key]) - fd).max() < 1e-6 * scale
+
+
+@pytest.mark.parametrize("seed", [12, 13, 14])
+def test_fd_linearize_differences_the_reported_curvature(seed):
+    # fd_linearize differences the map that weyl, ricci and scalar report:
+    # its values match plain central differences of them on the charts
+    # f + t h, whose coefficients are those of f plus t times those of h
+    rng = np.random.default_rng(seed)
+    f = PolynomialField.random(rng, scale=0.05)
+    h = PolynomialField.random(rng, scale=1.0)
+    x = 0.2 * rng.standard_normal(4)
+
+    def chart(t):
+        return cv.FieldChart(PolynomialField(*(a + t * b for a, b in zip(
+            (f.c0, f.c1, f.c2, f.c3), (h.c0, h.c1, h.c2, h.c3)))))
+
+    fds, step = cv.fd_linearize(chart(0.0), h, x), 1e-5
+    for key, quantity in (("weyl_dot", cv.weyl), ("ric_dot", cv.ricci),
+                          ("scal_dot", cv.scalar)):
+        want = (quantity(chart(step), x) - quantity(chart(-step), x)) / (2 * step)
+        assert np.abs(fds[key] - want).max() < 1e-7 * max(np.abs(want).max(), 1.0)
 
 
 def test_linearized_weyl_flat_tt_agrees_with_general():
@@ -197,18 +218,18 @@ def _random_chart_points(seed, n=6):
 def test_batched_contractions_match_einsum_oracle(seed):
     chart, x = _random_chart_points(seed)
     _, _, g, dg, d2g = cv._metric_data(chart, x)
-    new, old = cv.riemann_from_data(g, dg, d2g), _old_riemann(g, dg, d2g)
+    new, old = cv.riemann(chart, x), _old_riemann(g, dg, d2g)
     assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
 
 
 def test_kulkarni_nomizu_conventions():
-    # the curvature module's product carries no 1/2, tensor_core's does; it
+    # the curvature module's product carries no 1/2, the dense oracle's does; it
     # is formed on the two-form pairs, and expanded it is the full tensor
     rng = np.random.default_rng(87)
     a, b = rng.standard_normal((2, 5, 4, 4))
     a, b = a + a.swapaxes(1, 2), b + b.swapaxes(1, 2)
     got = cv._expand(cv._subtract_kulkarni_nomizu(np.zeros((5, 36)), a, b))
-    want = np.array([-2.0 * tc.kulkarni_nomizu(p, q) for p, q in zip(a, b)])
+    want = np.array([-2.0 * kulkarni_nomizu(p, q) for p, q in zip(a, b)])
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -230,7 +251,7 @@ def test_weyl_density_matches_finite_differences(seed):
         # the default 1e-5 step leaves about 1e-5 of roundoff in d2g
         data = fd_curvature(chart, p, step=1e-3)
         g = metric(chart, p)
-        fd.append(_density(tc.weyl_from_riemann(data["riemann"], g), g))
+        fd.append(_density(weyl_from_riemann(data["riemann"], g), g))
     fd = np.array(fd)
     assert np.abs(dens - fd).max() <= 1e-6 * np.abs(fd).max()
 
@@ -279,12 +300,12 @@ def test_weyl_density_of_a_point_is_its_row_of_the_batch(seed):
 
 @pytest.mark.parametrize("seed", [81, 82])
 def test_batched_weyl_matches_pointwise_decomposition(seed):
-    # tensor_core.weyl_from_riemann spells out the trace decomposition on its
+    # the oracle weyl_from_riemann spells out the trace decomposition on its
     # own, so it checks the batched Schouten / Kulkarni-Nomizu helper
     charts = _model_charts(seed) + [_random_chart_points(seed)]
     for chart, x in charts:
         got = cv.weyl(chart, x)
-        want = np.array([tc.weyl_from_riemann(cv.riemann(chart, p), metric(chart, p))
+        want = np.array([weyl_from_riemann(cv.riemann(chart, p), metric(chart, p))
                          for p in x])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 

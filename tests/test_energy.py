@@ -10,7 +10,8 @@ from weylglue.curvature import FieldChart, MetricChart, weyl_density
 from weylglue.fields import CurvatureQuadraticField, PolynomialField
 from weylglue.gluing import GluingParams, RegimeWarning, model_F, model_H
 
-from oracles import bulk_integral, radial_rule, rough_energy_bound, weyl_energy_numeric
+from oracles import (bulk_integral, kulkarni_nomizu, radial_rule, rough_energy_bound,
+                     weyl_energy_numeric)
 from random_tensors import random_weyl, slab_jet
 
 
@@ -122,7 +123,7 @@ def test_boundary_forms_agree_on_annulus():
 
 
 def test_second_variation_rejects_non_tt():
-    kn = tc.kulkarni_nomizu(np.eye(4), np.eye(4))
+    kn = kulkarni_nomizu(np.eye(4), np.eye(4))
     h = CurvatureQuadraticField([(1.0, kn, 0.0)])
     with pytest.raises(ValueError):
         en.second_variation(h, ("ball", 1.0))
@@ -318,6 +319,25 @@ def test_dilation_slope_at_zero_is_second_variation():
     fit = np.polynomial.Legendre.fit(s, g, en.DILATION_NODES - 1, domain=[0.0, 1e-2])
     phi = en.second_variation(h, ("ball", 1.0), form="bilap")
     assert fit.deriv()(0.0) / 4.0 == pytest.approx(phi, rel=1e-11)
+
+
+@pytest.mark.parametrize("level", [6, 10])
+def test_dilation_energy_is_the_sum_of_chart_densities(level):
+    # each node's metric jet is the one FieldChart(h, scale=s) forms, so the
+    # energy is, bit for bit, the same sum of weyl_density chunk by chunk
+    h = model_H(random_weyl(np.random.default_rng(66)))
+    ts = np.geomspace(1e-3, 1e-2, 5)
+    pts, wts = en._half_sphere_rule(level)
+    x, w = np.polynomial.legendre.leggauss(en.DILATION_NODES)
+    scales = 0.5 * ts.max() * (x + 1.0)
+    chunks = [pts[i:i + en.DILATION_CHUNK] for i in range(0, wts.size, en.DILATION_CHUNK)]
+    g = np.array([np.sum(wts * np.concatenate(
+        [weyl_density(FieldChart(h, scale=s), chunk) for chunk in chunks])) for s in scales])
+    g /= scales
+    vander = np.polynomial.legendre.legvander(x, en.DILATION_NODES - 1)
+    coef = (np.arange(en.DILATION_NODES) + 0.5) * (vander.T @ (w * g))
+    want = 0.5 * np.polynomial.Legendre(coef, domain=[0.0, ts.max()]).integ(lbnd=0.0)(ts)
+    assert np.array_equal(en.dilation_energy(h, ts, level=level), want)
 
 
 @pytest.mark.parametrize("level", [7, 10])
@@ -518,17 +538,6 @@ def test_constant_C_at_large_gamma_agrees_with_the_bracket():
         wm = random_weyl(rng)
         want = en.leading_bracket(wm, zero, 0.3, 1.0)
         assert abs(en.constant_C(wm, 0.3) - want) <= 1e-13 * abs(want)
-
-
-def test_shared_jet_refuses_other_points():
-    # the jet a dilation chunk hands its charts is valid at its own points only
-    h = model_H(random_weyl(np.random.default_rng(59)))
-    x = en.sphere_rule(4)[0][:8]
-    jet = en._JetAt(h, x)
-    assert jet.jet(x.copy()) is jet.value
-    for other in (x[:7], x + 1e-12, x[::-1]):
-        with pytest.raises(ValueError, match="other points"):
-            jet.jet(other)
 
 
 def test_zero_tensor_term_changes_no_derivative():

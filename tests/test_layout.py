@@ -2,10 +2,11 @@
 function or class is reached from ``cli.main`` or is named kept API.
 
 Reachability is read from the source by AST: a definition is reached when
-a reached definition, or a module's import-time code, names it, directly or
-through a relative import (``from .m import f``, ``from . import m`` with
-``m.f``).  A reached class counts with all its methods.  Test oracles live
-in ``tests/oracles.py``.
+a reached definition, or a module's import-time code, reads its name (an
+assignment or annotation target is no use), directly or through a relative
+import (``from .m import f``, ``from . import m`` with ``m.f``).  A reached
+class counts with all its methods.  Test oracles live in
+``tests/oracles.py``.
 """
 
 import ast
@@ -16,14 +17,16 @@ import weylglue
 SRC = Path(weylglue.__file__).parent
 
 #: Public names no CLI path reaches that stay in the package: the chart's
-#: curvature API, the gluing and orientation steps planned items read, and
-#: the interaction fit the acceptance tests use.
+#: curvature API, the gluing and orientation steps planned items read, the
+#: interaction fit the acceptance tests use, and the closed form's public
+#: entry points (ROADMAP item 2), the bracket and its constant C.
 KEPT_API = {
     ("curvature", "christoffel"), ("curvature", "riemann"), ("curvature", "ricci"),
-    ("curvature", "scalar"), ("curvature", "weyl"),
+    ("curvature", "scalar"), ("curvature", "weyl"), ("curvature", "weyl_density"),
     ("gluing", "GluedChart"), ("gluing", "invert_pullback"),
     ("duality", "reverse_orientation"), ("duality", "derdzinski_frame"),
     ("energy", "extract_interaction_coefficient"),
+    ("energy", "leading_bracket"), ("energy", "constant_C"),
 }
 
 
@@ -53,7 +56,7 @@ def _scan():
 
     def named(mod, node):
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 yield resolve(mod, sub.id)
             elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
                 target = imports[mod].get(sub.value.id)
